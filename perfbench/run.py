@@ -1,16 +1,18 @@
 """Benchmark of levyminmax: four workloads, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload envelope --seed 3 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload envelope --seed 3 --seconds 30 --trace 0
     python3 perfbench/run.py            # every workload, seed 0, untraced
 
 Each run starts fresh worker processes (``worker.py``).  With ``--trace 0``
 it reports the end-to-end metrics: ``setup_s`` is the median over
 SETUP_SAMPLES fresh processes of the time from spawning the process to its
-first timed operation, ``run_s`` the median wall time of one round of the
+first timed operation, ``run_s`` the mean wall time of one round of the
 workload's fixed operations, and ``peak_rss_mb`` the worker's peak resident
-set size.  With ``--trace 1`` a separate traced worker reports the per-layer
-metrics.  The last line of standard output is the result object; the line
-before it holds the run's provenance, and both are also written to
+set size.  Workers run with one BLAS thread and a fixed hash seed, so that a
+run measures the program rather than the scheduler of a small shared host.
+With ``--trace 1`` a separate traced worker reports the per-layer metrics.
+The last line of standard output is the result object; the line before it
+holds the run's provenance, and both are also written to
 ``perfbench/results/``.
 """
 from __future__ import annotations
@@ -30,6 +32,11 @@ RESULTS = ROOT / "perfbench" / "results"
 WORKLOADS = ("extension", "envelope", "surrogate", "cli")
 SETUP_SAMPLES = 5
 CHILD_TIMEOUT_S = 150
+
+# one BLAS/OpenMP thread: the hosts this runs on have few cores, and a second
+# thread mostly measures what else the host is running
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 END_TO_END = {"setup_s": "s", "run_s": "s", "peak_rss_mb": "MB"}
 
@@ -84,6 +91,7 @@ def _worker(workload: str, seed: int, seconds: float, trace: int,
             setup_only: bool = False) -> tuple[dict, float]:
     """Run one worker to its end; returns its result and its set-up time."""
     env = dict(os.environ)
+    env.update(WORKER_ENV)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT)] + [p for p in [env.get("PYTHONPATH")] if p])
     cmd = [sys.executable, str(WORKER), "--workload", workload, "--seed", str(seed),
@@ -115,7 +123,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
                    for k, u in PER_LAYER.items()}
     else:
         values = {"setup_s": statistics.median(setups),
-                  "run_s": statistics.median(res["round_s"]),
+                  "run_s": statistics.fmean(res["round_s"]),
                   "peak_rss_mb": res["peak_rss_mb"]}
         metrics = {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}
     result = {"correct": not res["problems"], "attempted": res["attempted"],
@@ -146,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS,
                         help="run one workload (default: all four, in turn)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "levyminmax" / "__init__.py").is_file():

@@ -3,16 +3,19 @@
 Started by ``run.py`` in a fresh interpreter.  Set-up covers imports, input
 generation from the seed and one warm-up call per operation; it ends at the
 ``setup_end`` stamp (CLOCK_MONOTONIC, comparable with the parent's clock).
-Then whole rounds run until ``--seconds`` have passed, and the outputs of
-the last round are checked outside the timed region.  With ``--trace 1``
-the layer wrappers are installed for the rounds and the per-round layer
-metrics are reported instead of being left out.  The last line of standard
+Then whole rounds run while another round is expected to end within
+``--seconds`` (at least one round runs), each after a garbage collection
+outside the timer, and the outputs of the last round are checked outside the
+timed region.  With ``--trace 1`` the layer wrappers are installed for the
+rounds and the per-round layer metrics are reported instead of being left
+out.  The last line of standard
 output is one JSON object for ``run.py``.
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import os
 import platform
@@ -105,10 +108,11 @@ def main() -> int:
         round_s, cpu_s, layers, errors = [], [], [], {}
         op_s = {op.name: [] for op in ops}
         attempted = failed = 0
-        start = time.perf_counter()
+        deadline = time.perf_counter() + args.seconds
         while True:
             if tracer:
                 tracer.reset()
+            gc.collect()
             outs = {}
             c0, t0 = time.process_time(), time.perf_counter()
             for op in ops:
@@ -125,7 +129,8 @@ def main() -> int:
             cpu_s.append(c1 - c0)
             if tracer:
                 layers.append(tracer.round_metrics())
-            if t1 - start >= args.seconds:
+            # whole rounds only: stop when the next one would pass the deadline
+            if t1 + round_s[-1] > deadline:
                 break
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if tracer:
