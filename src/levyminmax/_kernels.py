@@ -1,11 +1,8 @@
 """Hot kernels: cube cover queries, partition weights, extension evaluation.
 
-Single source of truth for the lattice-periodic cube geometry.  Everything
-here is written in the nopython subset and compiled with numba when
-available; setting LEVYMINMAX_DISABLE_JIT=1 (or lacking numba) runs the same
-code as plain Python.  All arithmetic is dyadic-exact: sides are powers of
-two, cube corners are integer multiples of the side, and no fastmath is
-allowed.
+Single source of truth for the lattice-periodic cube geometry, written as
+plain Python over floats, ints and tuples.  All arithmetic is dyadic-exact:
+sides are powers of two, cube corners are integer multiples of the side.
 
 Geometry, in lattice units (spacing 1, lattice = the integer points):
 cell-local cubes of generation k have side 2**-k inside [-1/2, 1/2]^d and a
@@ -15,34 +12,22 @@ cubes have
 dist/diam in [1, 4] against the lattice and tile the cell around the origin;
 translating by integer vectors tiles space minus the lattice.  The inflation
 factor for supports is 9/8.
+
+A query point sees at most 5 generations of 3**d candidates each, so a
+cover holds at most 135 cubes in d = 3.
 """
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is optional (the `jit` extra)
-    njit = None
+# perfbench/worker.py reads this flag to report the backend of a run.
+JIT_ENABLED = False
 
-_NB_PARAMS = {"cache": True, "fastmath": False}
-
-JIT_ENABLED = njit is not None and os.environ.get("LEVYMINMAX_DISABLE_JIT", "0") != "1"
-
-
-def _jit(fn):
-    if JIT_ENABLED:
-        return njit(**_NB_PARAMS)(fn)
-    return fn
-
-
-COVER_CAP = 160          # hard bound on simultaneously active cubes per query
 KMAX = 30                # generation safety cap (float scale degenerates beyond)
 SNAP_TOL_UNIT = 2.0 ** -26   # closer than this to a node: use the node value
+SUPPORT_FACTOR = 9.0 / 16.0  # support half-width of the bump, in sides
 
 
-@_jit
 def ramp(t):
     """Smooth nondecreasing ramp: 0 for t<=0, 1 for t>=1."""
     if t <= 0.0:
@@ -54,19 +39,17 @@ def ramp(t):
     return qa / (qa + qb)
 
 
-@_jit
 def bump1(t):
     """1-d bump: 1 on [-1/2,1/2], 0 outside (-9/16, 9/16), smooth monotone walls."""
     a = abs(t)
     if a <= 0.5:
         return 1.0
-    if a >= 0.5625:
+    if a >= SUPPORT_FACTOR:
         return 0.0
     return 1.0 - ramp((a - 0.5) * 16.0)
 
 
-@_jit
-def _ring_test(m, d):
+def _ring_test(m):
     """Does the cell-local cube with corner index m meet its generation's shell?
 
     Exact integer arithmetic in side units: the cube is [m, m+1]^d and the
@@ -75,178 +58,127 @@ def _ring_test(m, d):
     """
     minr2 = 0
     maxr2 = 0
-    for i in range(d):
-        lo = m[i]
-        hi = m[i] + 1
-        if lo <= 0 and hi >= 0:
-            pass
-        else:
-            c = min(abs(lo), abs(hi))
-            minr2 += c * c
-        mx = max(abs(lo), abs(hi))
-        maxr2 += mx * mx
-    return (minr2 < 16 * d) and (maxr2 >= 4 * d)
+    for mi in m:
+        near, far = (mi, mi + 1) if mi >= 0 else (-mi - 1, -mi)
+        minr2 += near * near
+        maxr2 += far * far
+    d = len(m)
+    return minr2 < 16 * d and maxr2 >= 4 * d
 
 
-@_jit
-def _selected(k, m, d, scratch):
+def _selected(k, m):
     """Cube is kept: meets its shell and no dyadic ancestor meets its own."""
-    if not _ring_test(m, d):
+    if not _ring_test(m):
         return False
-    for j in range(k - 1, 0, -1):
-        shift = k - j
-        for i in range(d):
-            scratch[i] = m[i] >> shift
-        if _ring_test(scratch, d):
+    for shift in range(1, k):
+        if _ring_test(tuple(mi >> shift for mi in m)):
             return False
     return True
 
 
-@_jit
-def cover(xi, d, out_z, out_k, out_m, out_c, out_s, out_w):
+def cover(xi, d):
     """All kept cubes whose inflated support contains the unit-frame point xi.
 
-    Fills parallel arrays: cell lattice point, generation, cell-local corner
-    index, absolute center, side, bump weight.  Returns the count (0 when xi
-    sits on the lattice closer than the enumeration can resolve).
+    Returns (cell, generation, index, weight) tuples: cell lattice point,
+    generation, cell-local corner index and bump weight.  The list is empty
+    when xi sits on the lattice closer than the enumeration can resolve.
     """
     # distance to the lattice sets the relevant generations
     d2 = 0.0
-    for i in range(d):
-        zi = math.floor(xi[i] + 0.5)
-        d2 += (xi[i] - zi) * (xi[i] - zi)
+    for v in xi:
+        zi = math.floor(v + 0.5)
+        d2 += (v - zi) * (v - zi)
     if d2 <= 0.0:
-        return 0
+        return []
     k0 = 0.5 * math.log(d / d2) / math.log(2.0)
-    kmin = int(math.floor(k0)) - 1
-    if kmin < 1:
-        kmin = 1
-    kmax = int(math.floor(k0)) + 3
-    if kmax > KMAX:
-        kmax = KMAX
-    mg = np.empty(3, dtype=np.int64)
-    ml = np.empty(3, dtype=np.int64)
-    scratch = np.empty(3, dtype=np.int64)
-    count = 0
-    npow = 1
-    for _ in range(d):
-        npow *= 3
+    kmin = max(math.floor(k0) - 1, 1)
+    kmax = min(math.floor(k0) + 3, KMAX)
+    found = []
     for k in range(kmin, kmax + 1):
         s = 2.0 ** (-k)
         pk = 1 << k
         half = 1 << (k - 1)
-        for code in range(npow):
-            rem = code
-            ok = True
-            w = 1.0
-            for i in range(d):
-                off = rem % 3 - 1
-                rem //= 3
-                mg[i] = int(math.floor(xi[i] / s)) + off
-                ci = mg[i] * s + 0.5 * s
-                wi = bump1((xi[i] - ci) / s)
+        # per axis: (cell, cell-local index, weight) of the positive-weight
+        # candidates whose centre lies in the cell they are assigned to
+        combos = [((), (), 1.0)]
+        for v in xi:
+            axis = []
+            base = math.floor(v / s)
+            for off in (-1, 0, 1):
+                mg = base + off
+                ci = mg * s + 0.5 * s
+                wi = bump1((v - ci) / s)
                 if wi <= 0.0:
-                    ok = False
-                    break
-                w *= wi
-            if not ok:
-                continue
-            # cell assignment: centers are never half-integers, so floor(c+1/2) is safe
-            inside = True
-            for i in range(d):
-                ci = mg[i] * s + 0.5 * s
-                zi = int(math.floor(ci + 0.5))
-                ml[i] = mg[i] - zi * pk
-                out_z[count, i] = zi
-                if ml[i] < -half or ml[i] > half - 1:
-                    inside = False
-                    break
-            if not inside:
-                continue
-            if not _selected(k, ml, d, scratch):
-                continue
-            out_k[count] = k
-            for i in range(d):
-                out_m[count, i] = ml[i]
-                out_c[count, i] = mg[i] * s + 0.5 * s
-            out_s[count] = s
-            out_w[count] = w
-            count += 1
-            if count >= COVER_CAP:
-                break
-        if count >= COVER_CAP:
-            break
-    return count
+                    continue
+                # centers are never half-integers, so floor(c+1/2) is safe
+                zi = math.floor(ci + 0.5)
+                ml = mg - zi * pk
+                if -half <= ml <= half - 1:
+                    axis.append((zi, ml, wi))
+            # earlier axes vary fastest; weights multiply left to right
+            combos = [(cell + (zi,), index + (ml,), w * wi)
+                      for zi, ml, wi in axis for cell, index, w in combos]
+        for cell, index, w in combos:
+            if _selected(k, index):
+                found.append((cell, k, index, w))
+    return found
 
 
-@_jit
-def partition_sums(pts, h, d, out):
+def partition_sums(pts, h, d):
     """Raw bump total and normalized weight total per point (unit-frame scale h).
 
-    out[p,0] = sum of bump weights over active cubes (coverage demands >= 1);
-    out[p,1] = sum of normalized partition weights (should be 1 in floats).
+    Column 0 is the sum of bump weights over active cubes (coverage demands
+    >= 1); column 1 the sum of normalized partition weights (1 in floats).
     Points within the snap tolerance of a node get the sentinel (-1, -1).
     """
-    m = pts.shape[0]
-    xi = np.empty(3)
-    out_z = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_k = np.empty(COVER_CAP, dtype=np.int64)
-    out_m = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_c = np.empty((COVER_CAP, 3))
-    out_s = np.empty(COVER_CAP)
-    out_w = np.empty(COVER_CAP)
-    for p in range(m):
+    out = []
+    for row in pts.tolist():
+        xi = [v / h for v in row]
         d2 = 0.0
-        for i in range(d):
-            xi[i] = pts[p, i] / h
-            zi = math.floor(xi[i] + 0.5)
-            d2 += (xi[i] - zi) * (xi[i] - zi)
+        for v in xi:
+            zi = math.floor(v + 0.5)
+            d2 += (v - zi) * (v - zi)
         if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT:
-            out[p, 0] = -1.0
-            out[p, 1] = -1.0
+            out.append((-1.0, -1.0))
             continue
-        cnt = cover(xi[:d], d, out_z, out_k, out_m, out_c, out_s, out_w)
+        weights = [w for _, _, _, w in cover(xi, d)]
         raw = 0.0
-        for j in range(cnt):
-            raw += out_w[j]
-        out[p, 0] = raw
+        for w in weights:
+            raw += w
         norm = 0.0
         if raw > 0.0:
-            for j in range(cnt):
-                norm += out_w[j] / raw
-        out[p, 1] = norm
-    return out
+            for w in weights:
+                norm += w / raw
+        out.append((raw, norm))
+    return np.array(out, dtype=float).reshape(-1, 2)
 
 
-@_jit
-def _val(values, n_half, d, z):
-    """Zero-padded flat read of node z (index vector)."""
+def _val(values, n_half, z):
+    """Zero-padded flat read of node z (index sequence)."""
     pos = 0
     width = 2 * n_half + 1
-    for i in range(d):
-        if z[i] < -n_half or z[i] > n_half:
+    for zi in z:
+        if zi < -n_half or zi > n_half:
             return 0.0
-        pos = pos * width + (z[i] + n_half)
+        pos = pos * width + (zi + n_half)
     return values[pos]
 
 
-@_jit
-def _poly_eval(values, n_half, d, h, z, x, beta_case, zi):
+def _poly_eval(values, n_half, d, h, z, x, beta_case):
     """Interpolating polynomial anchored at node z, evaluated at physical x.
 
     Constant / affine / quadratic by beta_case, with stencil derivatives at
     the anchor read from the zero-padded node array.
     """
-    for i in range(d):
-        zi[i] = z[i]
-    u0 = _val(values, n_half, d, zi)
+    zi = list(z)
+    u0 = _val(values, n_half, zi)
     acc = u0
     if beta_case >= 1:
         for k in range(d):
             zi[k] = z[k] + 1
-            up = _val(values, n_half, d, zi)
+            up = _val(values, n_half, zi)
             zi[k] = z[k] - 1
-            um = _val(values, n_half, d, zi)
+            um = _val(values, n_half, zi)
             zi[k] = z[k]
             gk = (up - um) / (2.0 * h)
             acc += gk * (x[k] - z[k] * h)
@@ -257,76 +189,39 @@ def _poly_eval(values, n_half, d, h, z, x, beta_case, zi):
                 dxl = x[l] - z[l] * h
                 zi[k] += 1
                 zi[l] += 1
-                upp = _val(values, n_half, d, zi)
+                upp = _val(values, n_half, zi)
                 zi[l] -= 1
-                upk = _val(values, n_half, d, zi)
+                upk = _val(values, n_half, zi)
                 zi[k] -= 1
                 zi[l] += 1
-                upl = _val(values, n_half, d, zi)
+                upl = _val(values, n_half, zi)
                 zi[l] -= 1
                 hkl = (upp - upk - upl + u0) / (h * h)
                 acc += 0.5 * hkl * dxk * dxl
     return acc
 
 
-@_jit
-def extend_many(pts, values, n_half, d, h, beta_case, out):
-    """Evaluate the extension of node data at many physical points.
+def extend_many(pts, values, n_half, d, h, beta_case):
+    """Evaluate the extension of node data (flat list) at many physical points.
 
     Node points return the stored value; off-lattice points blend the
     anchored polynomials of the active cubes with normalized bump weights.
     """
-    m = pts.shape[0]
-    xi = np.empty(3)
-    x = np.empty(3)
-    z = np.empty(3, dtype=np.int64)
-    zi = np.empty(3, dtype=np.int64)
-    out_z = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_k = np.empty(COVER_CAP, dtype=np.int64)
-    out_m = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_c = np.empty((COVER_CAP, 3))
-    out_s = np.empty(COVER_CAP)
-    out_w = np.empty(COVER_CAP)
-    for p in range(m):
+    out = []
+    for x in pts.tolist():
+        xi = [v / h for v in x]
+        z = [math.floor(v + 0.5) for v in xi]
         d2 = 0.0
-        for i in range(d):
-            x[i] = pts[p, i]
-            xi[i] = x[i] / h
-            z[i] = int(math.floor(xi[i] + 0.5))
-            d2 += (xi[i] - z[i]) * (xi[i] - z[i])
+        for v, zi in zip(xi, z):
+            d2 += (v - zi) * (v - zi)
         if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT:
-            out[p] = _val(values, n_half, d, z[:d])
+            out.append(_val(values, n_half, z))
             continue
-        cnt = cover(xi[:d], d, out_z, out_k, out_m, out_c, out_s, out_w)
         num = 0.0
         den = 0.0
-        for j in range(cnt):
-            for i in range(d):
-                z[i] = out_z[j, i]
-            pj = _poly_eval(values, n_half, d, h, z[:d], x[:d], beta_case, zi[:d])
-            num += out_w[j] * pj
-            den += out_w[j]
-        if den > 0.0:
-            out[p] = num / den
-        else:
-            out[p] = np.nan
-    return out
-
-
-def cover_query(xi, d):
-    """Python-facing cover call: returns (count, z, k, m, centers, sides, weights)."""
-    xi = np.asarray(xi, dtype=float)
-    out_z = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_k = np.empty(COVER_CAP, dtype=np.int64)
-    out_m = np.empty((COVER_CAP, 3), dtype=np.int64)
-    out_c = np.empty((COVER_CAP, 3))
-    out_s = np.empty(COVER_CAP)
-    out_w = np.empty(COVER_CAP)
-    cnt = cover(xi, d, out_z, out_k, out_m, out_c, out_s, out_w)
-    return (cnt, out_z[:cnt, :d].copy(), out_k[:cnt].copy(), out_m[:cnt, :d].copy(),
-            out_c[:cnt, :d].copy(), out_s[:cnt].copy(), out_w[:cnt].copy())
-
-
-def python_impl(fn):
-    """The uncompiled twin of a kernel (identity when the JIT is disabled)."""
-    return fn.py_func if JIT_ENABLED else fn
+        for cell, _, _, w in cover(xi, d):
+            pj = _poly_eval(values, n_half, d, h, cell, x, beta_case)
+            num += w * pj
+            den += w
+        out.append(num / den if den > 0.0 else math.nan)
+    return np.array(out, dtype=float)

@@ -125,6 +125,9 @@ def probe_lipschitz(op, size: int, samples: int = 20, seed: int = 0,
             continue
         num = float(np.max(np.abs(np.asarray(op(u)) - np.asarray(op(v)))))
         ratios.append(num / den)
+    if not ratios:
+        raise ApproxError(f"every sample pair was degenerate: sup |u - v| < 1e-14 "
+                          f"in all {samples} (amplitude {amplitude})")
     return LipschitzProbe(rho_hat=float(np.max(ratios)),
                           ratios=np.array(ratios), seed=seed)
 

@@ -67,6 +67,9 @@ def _kernel_row(stencil) -> RowFunctional:
 def _row_from_config(path: str) -> RowFunctional:
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise GridError(f"row config {path} must hold a JSON object, "
+                        f"got {type(cfg).__name__}")
     return RowFunctional(np.asarray(cfg["base_point"], dtype=float),
                          np.asarray(cfg["offsets"], dtype=float),
                          np.asarray(cfg["weights"], dtype=float))
@@ -84,11 +87,11 @@ def _emit(report: dict, summary: str, out: str | None) -> None:
 
 
 def cmd_decompose(args) -> int:
-    grid = DyadicGrid(args.level, args.dim)
     if args.config:
         row = _row_from_config(args.config)
         name = "config"
     else:
+        grid = DyadicGrid(args.level, args.dim)
         op = _named_operator(args.operator, args.dim, args.beta, grid.spacing)
         row = _kernel_row(levy_stencil(grid, op))
         name = args.operator

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .grid import GridError
-
-MAX_GENERATION = 30
-ON_NODE_TOL = 1e-13
-SUPPORT_FACTOR = 9.0 / 16.0   # support half-width of the bump, in sides
+from ._kernels import KMAX
+from .grid import ON_LATTICE_TOL, GridError
 
 
 class CubeError(GridError):
@@ -45,8 +42,8 @@ class WhitneyCube:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if not (1 <= self.generation <= MAX_GENERATION):
-            raise CubeError(f"generation {self.generation} outside [1, {MAX_GENERATION}]")
+        if not (1 <= self.generation <= KMAX):
+            raise CubeError(f"generation {self.generation} outside [1, {KMAX}]")
         if len(self.index) != self.dim or len(self.cell) != self.dim:
             raise CubeError("index/cell length does not match dim")
 
@@ -91,7 +88,8 @@ class WhitneyCube:
 
     def support_contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(np.abs(x - self.center) < SUPPORT_FACTOR * self.side))
+        reach = _kernels.SUPPORT_FACTOR * self.side
+        return bool(np.all(np.abs(x - self.center) < reach))
 
     def weight(self, x) -> float:
         """Smooth bump of this cube: 1 on the cube, 0 outside the inflation."""
@@ -132,11 +130,10 @@ def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
     """
     if dim not in (1, 2, 3):
         raise CubeError(f"dim must be 1, 2 or 3, got {dim}")
-    if not (1 <= max_generation <= MAX_GENERATION):
+    if not (1 <= max_generation <= KMAX):
         raise CubeError(
-            f"max_generation {max_generation} outside [1, {MAX_GENERATION}]")
+            f"max_generation {max_generation} outside [1, {KMAX}]")
     reach = int(math.ceil(4.0 * math.sqrt(dim))) + 1
-    scratch = np.empty(3, dtype=np.int64)
     out = []
     for k in range(1, max_generation + 1):
         half = 1 << (k - 1)
@@ -144,8 +141,7 @@ def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
         hi = min(half - 1, reach - 1)
         axis = range(lo, hi + 1)
         for m in itertools.product(axis, repeat=dim):
-            marr = np.array(m, dtype=np.int64)
-            if _kernels._selected(k, marr, dim, scratch):
+            if _kernels._selected(k, m):
                 out.append(WhitneyCube(dim=dim, generation=k, index=m,
                                        cell=(0,) * dim))
     out.sort(key=lambda q: (q.generation, q.index))
@@ -167,19 +163,17 @@ def cubes_at(x, spacing: float = 1.0) -> CubeCover:
     xi = x / spacing
     znear = np.floor(xi + 0.5)
     delta_unit = math.sqrt(float(np.sum((xi - znear) ** 2)))
-    if delta_unit * spacing <= ON_NODE_TOL * max(1.0, float(np.max(np.abs(x)))):
+    if delta_unit * spacing <= ON_LATTICE_TOL * max(1.0, float(np.max(np.abs(x)))):
         raise CubeError(f"point {x.tolist()} lies on a lattice node")
     if delta_unit < _kernels.SNAP_TOL_UNIT:
         raise CubeError(
             f"point {x.tolist()} is closer to a node than generation "
-            f"{MAX_GENERATION} resolves")
-    cnt, z, k, m, c, s, w = _kernels.cover_query(xi, d)
-    cubes = tuple(
-        WhitneyCube(dim=d, generation=int(k[j]), index=tuple(int(v) for v in m[j]),
-                    cell=tuple(int(v) for v in z[j]), spacing=spacing)
-        for j in range(cnt))
+            f"{KMAX} resolves")
+    found = _kernels.cover(xi.tolist(), d)
+    cubes = tuple(WhitneyCube(dim=d, generation=k, index=m, cell=z, spacing=spacing)
+                  for z, k, m, _ in found)
     return CubeCover(point=tuple(float(v) for v in x), spacing=spacing,
-                     cubes=cubes, weights=tuple(float(v) for v in w[:cnt]))
+                     cubes=cubes, weights=tuple(w for *_, w in found))
 
 
 def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
@@ -190,10 +184,7 @@ def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
     node carry the sentinel -1 in both columns.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((pts.shape[0], 2))
-    _kernels.partition_sums(np.ascontiguousarray(pts), float(spacing),
-                            pts.shape[1], out)
-    return out
+    return _kernels.partition_sums(pts, float(spacing), pts.shape[1])
 
 
 def uncovered_volume(dim: int, max_generation: int) -> float:
@@ -205,7 +196,7 @@ def uncovered_volume(dim: int, max_generation: int) -> float:
     """
     if dim not in (1, 2, 3):
         raise CubeError(f"dim must be 1, 2 or 3, got {dim}")
-    if not (1 <= max_generation <= MAX_GENERATION):
+    if not (1 <= max_generation <= KMAX):
         raise CubeError("max_generation out of range")
     k = max_generation
     # chain-miss cubes lie inside the innermost shell: |index| small
@@ -218,7 +209,7 @@ def uncovered_volume(dim: int, max_generation: int) -> float:
         miss = True
         for j in range(k, 0, -1):
             anc = tuple(mi >> (k - j) for mi in m)
-            if _kernels._ring_test(np.array(anc, dtype=np.int64), dim):
+            if _kernels._ring_test(anc):
                 miss = False
                 break
         if miss:

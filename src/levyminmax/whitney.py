@@ -72,7 +72,7 @@ class ExtendedFn:
         self.node_data = u
         self.grid = u.grid
         self.smoothness = smoothness
-        self._flat = u.values.ravel().copy()
+        self._flat = u.values.ravel().tolist()
 
     def values(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -81,10 +81,8 @@ class ExtendedFn:
             pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[1] != d:
             raise GridError(f"expected points of shape (m, {d}), got {pts.shape}")
-        out = np.empty(pts.shape[0])
-        _kernels.extend_many(np.ascontiguousarray(pts), self._flat,
-                             self.grid.half_count, d, self.grid.spacing,
-                             self.smoothness.case, out)
+        out = _kernels.extend_many(pts, self._flat, self.grid.half_count, d,
+                                   self.grid.spacing, self.smoothness.case)
         if np.any(np.isnan(out)):
             bad = pts[int(np.argmax(np.isnan(out)))]
             raise GridError(f"no active cube at {bad.tolist()}; cover failed")

@@ -3,7 +3,7 @@
 Each test prints a single numbered PASS/FAIL line (visible with -s; under
 -v the test outcome itself is the per-criterion line) and then asserts.
 Timed criteria warm the code path up once before starting the clock, so
-jit compilation and import cost stay out of the budget.  Fixtures are
+import cost and first-call set-up stay out of the budget.  Fixtures are
 seeded; every frozen tolerance was measured against an independent oracle
 before being pinned here.
 """

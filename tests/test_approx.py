@@ -181,6 +181,10 @@ class TestLipschitzProbe:
         with pytest.raises(ApproxError):
             probe_lipschitz(lambda v: v, size=3, samples=0)
 
+    def test_all_degenerate_pairs_raise(self):
+        with pytest.raises(ApproxError, match="every sample pair was degenerate"):
+            probe_lipschitz(lambda v: v, size=3, samples=4, amplitude=0.0)
+
 
 class TestTightnessProbe:
     def test_gaps_shrink_to_zero_on_piecewise_linear_map(self):

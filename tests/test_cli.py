@@ -50,6 +50,11 @@ def test_decompose_reads_row_from_config(tmp_path):
     assert code == 0
     assert rep["operator"] == "config"
     assert rep["A"] == [[1.0]]
+    # the config path builds no grid, so a level past the node budget is fine
+    code, high = run(["decompose", "--config", str(cfg), "--level", "7"],
+                     tmp_path, "high.json")
+    assert code == 0
+    assert high["A"] == [[1.0]] and high["level"] == 7
 
 
 def test_minmax_command_passes(tmp_path):
@@ -107,6 +112,9 @@ def test_exit_one_when_tolerance_fails(tmp_path):
 def test_exit_two_on_bad_inputs(tmp_path, capsys):
     assert main(["decompose", "--operator", "nosuch"]) == 2
     assert main(["decompose", "--config", str(tmp_path / "missing.json")]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["decompose", "--config", str(listed)]) == 2
     assert main(["converge", "--level", "4"]) == 2
     capsys.readouterr()
 
