@@ -49,6 +49,21 @@ def bump1(t):
     return 1.0 - ramp((a - 0.5) * 16.0)
 
 
+def corner_radii2(m):
+    """Squared distances from the origin to the nearest and farthest point of
+    the cube [m, m+1]^d (integers, in side units).
+
+    An axis on which the cube straddles 0 adds nothing to the near distance.
+    """
+    near2 = 0
+    far2 = 0
+    for mi in m:
+        near, far = (mi, mi + 1) if mi >= 0 else (-mi - 1, -mi)
+        near2 += near * near
+        far2 += far * far
+    return near2, far2
+
+
 def _ring_test(m):
     """Does the cell-local cube with corner index m meet its generation's shell?
 
@@ -56,14 +71,9 @@ def _ring_test(m):
     half-open shell is 4d <= |x|^2 < 16d.  The test is scale invariant, so
     the same function serves every generation (ancestors included).
     """
-    minr2 = 0
-    maxr2 = 0
-    for mi in m:
-        near, far = (mi, mi + 1) if mi >= 0 else (-mi - 1, -mi)
-        minr2 += near * near
-        maxr2 += far * far
+    near2, far2 = corner_radii2(m)
     d = len(m)
-    return minr2 < 16 * d and maxr2 >= 4 * d
+    return near2 < 16 * d and far2 >= 4 * d
 
 
 def _selected(k, m):
@@ -97,9 +107,9 @@ def cover(xi, d):
     for k in range(kmin, kmax + 1):
         s = 2.0 ** (-k)
         pk = 1 << k
-        half = 1 << (k - 1)
         # per axis: (cell, cell-local index, weight) of the positive-weight
-        # candidates whose centre lies in the cell they are assigned to
+        # candidates; the cell is the node nearest the centre c, so the
+        # index (c - cell)/s - 1/2 always lies in [-pk/2, pk/2 - 1]
         combos = [((), (), 1.0)]
         for v in xi:
             axis = []
@@ -112,9 +122,7 @@ def cover(xi, d):
                     continue
                 # centers are never half-integers, so floor(c+1/2) is safe
                 zi = math.floor(ci + 0.5)
-                ml = mg - zi * pk
-                if -half <= ml <= half - 1:
-                    axis.append((zi, ml, wi))
+                axis.append((zi, mg - zi * pk, wi))
             # earlier axes vary fastest; weights multiply left to right
             combos = [(cell + (zi,), index + (ml,), w * wi)
                       for zi, ml, wi in axis for cell, index, w in combos]

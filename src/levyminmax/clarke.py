@@ -1,15 +1,26 @@
 """Generalized differentials of nonsmooth discrete operators.
 
 An operator here is any map on flat node vectors (the lexicographic grid
-ordering).  Jacobians are measured by central differences one basis column
-at a time; near a kink the two half-step measurements disagree, which is
-exactly the detection signal.  Sampling Jacobians near a point (and along
-segments) produces a finite stand-in for the generalized differential:
-enough for mean-value residuals, min-max evaluation, and row-by-row
-coefficient extraction.
+ordering).  Jacobians are measured by central differences; near a kink the
+two half-step measurements disagree, which is exactly the detection signal.
+Sampling Jacobians near a point (and along segments) produces a finite
+stand-in for the generalized differential: enough for mean-value residuals,
+min-max evaluation, and row-by-row coefficient extraction.
+
+Columns are grouped when the operator is local.  An operator may declare
+`footprint = (grid shape, reach r)`: output node i reads only nodes whose
+multi-index is within r of i's on every axis.  Nodes congruent modulo 2r+1
+on every axis then share a colour (Curtis, Powell and Reid, 1974), no
+output node reads two nodes of one colour, and one central difference per
+colour gives every row's entry in that colour's column: 2 (2r+1)^d operator
+calls per matrix instead of 2n, and the same entries bit for bit.  Without
+a footprint, when (2r+1)^d >= n, or when T(v) has a non-finite entry (the
+column loop then reads inf - inf outside the reach), the matrix is
+measured one basis column at a time.  Matrices are dense either way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,26 +64,73 @@ class JacobianSample:
 
 
 def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
+    """Central-difference Jacobian of op at v, at step s and s/2.
+
+    An operator with a `footprint` (see the module docstring) is measured
+    one colour at a time after one evaluation of op(v) checks it is finite:
+    4 (2r+1)^d + 1 operator calls.  Any other operator takes 4n calls, one
+    basis column at a time.  Both ways give the same dense matrix.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
     if s <= 0:
         raise ClarkeError(f"step must be positive, got {s}")
-    full = _matrix(op, v, s)
-    half = _matrix(op, v, 0.5 * s)
+    groups = _column_groups(op, v)
+    full = _matrix(op, v, s, groups)
+    half = _matrix(op, v, 0.5 * s, groups)
     drift = float(np.max(np.abs(full - half)))
     return JacobianSample(point=v, matrix=half, step=s,
                           kink=drift > KINK_FACTOR * s)
 
 
-def _matrix(op, v: np.ndarray, s: float) -> np.ndarray:
+def _column_groups(op, v: np.ndarray) -> list:
+    """(perturbed nodes, rows, columns) of each central difference.
+
+    One colour per group when the operator's footprint allows it, else one
+    basis column per group (every row, one column).
+    """
     n = v.size
-    cols = np.empty((n, n))
+    fp = getattr(op, "footprint", None)
+    if fp is not None:
+        shape, reach = tuple(fp[0]), int(fp[1])
+        if (math.prod(shape) == n and (2 * reach + 1) ** len(shape) < n
+                and np.all(np.isfinite(_apply(op, v)))):
+            return _colours(shape, reach)
+    return [(j, slice(None), j) for j in range(n)]
+
+
+def _colours(shape: tuple, reach: int) -> list:
+    """Groups of the nodes congruent modulo 2*reach+1 on every axis.
+
+    For colour c and row i, the column is the node of colour c inside i's
+    reach box; rows whose box holds no such node get no entry.
+    """
+    width = 2 * reach + 1
+    idx = np.indices(shape).reshape(len(shape), -1)
+    lo = idx - reach
+    size = np.array(shape)[:, None]
+    groups = []
+    for colour in np.ndindex(*(width,) * len(shape)):
+        c = np.array(colour)[:, None]
+        nodes = np.flatnonzero(np.all(idx % width == c, axis=0))
+        if not nodes.size:
+            continue
+        near = lo + (c - lo) % width
+        rows = np.flatnonzero(np.all((near >= 0) & (near < size), axis=0))
+        groups.append((nodes, rows, np.ravel_multi_index(near[:, rows], shape)))
+    return groups
+
+
+def _matrix(op, v: np.ndarray, s: float, groups: list) -> np.ndarray:
+    n = v.size
+    out = np.zeros((n, n))
     e = np.zeros(n)
-    for j in range(n):
-        e[j] = s
-        cols[:, j] = (_apply(op, v + e) - _apply(op, v - e)) / (2.0 * s)
-        e[j] = 0.0
-    return cols
+    for nodes, rows, cols in groups:
+        e[nodes] = s
+        diff = (_apply(op, v + e) - _apply(op, v - e)) / (2.0 * s)
+        e[nodes] = 0.0
+        out[rows, cols] = diff[rows]
+    return out
 
 
 @dataclass

@@ -70,9 +70,11 @@ def _row_from_config(path: str) -> RowFunctional:
     if not isinstance(cfg, dict):
         raise GridError(f"row config {path} must hold a JSON object, "
                         f"got {type(cfg).__name__}")
-    return RowFunctional(np.asarray(cfg["base_point"], dtype=float),
-                         np.asarray(cfg["offsets"], dtype=float),
-                         np.asarray(cfg["weights"], dtype=float))
+    keys = ("base_point", "offsets", "weights")
+    missing = [k for k in keys if k not in cfg]
+    if missing:
+        raise GridError(f"row config {path} lacks {', '.join(missing)}")
+    return RowFunctional(*(np.asarray(cfg[k], dtype=float) for k in keys))
 
 
 def _emit(report: dict, summary: str, out: str | None) -> None:

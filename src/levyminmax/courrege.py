@@ -47,6 +47,10 @@ class RowFunctional:
         base = np.atleast_1d(np.asarray(self.base_point, dtype=float))
         offs = np.atleast_2d(np.asarray(self.offsets, dtype=float))
         wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        for name, arr in (("base_point", base), ("offsets", offs),
+                          ("weights", wts)):
+            if not np.all(np.isfinite(arr)):
+                raise CourregeError(f"row {name} must be finite")
         if offs.shape[1] != base.size:
             raise CourregeError(
                 f"offset width {offs.shape[1]} does not match base dimension {base.size}")

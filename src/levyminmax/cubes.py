@@ -68,14 +68,8 @@ class WhitneyCube:
     @property
     def lattice_distance(self) -> float:
         # nearest node of a cell-local cube is the owning node itself
-        acc = 0
-        for mi in self.index:
-            lo, hi = mi, mi + 1
-            if lo <= 0 <= hi:
-                continue
-            c = min(abs(lo), abs(hi))
-            acc += c * c
-        return math.sqrt(acc) * self.side
+        near2, _ = _kernels.corner_radii2(self.index)
+        return math.sqrt(near2) * self.side
 
     @property
     def ratio(self) -> float:

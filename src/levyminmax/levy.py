@@ -49,6 +49,9 @@ class LevyMeasure:
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if atoms.shape[0] != masses.size:
             raise LevyError(f"{atoms.shape[0]} atoms but {masses.size} masses")
+        for name, arr in (("atoms", atoms), ("masses", masses)):
+            if not np.all(np.isfinite(arr)):
+                raise LevyError(f"{name} must be finite")
         if masses.size and np.min(masses) < 0.0:
             raise LevyError("masses must be nonnegative")
         if atoms.size and np.min(np.max(np.abs(atoms), axis=1)) <= 0.0:

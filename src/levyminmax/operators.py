@@ -10,6 +10,10 @@ Discretization conventions chosen for sign correctness:
     compensation is folded into the drift, so the assembled kernel applies
     the operator exactly on lattice data.
 
+Grid operators declare a footprint (grid shape, reach): output node i reads
+only the nodes whose multi-index differs from i's by at most reach on every
+axis.  `clarke` uses it to measure Jacobians a column group at a time.
+
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary, either directly (sparse), by conjugate gradients, or mode by
 mode in the lateral Fourier basis.  The boundary derivative uses the
@@ -71,6 +75,11 @@ class StencilOperator:
             if w != 0.0:
                 clean[off] = clean.get(off, 0.0) + float(w)
         object.__setattr__(self, "kernel", clean)
+
+    @property
+    def footprint(self) -> tuple:
+        reach = max((abs(o) for off in self.kernel for o in off), default=0)
+        return self.grid.shape, reach
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -199,6 +208,10 @@ class BellmanOp:
 
     terms: tuple
 
+    @property
+    def footprint(self) -> tuple | None:
+        return _joint_footprint(f for f, _ in self.terms)
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         vals = [np.asarray(f(v), dtype=float) + s for f, s in self.terms]
@@ -211,9 +224,27 @@ class IsaacsOp:
 
     teams: tuple
 
+    @property
+    def footprint(self) -> tuple | None:
+        return _joint_footprint(self.teams)
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
         vals = [team(v) for team in self.teams]
         return np.min(np.stack(vals), axis=0)
+
+
+def _joint_footprint(parts) -> tuple | None:
+    """Common grid shape and largest reach of the parts, or None.
+
+    None when some part declares no footprint (a matrix term, a plain
+    callable) or the parts live on grids of different shapes.
+    """
+    prints = [getattr(p, "footprint", None) for p in parts]
+    if not prints or any(fp is None for fp in prints):
+        return None
+    if len({shape for shape, _ in prints}) != 1:
+        return None
+    return prints[0][0], max(reach for _, reach in prints)
 
 
 def _as_term(term):
@@ -302,6 +333,10 @@ class PucciOp:
         if self.extremal not in ("max", "min"):
             raise OperatorError(f"unknown extremal {self.extremal!r}")
 
+    @property
+    def footprint(self) -> tuple:
+        return self.grid.shape, 1
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
         hess = hessian_field(self.grid, v)
         e = np.linalg.eigvalsh(hess)
@@ -355,6 +390,10 @@ class MongeAmpereOp:
     """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity."""
 
     grid: DyadicGrid
+
+    @property
+    def footprint(self) -> tuple:
+        return self.grid.shape, 1
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         hess = hessian_field(self.grid, v)

@@ -6,15 +6,19 @@ For piecewise linear maps every identity checked here holds exactly, so
 tolerances only absorb the central-difference rounding (about 1e-11 at the
 default step).
 """
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from levyminmax import operators
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
                                minmax_eval, project_simplex,
                                representation_residual, sample_differential,
                                segment_differential, upper_directional)
 from levyminmax.grid import DyadicGrid
+from levyminmax.levy import LevyMeasure, LevyOperator
 
 
 def linear_op(m):
@@ -222,3 +226,155 @@ class TestCoefficientFields:
     def test_matrix_grid_shape_mismatch(self):
         with pytest.raises(ClarkeError):
             coefficient_fields(lambda v: v, DyadicGrid(2, 1), np.zeros(17))
+
+
+# --- coloured (column-grouped) Jacobians of local grid operators -----------
+
+
+@dataclass(frozen=True)
+class CountingStencil(operators.StencilOperator):
+    """A stencil operator that records each evaluation."""
+
+    calls: list = field(default_factory=list)
+
+    def __call__(self, v):
+        self.calls.append(1)
+        return super().__call__(v)
+
+
+class Counting:
+    """Forwards to op and counts the calls, keeping op's footprint."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    @property
+    def footprint(self):
+        return getattr(self.op, "footprint", None)
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.op(v)
+
+
+def column_by_column(op):
+    """The same map without a footprint: jacobian_at loops over columns."""
+    return lambda v: op(v)
+
+
+def stencil(grid, atoms, seed=0):
+    rng = np.random.default_rng(seed)
+    d = grid.dim
+    h = grid.spacing
+    measure = LevyMeasure(np.array(atoms, dtype=float).reshape(-1, d) * h,
+                          rng.uniform(0.5, 2.0, size=len(atoms)))
+    a = np.diag(rng.uniform(0.5, 1.5, size=d))
+    return operators.levy_stencil(
+        grid, LevyOperator(a, rng.standard_normal(d), -0.25, measure))
+
+
+def envelope_terms(grid, count, seed=0):
+    """Shifted stencils; term k has a jump atom of reach k + 1."""
+    rng = np.random.default_rng(seed)
+    terms = [stencil(grid, [[k + 1, 0]], seed=seed + k) for k in range(count)]
+    shifts = [10.0 * rng.standard_normal(grid.node_count) for _ in range(count)]
+    return list(zip(terms, shifts))
+
+
+def assert_coloured_equals_dense(op, v, reach):
+    n = v.size
+    counted = Counting(op)
+    coloured = jacobian_at(counted, v)
+    dense = jacobian_at(column_by_column(op), v)
+    assert counted.calls == 4 * (2 * reach + 1) ** len(op.footprint[0]) + 1 < 4 * n
+    assert np.array_equal(coloured.matrix, dense.matrix, equal_nan=True)
+    assert coloured.kink == dense.kink
+
+
+class TestColouredJacobian:
+    def test_stencil_1d(self):
+        grid = DyadicGrid(4, 1, 1.0)
+        op = stencil(grid, [[3], [-2]])
+        assert op.footprint == ((33,), 3)
+        v = np.random.default_rng(1).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(op, v, 3)
+
+    def test_stencil_2d_reach_three_jump(self):
+        grid = DyadicGrid(3, 2, 1.0)
+        op = stencil(grid, [[3, 0], [-1, 2]])
+        assert op.footprint == ((17, 17), 3)
+        v = np.random.default_rng(2).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(op, v, 3)
+
+    def test_stencil_3d(self):
+        grid = DyadicGrid(1, 3, 1.5)
+        op = stencil(grid, [[1, 1, 0]])
+        v = np.random.default_rng(3).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(op, v, 1)
+
+    def test_pucci(self):
+        grid = DyadicGrid(2, 2, 2.0)
+        v = np.random.default_rng(4).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(operators.pucci(grid, 0.5, 2.0), v, 1)
+
+    def test_bellman(self):
+        grid = DyadicGrid(3, 2, 1.0)
+        op = operators.bellman(envelope_terms(grid, 3, seed=5))
+        assert op.footprint == ((17, 17), 3)
+        v = np.random.default_rng(5).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(op, v, 3)
+
+    def test_isaacs(self):
+        grid = DyadicGrid(3, 2, 1.0)
+        terms = envelope_terms(grid, 4, seed=6)
+        op = operators.isaacs([terms[2:], terms[:2]])
+        assert op.footprint == ((17, 17), 4)
+        v = np.random.default_rng(6).standard_normal(grid.node_count)
+        assert_coloured_equals_dense(op, v, 4)
+
+    def test_stencil_calls_per_jacobian(self):
+        grid = DyadicGrid(3, 2, 1.0)
+        base = stencil(grid, [[2, -1]])
+        op = CountingStencil(grid, base.kernel)
+        jacobian_at(op, np.ones(grid.node_count))
+        # two matrices (step and half step) of two calls per colour, and
+        # one evaluation of op(v) that checks it is finite
+        assert len(op.calls) == 2 * 2 * 5 ** 2 + 1
+
+    def test_plain_callable_takes_column_loop(self):
+        m = np.random.default_rng(7).standard_normal((6, 6))
+        op = Counting(linear_op(m))
+        jacobian_at(op, np.ones(6))
+        assert op.calls == 4 * 6
+
+    def test_matrix_term_takes_column_loop(self):
+        grid = DyadicGrid(2, 1, 1.0)
+        st = stencil(grid, [])
+        op = operators.bellman([st.matrix(), (st, 1.0)])
+        assert op.footprint is None
+        counted = Counting(op)
+        jacobian_at(counted, np.ones(grid.node_count))
+        assert counted.calls == 4 * grid.node_count
+
+    def test_wide_reach_takes_column_loop(self):
+        grid = DyadicGrid(1, 1, 1.0)
+        base = stencil(grid, [[2]])
+        op = CountingStencil(grid, base.kernel)
+        assert (2 * op.footprint[1] + 1) ** grid.dim >= grid.node_count
+        jacobian_at(op, np.ones(grid.node_count))
+        assert len(op.calls) == 4 * grid.node_count
+
+    def test_monge_ampere_off_convexity_takes_column_loop(self):
+        grid = DyadicGrid(2, 1, 1.0)
+        op = operators.monge_ampere(grid)
+        v = np.sin(3.0 * grid.points()[:, 0])
+        assert not np.all(np.isfinite(op(v)))
+        counted = Counting(op)
+        with np.errstate(invalid="ignore"):
+            got = jacobian_at(counted, v)
+            want = jacobian_at(column_by_column(op), v)
+        # the finiteness check, then the column loop
+        assert counted.calls == 4 * grid.node_count + 1
+        assert np.isnan(got.matrix).any()
+        assert np.array_equal(got.matrix, want.matrix, equal_nan=True)

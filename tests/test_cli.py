@@ -119,6 +119,23 @@ def test_exit_two_on_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg["weights"].__setitem__(1, float("nan")), "row weights"),
+    (lambda cfg: cfg["offsets"][2].__setitem__(0, float("inf")), "row offsets"),
+    (lambda cfg: cfg.pop("base_point"), "lacks base_point"),
+    (lambda cfg: (cfg.pop("offsets"), cfg.pop("weights")),
+     "lacks offsets, weights"),
+], ids=["nan weight", "inf offset", "no base_point", "no offsets or weights"])
+def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, edit, named):
+    cfg = {"base_point": [0.0], "offsets": [[0.0], [0.25], [-0.25]],
+           "weights": [-32.0, 16.0, 16.0]}
+    edit(cfg)
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["decompose", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

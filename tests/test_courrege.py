@@ -65,6 +65,16 @@ class TestRowFunctional:
         with pytest.raises(CourregeError):
             RowFunctional(np.zeros(1), np.array([[0.5]]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("field", ["base_point", "offsets", "weights"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        parts = {"base_point": np.zeros(1), "offsets": np.array([[0.0], [0.5]]),
+                 "weights": np.array([-1.0, 1.0])}
+        parts[field] = parts[field].copy()
+        parts[field].flat[-1] = bad
+        with pytest.raises(CourregeError, match=field):
+            RowFunctional(**parts)
+
     def test_pitch_without_jumps_is_infinite(self):
         row = RowFunctional(np.zeros(1), np.array([[0.0]]), np.array([-1.0]))
         assert row.pitch == math.inf

@@ -52,6 +52,16 @@ class TestMeasure:
         with pytest.raises(LevyError):
             _measure((0.0, 1.0))
 
+    @pytest.mark.parametrize("atoms, masses, field", [
+        ([[math.nan]], [1.0], "atoms"),
+        ([[0.5, math.inf]], [1.0], "atoms"),
+        ([[0.5]], [math.nan], "masses"),
+        ([[0.5]], [math.inf], "masses"),
+    ])
+    def test_non_finite_entries_rejected(self, atoms, masses, field):
+        with pytest.raises(LevyError, match=field):
+            LevyMeasure(np.array(atoms), np.array(masses))
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(LevyError):
             LevyMeasure(np.array([[1.0], [2.0]]), np.array([1.0]))

@@ -229,6 +229,24 @@ def test_isaacs_is_min_of_maxes():
     assert np.array_equal(op(v), expected)
 
 
+def test_footprints_name_grid_shape_and_reach():
+    g = DyadicGrid(level=3, dim=2, box_radius=1.0)
+    wide = StencilOperator(g, {(0, 0): -2.0, (3, -1): 1.0, (0, 2): 1.0})
+    near = StencilOperator(g, {(0, 0): -1.0, (1, 0): 1.0})
+    assert wide.footprint == ((17, 17), 3)
+    assert StencilOperator(g, {(0, 0): 1.0}).footprint == ((17, 17), 0)
+    assert pucci(g, 0.5, 2.0).footprint == ((17, 17), 1)
+    assert monge_ampere(g).footprint == ((17, 17), 1)
+    assert bellman([near, (wide, 1.0)]).footprint == ((17, 17), 3)
+    assert isaacs([[near], [near, pucci(g, 1.0, 1.0)]]).footprint == ((17, 17), 1)
+    # a matrix term, a plain callable or a second grid hides the footprint
+    assert bellman([near, np.eye(g.node_count)]).footprint is None
+    assert bellman([near, lambda v: v]).footprint is None
+    other = StencilOperator(DyadicGrid(level=2, dim=2, box_radius=1.0), near.kernel)
+    assert bellman([near, other]).footprint is None
+    assert isaacs([[near], [other]]).footprint is None
+
+
 def test_envelope_of_monotone_stencils_keeps_comparison():
     g = DyadicGrid(level=3, dim=1, box_radius=1.0)
     a = LevyOperator(np.array([[1.0]]), np.array([0.5]), -0.2,
