@@ -24,7 +24,6 @@ from .levy import (
     LevyMeasure,
     LevyOperator,
     evaluate,
-    levy_moment,
     tv_distance,
 )
 from .courrege import (
@@ -118,7 +117,6 @@ __all__ = [
     "holder_norm",
     "isaacs",
     "jacobian_at",
-    "levy_moment",
     "levy_stencil",
     "ma_infimum",
     "mean_value_residual",

@@ -3,6 +3,8 @@
 Single source of truth for the lattice-periodic cube geometry, written as
 plain Python over floats, ints and tuples.  All arithmetic is dyadic-exact:
 sides are powers of two, cube corners are integer multiples of the side.
+The extension blend receives its polynomial coefficients (value, gradient
+and Hessian fields from `calculus`) as flat lists and computes no stencils.
 
 Geometry, in lattice units (spacing 1, lattice = the integer points):
 cell-local cubes of generation k have side 2**-k inside [-1/2, 1/2]^d and a
@@ -161,60 +163,50 @@ def partition_sums(pts, h, d):
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def _val(values, n_half, z):
-    """Zero-padded flat read of node z (index sequence)."""
+def _pos(n_half, z):
+    """Flat position of node z (index sequence) in a field of half-width
+    n_half, or -1 when z lies outside it."""
     pos = 0
     width = 2 * n_half + 1
     for zi in z:
         if zi < -n_half or zi > n_half:
-            return 0.0
+            return -1
         pos = pos * width + (zi + n_half)
-    return values[pos]
+    return pos
 
 
-def _poly_eval(values, n_half, d, h, z, x, beta_case):
-    """Interpolating polynomial anchored at node z, evaluated at physical x.
+def _poly_eval(coeffs, p, d, h, z, x):
+    """Polynomial anchored at node z (field position p), evaluated at physical x.
 
-    Constant / affine / quadratic by beta_case, with stencil derivatives at
-    the anchor read from the zero-padded node array.
+    Constant / affine / quadratic by the number of coefficient fields.
     """
-    zi = list(z)
-    u0 = _val(values, n_half, zi)
-    acc = u0
-    if beta_case >= 1:
+    acc = coeffs[0][p]
+    if len(coeffs) > 1:
+        grad = coeffs[1]
         for k in range(d):
-            zi[k] = z[k] + 1
-            up = _val(values, n_half, zi)
-            zi[k] = z[k] - 1
-            um = _val(values, n_half, zi)
-            zi[k] = z[k]
-            gk = (up - um) / (2.0 * h)
-            acc += gk * (x[k] - z[k] * h)
-    if beta_case >= 2:
+            acc += grad[p * d + k] * (x[k] - z[k] * h)
+    if len(coeffs) > 2:
+        hess = coeffs[2]
+        q = p * d * d
         for k in range(d):
             dxk = x[k] - z[k] * h
             for l in range(d):
                 dxl = x[l] - z[l] * h
-                zi[k] += 1
-                zi[l] += 1
-                upp = _val(values, n_half, zi)
-                zi[l] -= 1
-                upk = _val(values, n_half, zi)
-                zi[k] -= 1
-                zi[l] += 1
-                upl = _val(values, n_half, zi)
-                zi[l] -= 1
-                hkl = (upp - upk - upl + u0) / (h * h)
-                acc += 0.5 * hkl * dxk * dxl
+                acc += 0.5 * hess[q + k * d + l] * dxk * dxl
     return acc
 
 
-def extend_many(pts, values, n_half, d, h, beta_case):
-    """Evaluate the extension of node data (flat list) at many physical points.
+def extend_many(pts, coeffs, n_half, d, h):
+    """Evaluate the extension of node data at many physical points.
 
-    Node points return the stored value; off-lattice points blend the
-    anchored polynomials of the active cubes with normalized bump weights.
+    coeffs holds the flat value field, then the gradient field (d entries per
+    node) and the Hessian field (d*d per node) as far as the regularity case
+    blends them, all over the nodes of half-width n_half; anchors outside it
+    carry the zero polynomial.  Node points return the stored value;
+    off-lattice points blend the anchored polynomials of the active cubes
+    with normalized bump weights.
     """
+    values = coeffs[0]
     out = []
     for x in pts.tolist():
         xi = [v / h for v in x]
@@ -223,12 +215,14 @@ def extend_many(pts, values, n_half, d, h, beta_case):
         for v, zi in zip(xi, z):
             d2 += (v - zi) * (v - zi)
         if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT:
-            out.append(_val(values, n_half, z))
+            p = _pos(n_half, z)
+            out.append(values[p] if p >= 0 else 0.0)
             continue
         num = 0.0
         den = 0.0
         for cell, _, _, w in cover(xi, d):
-            pj = _poly_eval(values, n_half, d, h, cell, x, beta_case)
+            p = _pos(n_half, cell)
+            pj = _poly_eval(coeffs, p, d, h, cell, x) if p >= 0 else 0.0
             num += w * pj
             den += w
         out.append(num / den if den > 0.0 else math.nan)

@@ -1,22 +1,57 @@
-"""Discrete first and second derivatives on the lattice, with rate studies.
+"""The lattice derivative stencils, written once as whole-grid fields.
 
-The gradient is the symmetric two-point quotient per axis; the Hessian entry
-(k,l) is the four-point forward quotient built from x, x+h e_k, x+h e_l and
-x+h(e_k+e_l).  Both are exact on quadratics, linear in the data, and commute
-with lattice translations.  Boundary nodes without a full stencil raise
-rather than falling back to one-sided formulas: silent order degradation
+Field layer.  ``dgrad_padded(u)`` is the central gradient (symmetric
+two-point quotient per axis) and ``dhess_padded(u)`` the forward four-point
+Hessian, entry (k,l) built from x, x+h e_k, x+h e_l and x+h(e_k+e_l).  Both
+are exact on quadratics, linear in the data and commute with lattice
+translations.  They read the data zero-padded and cover the box plus a
+margin of ``FIELD_MARGIN`` = 2 nodes on each side: a node up to 2 outside
+the box still reaches box data through the +2e_k Hessian read, and every
+node beyond that reads only zeros, so its derivatives are 0.  The
+extension kernel takes its polynomial coefficients from these fields and
+the projected derivatives at nodes are reads of them.
+
+Strict reads.  ``dgrad(u, x)``/``dhess(u, x)`` evaluate the same builders on
+the block of data around one node, and raise GridError when the stencil
+leaves the box instead of reading padding: a silent one-sided fallback
 would corrupt the rate studies.
+
+The centred Hessian ``hessian_field`` is a separate stencil on purpose: its
+second differences have nonnegative off-centre weights, which the sign test
+for comparison needs (the forward stencil has a negative near weight).
+Pucci and Monge-Ampere operators use it.
+
+Off the lattice, ``fd_grad``/``fd_hess`` are the one central finite-difference
+pair; each caller picks its step.
 """
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .grid import DyadicGrid, GridError, GridFunction, SmoothFn, restrict
+
+FIELD_MARGIN = 2
+
+
+def _shifted(values: np.ndarray, offset) -> np.ndarray:
+    """Zero-padded shifted read: out[i] = values[i + offset]."""
+    out = np.zeros_like(values)
+    src, dst = [], []
+    for o, n in zip(offset, values.shape):
+        o = int(o)
+        if abs(o) >= n:
+            return out
+        if o >= 0:
+            src.append(slice(o, n))
+            dst.append(slice(0, n - o))
+        else:
+            src.append(slice(0, n + o))
+            dst.append(slice(-o, n))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
 
 
 def _unit(d: int, k: int) -> np.ndarray:
@@ -25,77 +60,140 @@ def _unit(d: int, k: int) -> np.ndarray:
     return e
 
 
-def dgrad(u: GridFunction, x_index) -> np.ndarray:
-    """Central difference gradient at a node; requires the full +-h stencil in-box."""
-    g = u.grid
-    x = np.asarray(x_index, dtype=np.int64)
-    d, h = g.dim, g.spacing
-    out = np.zeros(d)
+def _grad_field(vals: np.ndarray, h: float) -> np.ndarray:
+    d = vals.ndim
+    out = np.empty(vals.shape + (d,))
     for k in range(d):
         e = _unit(d, k)
-        if not (g.contains_index(x + e) and g.contains_index(x - e)):
-            raise GridError(f"gradient stencil at node {x.tolist()} leaves the box")
-        out[k] = (u.value(x + e) - u.value(x - e)) / (2.0 * h)
+        out[..., k] = (_shifted(vals, e) - _shifted(vals, -e)) / (2.0 * h)
     return out
+
+
+def _hess_field(vals: np.ndarray, h: float) -> np.ndarray:
+    d = vals.ndim
+    out = np.empty(vals.shape + (d, d))
+    for k in range(d):
+        ek = _unit(d, k)
+        for l in range(d):
+            el = _unit(d, l)
+            out[..., k, l] = (_shifted(vals, ek + el) - _shifted(vals, ek)
+                              - _shifted(vals, el) + vals) / h ** 2
+    return out
+
+
+def value_field(u: GridFunction) -> np.ndarray:
+    """Node values zero-padded by FIELD_MARGIN nodes on each side."""
+    return np.pad(u.values, FIELD_MARGIN)
+
+
+def dgrad_padded(u: GridFunction) -> np.ndarray:
+    """Central gradient field over the box plus margin, shape (*shape, d)."""
+    return _grad_field(value_field(u), u.grid.spacing)
+
+
+def dhess_padded(u: GridFunction) -> np.ndarray:
+    """Forward Hessian field over the box plus margin, shape (*shape, d, d)."""
+    return _hess_field(value_field(u), u.grid.spacing)
+
+
+def field_at(field: np.ndarray, index) -> np.ndarray:
+    """Copy of a field entry at a node index; zeros beyond the margin."""
+    index = np.atleast_1d(index)
+    half = (field.shape[0] - 1) // 2
+    if np.any(np.abs(index) > half):
+        return np.zeros(field.shape[index.size:])
+    return field[tuple(int(i) + half for i in index)].copy()
+
+
+def _strict(u: GridFunction, x_index, lo: int, hi: int, what: str, build):
+    """Build a field on the block x+lo..x+hi per axis and read it at x."""
+    g = u.grid
+    n = g.half_count
+    x = np.atleast_1d(np.asarray(x_index, dtype=np.int64))
+    if np.any(x + lo < -n) or np.any(x + hi > n):
+        raise GridError(f"{what} stencil at node {x.tolist()} leaves the box")
+    block = u.values[tuple(slice(int(i) + lo + n, int(i) + hi + n + 1) for i in x)]
+    return build(block, g.spacing)[(-lo,) * g.dim]
+
+
+def dgrad(u: GridFunction, x_index) -> np.ndarray:
+    """Central gradient at a node; requires the full +-h stencil in-box."""
+    return _strict(u, x_index, -1, 1, "gradient", _grad_field)
 
 
 def dhess(u: GridFunction, x_index) -> np.ndarray:
-    """Forward four-point second difference matrix at a node (raw, unsymmetrized)."""
-    g = u.grid
-    x = np.asarray(x_index, dtype=np.int64)
-    d, h = g.dim, g.spacing
-    out = np.zeros((d, d))
-    u0 = u.value(x)
+    """Forward Hessian at a node (raw, unsymmetrized); needs x..x+2 in-box."""
+    return _strict(u, x_index, 0, 2, "Hessian", _hess_field)
+
+
+def hessian_field(grid: DyadicGrid, v: np.ndarray) -> np.ndarray:
+    """Centered discrete Hessians at every node, shape (*grid.shape, d, d).
+
+    Boundary nodes read zero padding and are only meaningful in the
+    interior; callers mask accordingly.
+    """
+    d = grid.dim
+    h = grid.spacing
+    vals = np.asarray(v, dtype=float).reshape(grid.shape)
+    out = np.zeros(grid.shape + (d, d))
+
+    def sh(off):
+        return _shifted(vals, off)
+
     for k in range(d):
-        ek = _unit(d, k)
-        for l in range(d):
-            el = _unit(d, l)
-            for node in (x + ek + el, x + ek, x + el):
-                if not g.contains_index(node):
-                    raise GridError(f"Hessian stencil at node {x.tolist()} leaves the box")
-            out[k, l] = (u.value(x + ek + el) - u.value(x + ek)
-                         - u.value(x + el) + u0) / h ** 2
+        ek = [0] * d
+        ek[k] = 1
+        out[..., k, k] = (sh(ek) - 2.0 * vals + sh([-o for o in ek])) / h ** 2
+    for k in range(d):
+        for l in range(k + 1, d):
+            pp = [0] * d; pp[k], pp[l] = 1, 1
+            mm = [-o for o in pp]
+            pm = [0] * d; pm[k], pm[l] = 1, -1
+            mp = [-o for o in pm]
+            cross = (sh(pp) + sh(mm) - sh(pm) - sh(mp)) / (4.0 * h ** 2)
+            out[..., k, l] = cross
+            out[..., l, k] = cross
     return out
 
 
-def dgrad_padded(u: GridFunction, x_index) -> np.ndarray:
-    """Central gradient with zero-padded out-of-box reads (whole-lattice data)."""
-    g = u.grid
-    x = np.asarray(x_index, dtype=np.int64)
-    d, h = g.dim, g.spacing
-    out = np.zeros(d)
-    for k in range(d):
-        e = _unit(d, k)
-        out[k] = (u.pad(x + e) - u.pad(x - e)) / (2.0 * h)
+def fd_grad(value, x, step: float) -> np.ndarray:
+    """Central-difference gradient of a pointwise function."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty(x.size)
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += step
+        xm[i] -= step
+        out[i] = (value(xp) - value(xm)) / (2.0 * step)
     return out
 
 
-def dhess_padded(u: GridFunction, x_index) -> np.ndarray:
-    g = u.grid
-    x = np.asarray(x_index, dtype=np.int64)
-    d, h = g.dim, g.spacing
-    out = np.zeros((d, d))
-    u0 = u.pad(x)
-    for k in range(d):
-        ek = _unit(d, k)
-        for l in range(d):
-            el = _unit(d, l)
-            out[k, l] = (u.pad(x + ek + el) - u.pad(x + ek) - u.pad(x + el) + u0) / h ** 2
+def fd_hess(value, x, step: float) -> np.ndarray:
+    """Central-difference Hessian of a pointwise function (symmetric)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.size
+    out = np.empty((d, d))
+    f0 = value(x)
+    for i in range(d):
+        for j in range(i, d):
+            if i == j:
+                xp, xm = x.copy(), x.copy()
+                xp[i] += step
+                xm[i] -= step
+                out[i, i] = (value(xp) - 2.0 * f0 + value(xm)) / step ** 2
+            else:
+                xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
+                xpp[[i, j]] += step
+                xmm[[i, j]] -= step
+                xpm[i] += step
+                xpm[j] -= step
+                xmp[i] -= step
+                xmp[j] += step
+                v = (value(xpp) - value(xpm)
+                     - value(xmp) + value(xmm)) / (4.0 * step ** 2)
+                out[i, j] = v
+                out[j, i] = v
     return out
-
-
-@dataclass(frozen=True)
-class StencilDerivatives:
-    """Discrete derivative bundle at one node: gradient, raw and symmetrized Hessian."""
-
-    grad: np.ndarray
-    hess_raw: np.ndarray
-    hess_sym: np.ndarray
-
-
-def stencil_derivatives(u: GridFunction, x_index) -> StencilDerivatives:
-    raw = dhess(u, x_index)
-    return StencilDerivatives(dgrad(u, x_index), raw, 0.5 * (raw + raw.T))
 
 
 @dataclass
@@ -107,14 +205,6 @@ class ConvergenceStudy:
     errors: List[float]
     order: Optional[float]
     exact: bool
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["level", "h", "error", "fitted_order"])
-            tag = "exact" if self.exact else repr(self.order)
-            for n, h, e in zip(self.levels, self.spacings, self.errors):
-                w.writerow([n, repr(h), repr(e), tag])
 
 
 def fit_order(spacings: Sequence[float], errors: Sequence[float],

@@ -64,12 +64,17 @@ def _kernel_row(stencil) -> RowFunctional:
     return RowFunctional(np.zeros(stencil.grid.dim), offs, wts)
 
 
-def _row_from_config(path: str) -> RowFunctional:
+def _load_config(path: str, what: str) -> dict:
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
-        raise GridError(f"row config {path} must hold a JSON object, "
+        raise GridError(f"{what} config {path} must hold a JSON object, "
                         f"got {type(cfg).__name__}")
+    return cfg
+
+
+def _row_from_config(path: str) -> RowFunctional:
+    cfg = _load_config(path, "row")
     keys = ("base_point", "offsets", "weights")
     missing = [k for k in keys if k not in cfg]
     if missing:
@@ -199,13 +204,17 @@ def cmd_dtn(args) -> int:
            "nx": 2 ** args.level, "ny": 2 ** (args.level - 1),
            "modes": [1, 2, 4]}
     if args.config:
-        with open(args.config) as f:
-            cfg.update(json.load(f))
+        cfg.update(_load_config(args.config, "dtn"))
+    modes = cfg["modes"]
+    if not (isinstance(modes, list) and modes and all(
+            type(k) is int and k > 0 for k in modes)):
+        raise GridError(f"dtn config field modes must be a non-empty list of "
+                        f"positive integers, got {modes!r}")
     p = StripProblem(width=cfg["width"], height=cfg["height"],
                      nx=int(cfg["nx"]), ny=int(cfg["ny"]))
     x = p.x_nodes()
     errors = {}
-    for k in cfg["modes"]:
+    for k in modes:
         kappa = 2.0 * math.pi * k / p.width
         g = np.cos(kappa * x)
         exact = -kappa / math.tanh(kappa * p.height) * g

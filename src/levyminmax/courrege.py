@@ -29,6 +29,8 @@ from .special import SClassFn
 
 SCHEDULE_START = 3          # delta = 2**-k; 1/4 is outside the admissible window
 SCHEDULE_TOL = 1e-10
+# offsets this close (max norm) coincide; one this close to 0 is the centre
+OFFSET_TOL = 1e-12
 
 
 class CourregeError(GridError):
@@ -60,7 +62,7 @@ class RowFunctional:
         offs = offs[order]
         wts = wts[order]
         for i in range(1, offs.shape[0]):
-            if np.max(np.abs(offs[i] - offs[i - 1])) < 1e-12:
+            if np.max(np.abs(offs[i] - offs[i - 1])) < OFFSET_TOL:
                 raise CourregeError(f"duplicate offset {offs[i].tolist()}")
         base.setflags(write=False)
         offs.setflags(write=False)
@@ -74,7 +76,7 @@ class RowFunctional:
         return self.base_point.size
 
     def _center_mask(self) -> np.ndarray:
-        return np.max(np.abs(self.offsets), axis=1) < 1e-15
+        return np.max(np.abs(self.offsets), axis=1) < OFFSET_TOL
 
     @property
     def center_weight(self) -> float:

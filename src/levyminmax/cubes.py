@@ -10,7 +10,6 @@ arithmetic; this module is the object layer above them.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KMAX
+from .calculus import fd_grad
 from .grid import ON_LATTICE_TOL, GridError
 
 
@@ -230,21 +230,11 @@ def partition_gradient_bound(dim: int, samples: int = 200, seed: int = 0,
             continue
         drawn += 1
         for q in cov.cubes:
-            step = q.side / 1024.0
-            g2 = 0.0
             try:
-                for i in range(dim):
-                    xp = x.copy()
-                    xm = x.copy()
-                    xp[i] += step
-                    xm[i] -= step
-                    fp = _phi_of(q, xp, spacing)
-                    fm = _phi_of(q, xm, spacing)
-                    g = (fp - fm) / (2.0 * step)
-                    g2 += g * g
+                g = fd_grad(lambda y: _phi_of(q, y, spacing), x, q.side / 1024.0)
             except CubeError:
                 continue
-            best = max(best, q.side * math.sqrt(g2))
+            best = max(best, q.side * float(np.linalg.norm(g)))
     return best
 
 
@@ -255,24 +245,3 @@ def _phi_of(cube: WhitneyCube, x, spacing: float) -> float:
         return 0.0
     cov = cubes_at(x, spacing=spacing)
     return w / cov.raw_sum
-
-
-def family_to_csv(cubes, path) -> None:
-    """Debug dump of a cube family: one row per cube, repr-formatted floats."""
-    with open(path, "w", newline="") as fh:
-        first = cubes[0]
-        d = first.dim
-        writer = csv.writer(fh)
-        head = (["generation", "side"]
-                + [f"corner_{i + 1}" for i in range(d)]
-                + [f"center_{i + 1}" for i in range(d)]
-                + [f"cell_{i + 1}" for i in range(d)]
-                + ["lattice_distance", "ratio"])
-        writer.writerow(head)
-        for q in cubes:
-            row = ([q.generation, repr(q.side)]
-                   + [repr(float(v)) for v in q.corner]
-                   + [repr(float(v)) for v in q.center]
-                   + [int(v) for v in q.cell]
-                   + [repr(q.lattice_distance), repr(q.ratio)])
-            writer.writerow(row)

@@ -8,7 +8,6 @@ matching the convention that grid functions vanish outside their box.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -320,15 +319,6 @@ class GridFunction:
             pos = tuple(int(i) + n for i in row)
             values[pos] = float(v)
         return GridFunction(g, values)
-
-    def to_csv(self, path) -> None:
-        idx = self.grid.indices()
-        pts = idx * self.grid.spacing
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([f"x_{i+1}" for i in range(self.grid.dim)] + ["value"])
-            for p, v in zip(pts, self._values.ravel()):
-                w.writerow([repr(float(c)) for c in p] + [repr(float(v))])
 
 
 def grid_function_from_flat(g: DyadicGrid, flat: np.ndarray) -> GridFunction:

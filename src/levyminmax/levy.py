@@ -204,9 +204,3 @@ def evaluate(op: LevyOperator, u, x) -> float:
             jump -= float(g @ y)
         out += m * jump
     return out
-
-
-def levy_moment(measure: LevyMeasure, power: float = 2.0,
-                radius: float = 1.0) -> float:
-    """Module-level alias of LevyMeasure.moment for pipeline code."""
-    return measure.moment(power, radius)

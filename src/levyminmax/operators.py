@@ -30,6 +30,7 @@ from scipy import sparse
 from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import spsolve
 
+from .calculus import _shifted, hessian_field
 from .courrege import RowFunctional
 from .grid import DyadicGrid, GridError
 from .levy import LevyMeasure, LevyOperator
@@ -39,24 +40,6 @@ MONOTONE_TOL = 1e-12
 
 class OperatorError(GridError):
     """Raised for ill-posed operator assembly requests."""
-
-
-def _shifted(values: np.ndarray, offset) -> np.ndarray:
-    """Zero-padded shifted read: out[i] = values[i + offset]."""
-    out = np.zeros_like(values)
-    src, dst = [], []
-    for o, n in zip(offset, values.shape):
-        o = int(o)
-        if abs(o) >= n:
-            return out
-        if o >= 0:
-            src.append(slice(o, n))
-            dst.append(slice(0, n - o))
-        else:
-            src.append(slice(0, n + o))
-            dst.append(slice(-o, n))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 @dataclass(frozen=True)
@@ -272,36 +255,6 @@ def isaacs(families) -> IsaacsOp:
     if not teams:
         raise OperatorError("lower envelope of nothing")
     return IsaacsOp(teams=tuple(teams))
-
-
-def hessian_field(grid: DyadicGrid, v: np.ndarray) -> np.ndarray:
-    """Centered discrete Hessians at every node, shape (*grid.shape, d, d).
-
-    Boundary nodes read zero padding and are only meaningful in the
-    interior; callers mask accordingly.
-    """
-    d = grid.dim
-    h = grid.spacing
-    vals = np.asarray(v, dtype=float).reshape(grid.shape)
-    out = np.zeros(grid.shape + (d, d))
-
-    def sh(off):
-        return _shifted(vals, off)
-
-    for k in range(d):
-        ek = [0] * d
-        ek[k] = 1
-        out[..., k, k] = (sh(ek) - 2.0 * vals + sh([-o for o in ek])) / h ** 2
-    for k in range(d):
-        for l in range(k + 1, d):
-            pp = [0] * d; pp[k], pp[l] = 1, 1
-            mm = [-o for o in pp]
-            pm = [0] * d; pm[k], pm[l] = 1, -1
-            mp = [-o for o in pm]
-            cross = (sh(pp) + sh(mm) - sh(pm) - sh(mp)) / (4.0 * h ** 2)
-            out[..., k, l] = cross
-            out[..., l, k] = cross
-    return out
 
 
 def pucci_extremal(eigenvalues: np.ndarray, lam: float, big: float,

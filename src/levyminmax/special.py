@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .calculus import dgrad, dhess, fd_grad, fd_hess
 from .grid import GridError, GridFunction, RegularityClass, SmoothFn
 
 
@@ -157,30 +158,6 @@ class CutoffPair:
 DEFAULT_PAIR = CutoffPair(DEFAULT_PHI, DEFAULT_ETA)
 
 
-def _fd_grad(value, x, step=1e-6):
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    g = np.zeros(d)
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        g[k] = (value(x + e) - value(x - e)) / (2 * step)
-    return g
-
-
-def _fd_hess(value, x, step=1e-4):
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    hmat = np.zeros((d, d))
-    base = value(x)
-    for k in range(d):
-        for l in range(d):
-            ek = np.zeros(d); ek[k] = step
-            el = np.zeros(d); el[l] = step
-            hmat[k, l] = (value(x + ek + el) - value(x + ek) - value(x + el) + base) / step ** 2
-    return hmat
-
-
 def _cutoff_poly(u0: float, grad, hess, pair: CutoffPair,
                  beta: RegularityClass, name: str) -> SmoothFn:
     """Assemble the offset function y -> cutoff-compensated Taylor value."""
@@ -204,8 +181,8 @@ def _cutoff_poly(u0: float, grad, hess, pair: CutoffPair,
             out = out + pair.eta(pts) * 0.5 * np.einsum("ij,jk,ik->i", pts, hess, pts)
         return out
 
-    return SmoothFn(value, grad=lambda y: _fd_grad(value, y),
-                    hess=lambda y: _fd_hess(value, y),
+    return SmoothFn(value, grad=lambda y: fd_grad(value, y, 1e-6),
+                    hess=lambda y: fd_hess(value, y, 1e-4),
                     cls=beta, name=name, values=values)
 
 
@@ -230,8 +207,6 @@ def taylor_cutoff(u: SmoothFn, x, pair: CutoffPair,
 def taylor_cutoff_discrete(u: GridFunction, x_index, pair: CutoffPair,
                            beta: RegularityClass) -> SmoothFn:
     """Same as taylor_cutoff but with grid data and stencil derivatives."""
-    from .calculus import dgrad, dhess  # local import: calculus builds on grid only
-
     x_index = np.asarray(x_index, dtype=np.int64)
     case = beta.case
     u0 = u.value(x_index)

@@ -2,60 +2,29 @@
 
 The extension blends, with the cube partition weights, polynomials anchored
 at the node owning each active cube.  Polynomial degree follows the declared
-regularity case (constant / affine / quadratic); derivative coefficients are
-the discrete stencils of the node data, read with zero padding outside the
-box.  On the lattice the extension reproduces the data exactly; across a
-node it stays continuous because every nearby anchored polynomial converges
-to the node value.
+regularity case (constant / affine / quadratic); its coefficients are the
+derivative fields of the node data (`calculus`), built once per extension
+over the box plus its margin.  On the lattice the extension reproduces the
+data exactly; across a node it stays continuous because every nearby
+anchored polynomial converges to the node value.
 
 Projection = restrict then extend.  At nodes the projected gradient and
-Hessian are the discrete stencils themselves, which makes local operators
-applied to projections coincide with classical finite-difference schemes.
+Hessian are reads of the same fields, the discrete stencils themselves,
+which makes local operators applied to projections coincide with classical
+finite-difference schemes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .calculus import dgrad, dgrad_padded, dhess_padded
+from .calculus import (FIELD_MARGIN, dgrad, dgrad_padded, dhess_padded,
+                       fd_grad, fd_hess, field_at, value_field)
 from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
                    restrict)
-
-
-@dataclass(frozen=True)
-class InterpPoly:
-    """Taylor-type polynomial anchored at one node of a grid function.
-
-    Coefficients are the padded discrete stencils at the anchor; degree is
-    the regularity case.  Matches the polynomials blended by the extension.
-    """
-
-    anchor_index: tuple
-    anchor: np.ndarray
-    value: float
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-    case: int
-
-    def __call__(self, x) -> float:
-        dx = np.asarray(x, dtype=float) - self.anchor
-        acc = self.value
-        if self.case >= 1:
-            acc += float(self.grad @ dx)
-        if self.case >= 2:
-            acc += 0.5 * float(dx @ self.hess @ dx)
-        return acc
-
-
-def interp_poly(u: GridFunction, x_index, smoothness: RegularityClass) -> InterpPoly:
-    idx = tuple(int(i) for i in np.atleast_1d(x_index))
-    case = smoothness.case
-    g = dgrad_padded(u, idx) if case >= 1 else None
-    h = dhess_padded(u, idx) if case >= 2 else None
-    return InterpPoly(anchor_index=idx, anchor=u.grid.point_of(idx),
-                      value=u.pad(idx), grad=g, hess=h, case=case)
 
 
 class ExtendedFn:
@@ -72,7 +41,27 @@ class ExtendedFn:
         self.node_data = u
         self.grid = u.grid
         self.smoothness = smoothness
-        self._flat = u.values.ravel().tolist()
+
+    @cached_property
+    def grad_field(self) -> np.ndarray:
+        """Central gradient field of the node data, box plus margin."""
+        return dgrad_padded(self.node_data)
+
+    @cached_property
+    def hess_field(self) -> np.ndarray:
+        """Forward Hessian field of the node data, box plus margin."""
+        return dhess_padded(self.node_data)
+
+    @cached_property
+    def _coeffs(self) -> list:
+        """Flat value, gradient and Hessian fields, as far as the case blends."""
+        case = self.smoothness.case
+        fields = [value_field(self.node_data)]
+        if case >= 1:
+            fields.append(self.grad_field)
+        if case >= 2:
+            fields.append(self.hess_field)
+        return [f.ravel().tolist() for f in fields]
 
     def values(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -81,8 +70,9 @@ class ExtendedFn:
             pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[1] != d:
             raise GridError(f"expected points of shape (m, {d}), got {pts.shape}")
-        out = _kernels.extend_many(pts, self._flat, self.grid.half_count, d,
-                                   self.grid.spacing, self.smoothness.case)
+        out = _kernels.extend_many(pts, self._coeffs,
+                                   self.grid.half_count + FIELD_MARGIN, d,
+                                   self.grid.spacing)
         if np.any(np.isnan(out)):
             bad = pts[int(np.argmax(np.isnan(out)))]
             raise GridError(f"no active cube at {bad.tolist()}; cover failed")
@@ -104,8 +94,8 @@ def extend(u: GridFunction, smoothness: RegularityClass) -> ExtendedFn:
 class ProjectedFn:
     """Restrict-then-extend of a function; duck-types the smooth-data API.
 
-    value/values evaluate the extension.  grad and hess at lattice nodes are
-    the padded discrete stencils of the node data; off the lattice they are
+    value/values evaluate the extension.  grad and hess at lattice nodes read
+    the extension's derivative fields (fresh copies); off the lattice they are
     central differences of the extension with a spacing-scaled step (plumbing
     accuracy only).
     """
@@ -134,51 +124,14 @@ class ProjectedFn:
     def grad(self, x) -> np.ndarray:
         idx = self._node_index(x)
         if idx is not None:
-            return dgrad_padded(self.node_data, idx)
-        return self._fd_grad(np.atleast_1d(np.asarray(x, dtype=float)))
+            return field_at(self.extension.grad_field, idx)
+        return fd_grad(self.value, x, self.grid.spacing / 16.0)
 
     def hess(self, x) -> np.ndarray:
         idx = self._node_index(x)
         if idx is not None:
-            return dhess_padded(self.node_data, idx)
-        return self._fd_hess(np.atleast_1d(np.asarray(x, dtype=float)))
-
-    def _fd_grad(self, x) -> np.ndarray:
-        d = self.grid.dim
-        step = self.grid.spacing / 16.0
-        out = np.empty(d)
-        for i in range(d):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += step
-            xm[i] -= step
-            out[i] = (self.value(xp) - self.value(xm)) / (2.0 * step)
-        return out
-
-    def _fd_hess(self, x) -> np.ndarray:
-        d = self.grid.dim
-        step = self.grid.spacing / 8.0
-        out = np.empty((d, d))
-        f0 = self.value(x)
-        for i in range(d):
-            for j in range(i, d):
-                if i == j:
-                    xp, xm = x.copy(), x.copy()
-                    xp[i] += step
-                    xm[i] -= step
-                    out[i, i] = (self.value(xp) - 2.0 * f0 + self.value(xm)) / step ** 2
-                else:
-                    xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-                    xpp[[i, j]] += step
-                    xmm[[i, j]] -= step
-                    xpm[i] += step
-                    xpm[j] -= step
-                    xmp[i] -= step
-                    xmp[j] += step
-                    v = (self.value(xpp) - self.value(xpm)
-                         - self.value(xmp) + self.value(xmm)) / (4.0 * step ** 2)
-                    out[i, j] = v
-                    out[j, i] = v
-        return out
+            return field_at(self.extension.hess_field, idx)
+        return fd_hess(self.value, x, self.grid.spacing / 8.0)
 
 
 def project(f, g: DyadicGrid, smoothness: RegularityClass | None = None) -> ProjectedFn:
@@ -225,13 +178,13 @@ def holder_norm(f, smoothness: RegularityClass, dim: int, box_radius: float = 1.
                     return np.asarray(f.grad(x), dtype=float).ravel()
                 except GridError:
                     pass
-            return _fd_vec(val, x, dim, 1)
+            return fd_grad(val, x, 1e-6)
         if hasattr(f, "hess"):
             try:
                 return np.asarray(f.hess(x), dtype=float).ravel()
             except GridError:
                 pass
-        return _fd_vec(val, x, dim, 2)
+        return fd_hess(val, x, 1e-4).ravel()
 
     pts = rng.uniform(-box_radius, box_radius, size=(samples, dim))
     sup = 0.0
@@ -252,41 +205,6 @@ def holder_norm(f, smoothness: RegularityClass, dim: int, box_radius: float = 1.
                 semi = max(semi, float(np.max(np.abs(tops[i] - top(q)))) / dist ** s)
     return HolderEstimate(value=sup + semi, sup_norm=sup, seminorm=semi,
                           exponent=s, derivative_order=m, samples=samples)
-
-
-def _fd_vec(val, x, dim: int, order: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if order == 1:
-        step = 1e-6
-        out = np.empty(dim)
-        for i in range(dim):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += step
-            xm[i] -= step
-            out[i] = (val(xp) - val(xm)) / (2.0 * step)
-        return out
-    step = 1e-4
-    out = np.empty((dim, dim))
-    f0 = val(x)
-    for i in range(dim):
-        for j in range(i, dim):
-            if i == j:
-                xp, xm = x.copy(), x.copy()
-                xp[i] += step
-                xm[i] -= step
-                out[i, i] = (val(xp) - 2.0 * f0 + val(xm)) / step ** 2
-            else:
-                xpp, xmm, xpm, xmp = x.copy(), x.copy(), x.copy(), x.copy()
-                xpp[[i, j]] += step
-                xmm[[i, j]] -= step
-                xpm[i] += step
-                xpm[j] -= step
-                xmp[i] -= step
-                xmp[j] += step
-                v = (val(xpp) - val(xpm) - val(xmp) + val(xmm)) / (4.0 * step ** 2)
-                out[i, j] = v
-                out[j, i] = v
-    return out.ravel()
 
 
 def order_preservation_defect(f_low, f_high, g: DyadicGrid,

@@ -22,7 +22,7 @@ from levyminmax.courrege import (RowFunctional, decompose, is_gcp,
 from levyminmax.cubes import cubes_at, partition_raw_sums
 from levyminmax.grid import (DyadicGrid, GridFunction, RegularityClass,
                              SmoothFn, restrict, translate)
-from levyminmax.levy import LevyMeasure, LevyOperator, levy_moment
+from levyminmax.levy import LevyMeasure, LevyOperator
 from levyminmax.operators import (StripProblem, bellman, boundary_derivative,
                                   dtn_kernel, dtn_matrix, dtn_solve,
                                   fractional_laplacian, isaacs, levy_stencil,
@@ -359,8 +359,8 @@ def test_10_representation_identity_fuzz():
 
 
 def test_11_measure_moments_and_positivity():
-    vals = [levy_moment(fractional_laplacian(1.0, dim=1, spacing=2.0 ** -n,
-                                             radius=8.0).measure, 2.0, 1.0)
+    vals = [fractional_laplacian(1.0, dim=1, spacing=2.0 ** -n,
+                                 radius=8.0).measure.moment(2.0, 1.0)
             for n in range(2, 6)]
     mean = float(np.mean(vals))
     moment_dev = max(abs(v - mean) / mean for v in vals)

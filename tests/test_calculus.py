@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from levyminmax.calculus import (ConvergenceStudy, convergence_order, dgrad,
-                                 dgrad_padded, dhess, dhess_padded, fit_order,
-                                 stencil_derivatives)
+from levyminmax.calculus import (FIELD_MARGIN, convergence_order, dgrad,
+                                 dgrad_padded, dhess, dhess_padded, fit_order)
 from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
-                             restrict)
+                             grid_function_from_flat, restrict)
 
 
 def _sin():
@@ -46,7 +45,7 @@ def test_stencils_exact_on_quadratics():
 def test_dgrad_linearity_and_translation_covariance():
     rng = np.random.default_rng(5)
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
-    from levyminmax.grid import grid_function_from_flat, translate
+    from levyminmax.grid import translate
     u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
     v = grid_function_from_flat(g, rng.standard_normal(g.node_count))
     idx = (1, 0)
@@ -62,19 +61,82 @@ def test_boundary_stencils_raise():
         dgrad(u, (2,))
     with pytest.raises(GridError):
         dhess(u, (1,))   # forward stencil needs index+2
-    # padded variants read zeros instead
-    assert dgrad_padded(u, (2,))[0] == pytest.approx((0.0 - 0.5) / 1.0)
-    dhess_padded(u, (1,))
+    # the padded fields read zeros instead
+    n = g.half_count + FIELD_MARGIN
+    assert dgrad_padded(u)[2 + n, 0] == pytest.approx((0.0 - 0.5) / 1.0)
+    assert np.isfinite(dhess_padded(u)[1 + n]).all()
+
+
+def _ref_grad(u, x):
+    """Per-node central gradient with zero-padded reads."""
+    d, h = u.grid.dim, u.grid.spacing
+    out = np.zeros(d)
+    for k in range(d):
+        e = np.eye(d, dtype=np.int64)[k]
+        out[k] = (u.pad(x + e) - u.pad(x - e)) / (2.0 * h)
+    return out
+
+
+def _ref_hess(u, x):
+    """Per-node forward four-point Hessian with zero-padded reads."""
+    d, h = u.grid.dim, u.grid.spacing
+    out = np.zeros((d, d))
+    eye = np.eye(d, dtype=np.int64)
+    for k in range(d):
+        for l in range(d):
+            out[k, l] = (u.pad(x + eye[k] + eye[l]) - u.pad(x + eye[k])
+                         - u.pad(x + eye[l]) + u.pad(x)) / h ** 2
+    return out
+
+
+def _field_nodes(g):
+    """Every node of the box plus the field margin, with its field position."""
+    n = g.half_count + FIELD_MARGIN
+    for pos in np.ndindex(*(2 * n + 1,) * g.dim):
+        yield np.array(pos, dtype=np.int64) - n, pos
+
+
+@pytest.mark.parametrize("dim,level", [(1, 2), (2, 1), (3, 1)])
+def test_fields_equal_per_node_stencils_bitwise(dim, level):
+    rng = np.random.default_rng(60 + dim)
+    g = DyadicGrid(level=level, dim=dim, box_radius=1.0)
+    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    grad, hess = dgrad_padded(u), dhess_padded(u)
+    assert grad.shape[:dim] == (g.shape[0] + 2 * FIELD_MARGIN,) * dim
+    for x, pos in _field_nodes(g):
+        assert grad[pos].tobytes() == _ref_grad(u, x).tobytes(), x
+        assert hess[pos].tobytes() == _ref_hess(u, x).tobytes(), x
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_strict_reads_raise_exactly_where_the_stencil_leaves_the_box(dim):
+    rng = np.random.default_rng(64 + dim)
+    g = DyadicGrid(level=1, dim=dim, box_radius=1.0)
+    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    n = g.half_count
+    grad, hess = dgrad_padded(u), dhess_padded(u)
+    for x, pos in _field_nodes(g):
+        eye = np.eye(dim, dtype=np.int64)
+        grad_nodes = [x + s * e for e in eye for s in (1, -1)]
+        hess_nodes = [x + a + b for a in eye for b in eye] + [x + e for e in eye] + [x]
+        for read, nodes, field in ((dgrad, grad_nodes, grad),
+                                   (dhess, hess_nodes, hess)):
+            if all(np.all(np.abs(z) <= n) for z in nodes):
+                assert read(u, x).tobytes() == field[pos].tobytes(), x
+            else:
+                with pytest.raises(GridError):
+                    read(u, x)
 
 
 def test_hessian_raw_is_symmetric_and_sym_equals_raw():
+    # the forward Hessian field, margin included
     rng = np.random.default_rng(6)
     g = DyadicGrid(level=2, dim=3, box_radius=0.5)
-    from levyminmax.grid import grid_function_from_flat
     u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
-    sd = stencil_derivatives(u, (0, 0, 0))
-    assert np.allclose(sd.hess_raw, sd.hess_raw.T, atol=1e-12)
-    assert np.allclose(sd.hess_sym, sd.hess_raw, atol=1e-12)
+    raw = dhess_padded(u)
+    sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    assert np.allclose(raw, np.swapaxes(raw, -1, -2), atol=1e-12)
+    assert np.allclose(sym, raw, atol=1e-12)
 
 
 def test_gradient_order_two_on_smooth_data():
@@ -115,15 +177,6 @@ def test_gradient_rate_on_rough_data():
 def test_fit_order_exact_floor():
     order, exact = fit_order([0.5, 0.25, 0.125], [0.0, 1e-16, 0.0])
     assert exact and order is None
-
-
-def test_convergence_study_csv(tmp_path):
-    study = convergence_order(_sin(), "grad", [3, 4, 5], x=0.25)
-    path = tmp_path / "rates.csv"
-    study.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "level,h,error,fitted_order"
-    assert len(lines) == 4
 
 
 def test_convergence_order_rejects_bad_input():

@@ -136,6 +136,19 @@ def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, edit, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"modes": [0]}', "modes"),
+    ('{"modes": []}', "modes"),
+], ids=["list", "zero mode", "no modes"])
+def test_bad_dtn_config_exits_two_naming_the_field(tmp_path, capsys, text, named):
+    path = tmp_path / "dtn.json"
+    path.write_text(text)
+    assert main(["dtn", "--level", "5", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

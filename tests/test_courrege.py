@@ -79,6 +79,15 @@ class TestRowFunctional:
         row = RowFunctional(np.zeros(1), np.array([[0.0]]), np.array([-1.0]))
         assert row.pitch == math.inf
 
+    def test_offset_below_tolerance_is_the_centre(self):
+        # one tolerance decides both duplicates and the centre
+        row = RowFunctional(np.zeros(1), np.array([[5e-13]]), np.array([-1.0]))
+        assert row.center_weight == -1.0
+        assert row.pitch == math.inf
+        with pytest.raises(CourregeError):
+            RowFunctional(np.zeros(1), np.array([[0.0], [1e-300]]),
+                          np.array([1.0, 1.0]))
+
 
 class TestCoefficientExtraction:
     def test_sign_condition(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyminmax.cubes import (CubeError, WhitneyCube, base_family, cubes_at,
-                              family_to_csv, partition_gradient_bound,
+                              partition_gradient_bound,
                               partition_raw_sums, uncovered_volume)
 
 
@@ -132,15 +132,6 @@ def test_partition_gradient_bound_is_moderate():
     for d in (1, 2):
         bound = partition_gradient_bound(d, samples=60, seed=3)
         assert 0.0 < bound < 500.0
-
-
-def test_family_csv(tmp_path):
-    fam = base_family(2, 4)
-    path = tmp_path / "cubes.csv"
-    family_to_csv(fam, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("generation,side,corner_1")
-    assert len(lines) == len(fam) + 1
 
 
 def test_bad_arguments():

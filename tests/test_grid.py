@@ -130,16 +130,6 @@ def test_json_is_deterministic():
     assert u.to_json() == u.to_json()
 
 
-def test_csv_dump(tmp_path):
-    g = DyadicGrid(level=1, dim=2, box_radius=0.5)
-    u = restrict(SmoothFn(lambda x: x[0] + 2 * x[1]), g)
-    path = tmp_path / "u.csv"
-    u.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x_1,x_2,value"
-    assert len(lines) == 1 + g.node_count
-
-
 def test_truncate_zeroes_outside_unit_dyadic_box():
     g = DyadicGrid(level=1, dim=1, box_radius=4.0)
     u = restrict(SmoothFn(lambda x: 1.0 + 0.0 * x[0]), g)

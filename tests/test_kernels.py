@@ -6,6 +6,9 @@ its rewrite to plain Python and are stored as hex floats.
 import numpy as np
 
 from levyminmax import _kernels
+from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
+                                 value_field)
+from levyminmax.grid import DyadicGrid, GridFunction
 
 
 def _inputs(d):
@@ -196,8 +199,11 @@ def _close(got, want_hex):
 def test_kernels_match_recorded_values():
     for d in (1, 2, 3):
         n_half, h, values, pts = _inputs(d)
+        u = GridFunction(DyadicGrid(1, d, 1.0), values.reshape((2 * n_half + 1,) * d))
+        fields = [value_field(u), dgrad_padded(u), dhess_padded(u)]
         for case in (0, 1, 2):
-            got = _kernels.extend_many(pts, values.tolist(), n_half, d, h, case)
+            coeffs = [f.ravel().tolist() for f in fields[:case + 1]]
+            got = _kernels.extend_many(pts, coeffs, n_half + FIELD_MARGIN, d, h)
             assert _close(got, EXTEND[d][case]), (d, case)
         got = _kernels.partition_sums(pts, h, d)
         assert _close(got.ravel(), [v for pair in PSUMS[d] for v in pair]), d

@@ -12,7 +12,7 @@ import pytest
 
 from levyminmax.grid import RegularityClass, SmoothFn
 from levyminmax.levy import (LevyError, LevyMeasure, LevyOperator, evaluate,
-                             levy_moment, tv_distance)
+                             tv_distance)
 
 CLS = RegularityClass(2.0)
 
@@ -196,7 +196,3 @@ class TestEvaluate:
         val_only = SmoothFn(lambda x: float(x[0] ** 2), cls=CLS)
         op = _op(0.0, 0.0, 0.0, _measure((1.5, 2.0)))
         assert evaluate(op, val_only, [0.0]) == pytest.approx(4.5, rel=1e-15)
-
-    def test_module_level_moment_alias(self):
-        mu = _measure((0.5, 4.0), (2.0, 0.25))
-        assert levy_moment(mu, 2.0, 1.0) == mu.moment(2.0, 1.0)

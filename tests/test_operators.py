@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levyminmax.calculus import hessian_field
 from levyminmax.grid import DyadicGrid
 from levyminmax.levy import LevyMeasure, LevyOperator, evaluate
 from levyminmax.operators import (
@@ -20,7 +21,6 @@ from levyminmax.operators import (
     dtn_solve,
     fractional_constant,
     fractional_laplacian,
-    hessian_field,
     isaacs,
     levy_stencil,
     ma_infimum,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from levyminmax.calculus import dgrad_padded, dhess_padded
+from levyminmax import _kernels
+from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
+                                 value_field)
 from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
                              grid_function_from_flat, restrict)
 from levyminmax.whitney import (discrete_min_gradient_bound, extend,
-                                holder_norm, interp_poly,
+                                holder_norm,
                                 order_preservation_defect, project)
 
 QUAD = RegularityClass(2.5)
@@ -115,18 +117,22 @@ def test_extension_input_shapes():
 
 
 def test_interp_poly_matches_manual_formula():
+    # the kernel's polynomial anchored at a node, from the coefficient fields
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
     rng = np.random.default_rng(26)
     u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
     idx = (1, -1)
-    p = interp_poly(u, idx, QUAD)
-    x = np.array([0.3, -0.2])
-    dx = x - g.point_of(idx)
-    want = u.value(idx) + dgrad_padded(u, idx) @ dx \
-        + 0.5 * dx @ dhess_padded(u, idx) @ dx
-    assert p(x) == pytest.approx(want, abs=1e-13)
-    p0 = interp_poly(u, idx, RegularityClass(0.5))
-    assert p0(x) == u.value(idx)
+    x = [0.3, -0.2]
+    n = g.half_count + FIELD_MARGIN
+    grad, hess = dgrad_padded(u), dhess_padded(u)
+    coeffs = [f.ravel().tolist() for f in (value_field(u), grad, hess)]
+    p = _kernels._pos(n, idx)
+    dx = np.array(x) - g.point_of(idx)
+    pos = (idx[0] + n, idx[1] + n)
+    want = u.value(idx) + grad[pos] @ dx + 0.5 * dx @ hess[pos] @ dx
+    got = _kernels._poly_eval(coeffs, p, 2, g.spacing, idx, x)
+    assert got == pytest.approx(want, abs=1e-13)
+    assert _kernels._poly_eval(coeffs[:1], p, 2, g.spacing, idx, x) == u.value(idx)
 
 
 def test_projection_exposes_stencils_at_nodes():
@@ -134,11 +140,30 @@ def test_projection_exposes_stencils_at_nodes():
     g = DyadicGrid(level=3, dim=2, box_radius=1.0)
     P = project(f, g)
     u = restrict(f, g)
-    idx = (2, 2)
-    x = g.point_of(idx)
-    assert P.value(x) == u.value(idx)
-    assert np.array_equal(P.grad(x), dgrad_padded(u, idx))
-    assert np.array_equal(P.hess(x), dhess_padded(u, idx))
+    n = g.half_count + FIELD_MARGIN
+    grad, hess = dgrad_padded(u), dhess_padded(u)
+    for idx in [(2, 2), (g.half_count, -g.half_count), (n, 1 - n)]:
+        x = g.point_of(idx)
+        pos = (idx[0] + n, idx[1] + n)
+        assert np.array_equal(P.grad(x), grad[pos])
+        assert np.array_equal(P.hess(x), hess[pos])
+    assert P.value(g.point_of((2, 2))) == u.value((2, 2))
+    # beyond the margin every stencil read is padding
+    far = g.point_of((n + 1, 0))
+    assert np.array_equal(P.grad(far), np.zeros(2))
+    assert np.array_equal(P.hess(far), np.zeros((2, 2)))
+
+
+def test_projected_node_derivatives_are_fresh_copies():
+    g = DyadicGrid(level=2, dim=2, box_radius=1.0)
+    P = project(_quad_fn(), g)
+    x = g.point_of((1, 0))
+    grad, hess = P.grad(x), P.hess(x)
+    want_grad, want_hess = grad.copy(), hess.copy()
+    grad[:] = 99.0
+    hess[:] = 99.0
+    assert np.array_equal(P.grad(x), want_grad)
+    assert np.array_equal(P.hess(x), want_hess)
 
 
 def test_projection_idempotent_on_quadratics():
