@@ -1,27 +1,35 @@
 """Generalized differentials of nonsmooth discrete operators.
 
 An operator here is any map on flat node vectors (the lexicographic grid
-ordering).  Jacobians are measured by central differences; near a kink the
-two half-step measurements disagree, which is exactly the detection signal.
-Sampling Jacobians near a point (and along segments) produces a finite
-stand-in for the generalized differential: enough for mean-value residuals,
-min-max evaluation, and row-by-row coefficient extraction.
+ordering).  An operator with an exact `jacobian(v)` (a linear stencil)
+supplies its own matrix and no kink.  Any other operator's Jacobian is
+measured by central differences; near a kink the two half-step
+measurements disagree, which is exactly the detection signal.  Sampling
+Jacobians near a point (and along segments) produces a finite stand-in for
+the generalized differential: enough for mean-value residuals, min-max
+evaluation, and row-by-row coefficient extraction.
 
-Columns are grouped when the operator is local.  An operator may declare
-`footprint = (grid shape, reach r)`: output node i reads only nodes whose
-multi-index is within r of i's on every axis.  Nodes congruent modulo 2r+1
-on every axis then share a colour (Curtis, Powell and Reid, 1974), no
+Measured columns are grouped when the operator is local.  An operator may
+declare `footprint = (grid shape, reach r)`: output node i reads only nodes
+whose multi-index is within r of i's on every axis.  Nodes congruent modulo
+2r+1 on every axis then share a colour (Curtis, Powell and Reid, 1974), no
 output node reads two nodes of one colour, and one central difference per
 colour gives every row's entry in that colour's column: 2 (2r+1)^d operator
 calls per matrix instead of 2n, and the same entries bit for bit.  Without
 a footprint, when (2r+1)^d >= n, or when T(v) has a non-finite entry (the
 column loop then reads inf - inf outside the reach), the matrix is
-measured one basis column at a time.  Matrices are dense either way.
+measured one basis column at a time.  Matrices are dense on every path.
+
+Coefficient fields decompose each distinct row once.  A row's key is the
+bytes of its offsets relative to its node and of its weights, so the rows
+of an operator that commutes with lattice shifts share one decomposition
+away from the boundary, as the paper's translation-invariant min-max
+formula predicts.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,10 +59,13 @@ def default_step(v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class JacobianSample:
-    """Central-difference Jacobian at a point, with a kink flag.
+    """Jacobian at a point, with a kink flag.
 
-    kink is set when halving the step moves the matrix by more than
-    KINK_FACTOR * step, which a twice-differentiable map cannot do.
+    For a measured matrix, kink is set when halving the step moves the
+    matrix by more than KINK_FACTOR * step, which a twice-differentiable
+    map cannot do, and also when that drift is not finite (an operator that
+    is non-finite near v, such as Monge-Ampere off convexity).  An exact
+    Jacobian has no kink.
     """
 
     point: np.ndarray
@@ -64,23 +75,33 @@ class JacobianSample:
 
 
 def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
-    """Central-difference Jacobian of op at v, at step s and s/2.
+    """Jacobian of op at v: exact when op has one, else measured at s and s/2.
 
-    An operator with a `footprint` (see the module docstring) is measured
-    one colour at a time after one evaluation of op(v) checks it is finite:
-    4 (2r+1)^d + 1 operator calls.  Any other operator takes 4n calls, one
-    basis column at a time.  Both ways give the same dense matrix.
+    An operator with a `jacobian(v)` method supplies the matrix itself,
+    with kink False and no operator call.  Otherwise the central-difference
+    Jacobian is measured: an operator with a `footprint` (see the module
+    docstring) one colour at a time after one evaluation of op(v) checks it
+    is finite, 4 (2r+1)^d + 1 operator calls; any other operator one basis
+    column at a time, 4n calls.  Both measurements give the same dense
+    matrix.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
     if s <= 0:
         raise ClarkeError(f"step must be positive, got {s}")
+    exact = getattr(op, "jacobian", None)
+    if exact is not None:
+        m = np.asarray(exact(v), dtype=float)
+        if m.shape != (v.size, v.size):
+            raise ClarkeError(f"operator Jacobian has shape {m.shape}, "
+                              f"expected {(v.size, v.size)}")
+        return JacobianSample(point=v, matrix=m, step=s, kink=False)
     groups = _column_groups(op, v)
     full = _matrix(op, v, s, groups)
     half = _matrix(op, v, 0.5 * s, groups)
     drift = float(np.max(np.abs(full - half)))
     return JacobianSample(point=v, matrix=half, step=s,
-                          kink=drift > KINK_FACTOR * s)
+                          kink=not drift <= KINK_FACTOR * s)
 
 
 def _column_groups(op, v: np.ndarray) -> list:
@@ -295,7 +316,14 @@ def upper_directional(op, v, w, diff: ClarkeSet | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Row-by-row normal form of a linearization over the grid."""
+    """Row-by-row normal form of a linearization over the grid.
+
+    Rows with the same offsets relative to their node and the same weights
+    form one class.  row_class[i] is the first row of row i's class; only
+    that row is decomposed, and decompositions[i] is its decomposition
+    rebased to node i (the residual is the first row's).  The fields at i
+    repeat the class values.
+    """
 
     grid: DyadicGrid
     points: np.ndarray
@@ -304,6 +332,7 @@ class CoefficientFields:
     c_field: np.ndarray
     gcp_field: np.ndarray
     decompositions: list
+    row_class: np.ndarray
 
     @property
     def gcp(self) -> bool:
@@ -339,11 +368,23 @@ def row_functionals(matrix: np.ndarray, grid: DyadicGrid,
 def coefficient_fields(op, grid: DyadicGrid, v,
                        drop_tol: float = 1e-12,
                        step: float | None = None) -> CoefficientFields:
-    """Linearize at v and decompose every row into local plus jump parts."""
+    """Linearize at v and split every row into local plus jump parts.
+
+    Each distinct row (same relative offsets and weights, bit for bit) is
+    decomposed once; the other rows of its class share that decomposition,
+    rebased to their own node.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     sample = jacobian_at(op, v, step)
     rows = row_functionals(sample.matrix, grid, drop_tol)
-    decs = [decompose(r) for r in rows]
+    first: dict = {}
+    row_class = np.empty(len(rows), dtype=np.int64)
+    decs = []
+    for i, row in enumerate(rows):
+        j = first.setdefault((row.offsets.tobytes(), row.weights.tobytes()), i)
+        row_class[i] = j
+        decs.append(decompose(row) if j == i
+                    else replace(decs[j], base_point=row.base_point))
     d = grid.dim
     n = len(rows)
     a = np.stack([dec.a_matrix for dec in decs]) if n else np.zeros((0, d, d))
@@ -352,7 +393,7 @@ def coefficient_fields(op, grid: DyadicGrid, v,
     g = np.array([dec.gcp for dec in decs], dtype=bool)
     return CoefficientFields(grid=grid, points=grid.points(), a_field=a,
                              b_field=b, c_field=c, gcp_field=g,
-                             decompositions=decs)
+                             decompositions=decs, row_class=row_class)
 
 
 def representation_residual(op, grid: DyadicGrid, v,
@@ -360,6 +401,8 @@ def representation_residual(op, grid: DyadicGrid, v,
                             seed: int = 0) -> float:
     """Worst row defect of the exact normal-form reconstruction identity.
 
+    Each distinct row is verified once, at the first node of its class
+    (the other rows of the class differ from it only by a lattice shift).
     Rows are rebuilt from the stored decompositions (center weight is the
     zero-order coefficient minus the jump mass), so no re-linearization
     happens when fields are supplied.
@@ -367,7 +410,8 @@ def representation_residual(op, grid: DyadicGrid, v,
     if fields is None:
         fields = coefficient_fields(op, grid, v)
     worst = 0.0
-    for dec in fields.decompositions:
+    for i in np.unique(fields.row_class):
+        dec = fields.decompositions[i]
         center = dec.zero_order - float(dec.atom_weights.sum())
         offs = np.vstack([np.zeros((1, dec.dim)), dec.atoms])
         wts = np.concatenate([[center], dec.atom_weights])

@@ -210,8 +210,18 @@ def cmd_dtn(args) -> int:
             type(k) is int and k > 0 for k in modes)):
         raise GridError(f"dtn config field modes must be a non-empty list of "
                         f"positive integers, got {modes!r}")
+    for name in ("width", "height"):
+        # abs(x) <= max is False for nan and inf and compares huge ints exactly
+        if not (type(cfg[name]) in (int, float)
+                and abs(cfg[name]) <= sys.float_info.max):
+            raise GridError(f"dtn config field {name} must be a finite number, "
+                            f"got {cfg[name]!r}")
+    for name in ("nx", "ny"):
+        if type(cfg[name]) is not int:
+            raise GridError(f"dtn config field {name} must be an integer, "
+                            f"got {cfg[name]!r}")
     p = StripProblem(width=cfg["width"], height=cfg["height"],
-                     nx=int(cfg["nx"]), ny=int(cfg["ny"]))
+                     nx=cfg["nx"], ny=cfg["ny"])
     x = p.x_nodes()
     errors = {}
     for k in modes:

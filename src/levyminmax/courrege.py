@@ -14,12 +14,18 @@ for every cutoff choice; the schedule only decides how much of the kernel
 is reported as diffusion versus jumps.  The drift uses the open-unit-ball
 indicator convention; the shrinking-cutoff schedule must stabilize onto
 it, otherwise decompose refuses.
+
+Rows and normal forms are evaluated on arrays: a probe with a `values`
+method (every `probe_battery` probe, any `SmoothFn` built with `values=`)
+is called once on all of a row's points, and the cutoff eta is evaluated
+once per decomposition, however many probes it is checked against.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +67,10 @@ class RowFunctional:
         order = np.lexsort(offs.T[::-1])
         offs = offs[order]
         wts = wts[order]
-        for i in range(1, offs.shape[0]):
-            if np.max(np.abs(offs[i] - offs[i - 1])) < OFFSET_TOL:
-                raise CourregeError(f"duplicate offset {offs[i].tolist()}")
+        dup = np.flatnonzero(
+            np.max(np.abs(np.diff(offs, axis=0)), axis=1) < OFFSET_TOL)
+        if dup.size:
+            raise CourregeError(f"duplicate offset {offs[dup[0] + 1].tolist()}")
         base.setflags(write=False)
         offs.setflags(write=False)
         wts.setflags(write=False)
@@ -97,9 +104,16 @@ class RowFunctional:
         return float(np.min(np.max(np.abs(offs), axis=1)))
 
     def apply(self, u) -> float:
-        val = u.value if hasattr(u, "value") else u
-        return float(sum(w * float(val(self.base_point + y))
-                         for y, w in zip(self.offsets, self.weights)))
+        """<row, u> for a plain callable u or a function with `values`."""
+        return float(np.sum(self.weights * _values(u, self.base_point + self.offsets)))
+
+
+def _values(u, pts: np.ndarray) -> np.ndarray:
+    """u at each row of pts: one `values` call when u has one."""
+    if hasattr(u, "values"):
+        return np.asarray(u.values(pts), dtype=float)
+    val = u.value if hasattr(u, "value") else u
+    return np.array([float(val(p)) for p in pts])
 
 
 def is_gcp(row: RowFunctional, tol: float = 1e-12) -> bool:
@@ -166,6 +180,13 @@ class CourregeDecomposition:
             return LevyMeasure.empty(self.dim)
         return LevyMeasure(self.atoms, self.atom_weights)
 
+    @cached_property
+    def _cutoffs(self) -> tuple:
+        """Unit-ball indicator and floor cutoff eta at each atom."""
+        eta = SClassFn.shrunk_origin(self.delta_floor)
+        return (np.linalg.norm(self.atoms, axis=1) < 1.0,
+                np.atleast_1d(np.asarray(eta(self.atoms), dtype=float)))
+
     def apply(self, u) -> float:
         """Evaluate the normal form on u (exact grad/hess at the base point)."""
         x0 = self.base_point
@@ -175,11 +196,8 @@ class CourregeDecomposition:
         out = self.zero_order * u0 + float(self.drift @ g)
         out += float(np.trace(self.a_matrix @ h))
         if self.atoms.shape[0]:
-            eta = SClassFn.shrunk_origin(self.delta_floor)
-            ev = np.atleast_1d(np.asarray(eta(self.atoms), dtype=float))
-            vals = np.array([float(u.value(x0 + y)) for y in self.atoms])
-            r = np.linalg.norm(self.atoms, axis=1)
-            comp = vals - u0 - (r < 1.0) * (self.atoms @ g)
+            inside, ev = self._cutoffs
+            comp = _values(u, x0 + self.atoms) - u0 - inside * (self.atoms @ g)
             comp -= 0.5 * ev * np.einsum("ij,jk,ik->i", self.atoms, h, self.atoms)
             out += float(self.atom_weights @ comp)
         return out
@@ -212,31 +230,42 @@ def probe_battery(dim: int, seed: int = 0):
 
     probes = [
         SmoothFn(lambda x: 1.0, grad=lambda x: np.zeros(dim),
-                 hess=lambda x: np.zeros((dim, dim)), cls=cls, name="one"),
+                 hess=lambda x: np.zeros((dim, dim)), cls=cls, name="one",
+                 values=lambda pts: np.ones(len(pts))),
         SmoothFn(lambda x: float(q @ x) - 0.25, grad=lambda x: q,
-                 hess=lambda x: np.zeros((dim, dim)), cls=cls, name="affine"),
+                 hess=lambda x: np.zeros((dim, dim)), cls=cls, name="affine",
+                 values=lambda pts: pts @ q - 0.25),
         SmoothFn(quad, grad=lambda x: p @ x + q, hess=lambda x: p,
-                 cls=cls, name="quad"),
+                 cls=cls, name="quad",
+                 values=lambda pts: 0.5 * np.einsum("ij,jk,ik->i", pts, p, pts)
+                 + pts @ q + 0.7),
         SmoothFn(lambda x: math.sin(float(w @ x) + 0.3),
                  grad=lambda x: math.cos(float(w @ x) + 0.3) * w,
                  hess=lambda x: -math.sin(float(w @ x) + 0.3) * np.outer(w, w),
-                 cls=cls, name="wave"),
+                 cls=cls, name="wave",
+                 values=lambda pts: np.sin(pts @ w + 0.3)),
         SmoothFn(lambda x: math.exp(-0.5 * float(np.sum((x - a) ** 2))),
                  grad=lambda x: -(x - a) * math.exp(-0.5 * float(np.sum((x - a) ** 2))),
                  hess=lambda x: (np.outer(x - a, x - a) - np.eye(dim))
                  * math.exp(-0.5 * float(np.sum((x - a) ** 2))),
-                 cls=cls, name="bell"),
+                 cls=cls, name="bell",
+                 values=lambda pts: np.exp(-0.5 * np.sum((pts - a) ** 2, axis=1))),
         SmoothFn(lambda x: float(w @ x) ** 3,
                  grad=lambda x: 3.0 * float(w @ x) ** 2 * w,
                  hess=lambda x: 6.0 * float(w @ x) * np.outer(w, w),
-                 cls=cls, name="cubic"),
+                 cls=cls, name="cubic",
+                 values=lambda pts: (pts @ w) ** 3),
     ]
     return probes
 
 
 def reconstruct_residual(row: RowFunctional, dec: CourregeDecomposition,
                          probes=None, seed: int = 0) -> float:
-    """Sup over the probe battery of |<row, u> - normal form applied to u|."""
+    """Sup over the probe battery of |<row, u> - normal form applied to u|.
+
+    Each probe is evaluated on the row's points and the atoms at once; the
+    cutoff eta is evaluated once for dec, not once per probe.
+    """
     if probes is None:
         probes = probe_battery(row.dim, seed)
     worst = 0.0

@@ -13,6 +13,8 @@ Discretization conventions chosen for sign correctness:
 Grid operators declare a footprint (grid shape, reach): output node i reads
 only the nodes whose multi-index differs from i's by at most reach on every
 axis.  `clarke` uses it to measure Jacobians a column group at a time.
+A linear stencil also has `jacobian(v)`, its exact kernel matrix, which
+`clarke` takes instead of measuring anything.
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary, either directly (sparse), by conjugate gradients, or mode by
@@ -77,15 +79,21 @@ class StencilOperator:
                    if any(o != 0 for o in off))
 
     def matrix(self) -> np.ndarray:
+        """Dense kernel matrix: one scatter per offset, reads outside dropped."""
         n = self.grid.node_count
         shape = self.grid.shape
+        idx = np.indices(shape).reshape(len(shape), -1)
+        size = np.array(shape)[:, None]
         m = np.zeros((n, n))
-        for i, idx in enumerate(np.ndindex(*shape)):
-            for off, w in self.kernel.items():
-                j = tuple(a + o for a, o in zip(idx, off))
-                if all(0 <= c < s for c, s in zip(j, shape)):
-                    m[i, int(np.ravel_multi_index(j, shape))] += w
+        for off, w in self.kernel.items():
+            tgt = idx + np.array(off)[:, None]
+            rows = np.flatnonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
+            m[rows, np.ravel_multi_index(tgt[:, rows], shape)] += w
         return m
+
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        """Exact Jacobian: the kernel matrix, the same at every v."""
+        return self.matrix()
 
     def row(self, index) -> RowFunctional:
         """The exact functional applied at a node (outside reads dropped)."""

@@ -6,17 +6,16 @@ For piecewise linear maps every identity checked here holds exactly, so
 tolerances only absorb the central-difference rounding (about 1e-11 at the
 default step).
 """
-from dataclasses import dataclass, field
-
 import numpy as np
 import pytest
 
-from levyminmax import operators
+from levyminmax import clarke, operators
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
                                minmax_eval, project_simplex,
                                representation_residual, sample_differential,
                                segment_differential, upper_directional)
+from levyminmax.courrege import RowFunctional, decompose, reconstruct_residual
 from levyminmax.grid import DyadicGrid
 from levyminmax.levy import LevyMeasure, LevyOperator
 
@@ -73,6 +72,16 @@ class TestJacobian:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ClarkeError):
             jacobian_at(lambda v: v[:1], np.zeros(3))
+
+    def test_non_finite_drift_sets_kink(self):
+        # Monge-Ampere is -inf off convexity: the measured rows there are NaN,
+        # so the drift between the two steps is NaN, which is not small
+        grid = DyadicGrid(2, 1, 1.0)
+        v = np.sin(3.0 * grid.points()[:, 0])
+        with np.errstate(invalid="ignore"):
+            sample = jacobian_at(operators.monge_ampere(grid), v)
+        assert np.isnan(sample.matrix).any()
+        assert sample.kink
 
 
 class TestDifferentialSampling:
@@ -231,19 +240,12 @@ class TestCoefficientFields:
 # --- coloured (column-grouped) Jacobians of local grid operators -----------
 
 
-@dataclass(frozen=True)
-class CountingStencil(operators.StencilOperator):
-    """A stencil operator that records each evaluation."""
-
-    calls: list = field(default_factory=list)
-
-    def __call__(self, v):
-        self.calls.append(1)
-        return super().__call__(v)
-
-
 class Counting:
-    """Forwards to op and counts the calls, keeping op's footprint."""
+    """Forwards to op and counts the calls, keeping op's footprint only.
+
+    A stencil wrapped this way hides its exact `jacobian`, so jacobian_at
+    measures it by finite differences.
+    """
 
     def __init__(self, op):
         self.op = op
@@ -335,12 +337,11 @@ class TestColouredJacobian:
 
     def test_stencil_calls_per_jacobian(self):
         grid = DyadicGrid(3, 2, 1.0)
-        base = stencil(grid, [[2, -1]])
-        op = CountingStencil(grid, base.kernel)
+        op = Counting(stencil(grid, [[2, -1]]))
         jacobian_at(op, np.ones(grid.node_count))
         # two matrices (step and half step) of two calls per colour, and
         # one evaluation of op(v) that checks it is finite
-        assert len(op.calls) == 2 * 2 * 5 ** 2 + 1
+        assert op.calls == 2 * 2 * 5 ** 2 + 1
 
     def test_plain_callable_takes_column_loop(self):
         m = np.random.default_rng(7).standard_normal((6, 6))
@@ -359,11 +360,10 @@ class TestColouredJacobian:
 
     def test_wide_reach_takes_column_loop(self):
         grid = DyadicGrid(1, 1, 1.0)
-        base = stencil(grid, [[2]])
-        op = CountingStencil(grid, base.kernel)
+        op = Counting(stencil(grid, [[2]]))
         assert (2 * op.footprint[1] + 1) ** grid.dim >= grid.node_count
         jacobian_at(op, np.ones(grid.node_count))
-        assert len(op.calls) == 4 * grid.node_count
+        assert op.calls == 4 * grid.node_count
 
     def test_monge_ampere_off_convexity_takes_column_loop(self):
         grid = DyadicGrid(2, 1, 1.0)
@@ -378,3 +378,101 @@ class TestColouredJacobian:
         assert counted.calls == 4 * grid.node_count + 1
         assert np.isnan(got.matrix).any()
         assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
+
+
+# --- exact stencil Jacobians and shared rows (translation invariance) -------
+
+
+def loop_matrix(st):
+    """The kernel matrix entry by entry, reads outside the box dropped."""
+    shape = st.grid.shape
+    n = st.grid.node_count
+    m = np.zeros((n, n))
+    for i, idx in enumerate(np.ndindex(*shape)):
+        for off, w in st.kernel.items():
+            j = tuple(a + o for a, o in zip(idx, off))
+            if all(0 <= c < s for c, s in zip(j, shape)):
+                m[i, int(np.ravel_multi_index(j, shape))] += w
+    return m
+
+
+TRANSLATION_CASES = [
+    (DyadicGrid(3, 1, 1.0), [[3], [-2]]),
+    (DyadicGrid(2, 2, 1.0), [[2, -1], [0, 1]]),
+    (DyadicGrid(1, 3, 1.5), [[1, 0, 0], [0, -2, 0], [1, 1, 0]]),
+]
+
+
+@pytest.fixture(params=TRANSLATION_CASES, ids=["1-d", "2-d", "3-d"])
+def shift_case(request):
+    grid, atoms = request.param
+    st = stencil(grid, atoms, seed=grid.dim)
+    v = np.random.default_rng(grid.dim).standard_normal(grid.node_count)
+    return grid, st, v
+
+
+def interior(grid, reach):
+    idx = grid.indices()
+    return np.flatnonzero(np.all(np.abs(idx) <= grid.half_count - reach, axis=1))
+
+
+class TestTranslationInvariance:
+    def test_exact_jacobian_is_the_loop_matrix(self, shift_case):
+        grid, st, v = shift_case
+        want = loop_matrix(st)
+        assert np.array_equal(st.matrix(), want)
+        assert np.array_equal(st.jacobian(v), want)
+        sample = jacobian_at(st, v)
+        assert np.array_equal(sample.matrix, want) and not sample.kink
+
+    def test_jacobian_at_makes_no_operator_call(self, shift_case, monkeypatch):
+        grid, st, v = shift_case
+        calls = []
+        monkeypatch.setattr(operators.StencilOperator, "__call__",
+                            lambda self, w: calls.append(1))
+        jacobian_at(st, v)
+        assert calls == []
+
+    def test_interior_rows_share_the_kernel_decomposition(self, shift_case):
+        grid, st, v = shift_case
+        fields = coefficient_fields(st, grid, v)
+        inner = interior(grid, st.footprint[1])
+        assert inner.size and np.unique(fields.row_class[inner]).size == 1
+        want = decompose(st.row(grid.indices()[inner[0]]))
+        scale = float(sum(abs(w) for w in st.kernel.values()))
+        assert want.zero_order == pytest.approx(
+            sum(st.kernel.values()), abs=1e-14 * scale)
+        for i in inner:
+            dec = fields.decompositions[i]
+            assert np.array_equal(dec.base_point, grid.points()[i])
+            for name in ("a_matrix", "drift", "atoms", "atom_weights"):
+                assert np.array_equal(getattr(dec, name), getattr(want, name))
+            assert dec.zero_order == want.zero_order == fields.c_field[i]
+            assert np.array_equal(fields.a_field[i], want.a_matrix)
+            assert np.array_equal(fields.b_field[i], want.drift)
+
+    def test_every_row_reconstructs_at_its_own_node(self, shift_case):
+        grid, st, v = shift_case
+        fields = coefficient_fields(st, grid, v)
+        bound = 1e-9 * float(sum(abs(w) for w in st.kernel.values()))
+        assert representation_residual(st, grid, v, fields=fields) <= bound
+        for dec in fields.decompositions:
+            offs = np.vstack([np.zeros((1, grid.dim)), dec.atoms])
+            wts = np.concatenate([[dec.zero_order - dec.atom_weights.sum()],
+                                  dec.atom_weights])
+            row = RowFunctional(dec.base_point, offs, wts)
+            assert reconstruct_residual(row, dec) <= bound
+
+    def test_each_distinct_row_is_decomposed_once(self, shift_case, monkeypatch):
+        grid, st, v = shift_case
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return decompose(row)
+        monkeypatch.setattr(clarke, "decompose", counted)
+        fields = coefficient_fields(st, grid, v)
+        distinct = np.unique(fields.row_class)
+        assert len(calls) == distinct.size < grid.node_count
+        # each class's first row is its own representative
+        assert np.array_equal(fields.row_class[distinct], distinct)

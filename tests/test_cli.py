@@ -140,7 +140,13 @@ def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, edit, named):
     ("[1, 2]", "must hold a JSON object"),
     ('{"modes": [0]}', "modes"),
     ('{"modes": []}', "modes"),
-], ids=["list", "zero mode", "no modes"])
+    ('{"width": "a"}', "width"),
+    ('{"width": NaN}', "width"),
+    ('{"height": null}', "height"),
+    ('{"nx": [1]}', "nx"),
+    ('{"ny": 2.5}', "ny"),
+], ids=["list", "zero mode", "no modes", "text width", "nan width",
+        "null height", "list nx", "fractional ny"])
 def test_bad_dtn_config_exits_two_naming_the_field(tmp_path, capsys, text, named):
     path = tmp_path / "dtn.json"
     path.write_text(text)

@@ -15,6 +15,7 @@ import pytest
 from levyminmax.courrege import (CourregeError, RowFunctional, a_of, b_of,
                                  c_of, decompose, is_gcp, mu_of,
                                  probe_battery, reconstruct_residual)
+from levyminmax.grid import SmoothFn
 from levyminmax.levy import LevyError, LevyOperator, evaluate
 from levyminmax.special import SClassFn
 
@@ -211,6 +212,24 @@ class TestDecompose:
             dec = decompose(row)
             assert dec.residual < 1e-12
             assert reconstruct_residual(row, dec, probes=probe_battery(2, seed=trial + 1)) < 1e-12
+
+    def test_array_probes_match_point_by_point_evaluation(self):
+        # the array path sums in another order: agreement to rounding level
+        rng = np.random.default_rng(9)
+        for dim in (1, 2, 3):
+            offs = rng.uniform(-1.5, 1.5, size=(40, dim))
+            row = RowFunctional(rng.uniform(-0.3, 0.3, size=dim), offs,
+                                rng.uniform(0.0, 2.0, size=40))
+            dec = decompose(row)
+            pts = row.base_point + row.offsets
+            for u in probe_battery(dim, seed=dim):
+                pointwise = SmoothFn(u.value, grad=u.grad, hess=u.hess)
+                want = np.array([u.value(x) for x in pts])
+                assert u.values(pts) == pytest.approx(want, rel=1e-14, abs=1e-14)
+                assert row.apply(u) == pytest.approx(row.apply(pointwise),
+                                                     rel=1e-13, abs=1e-13)
+                assert dec.apply(u) == pytest.approx(dec.apply(pointwise),
+                                                     rel=1e-13, abs=1e-13)
 
     def test_agrees_with_operator_evaluation_away_from_origin_cutoff(self):
         # atoms outside the floor cutoff and a vanished diffusion: the normal
