@@ -145,9 +145,11 @@ def probe_tightness(op, u, count: int = 6, scale: float = 0.5,
                     seed: int = 0) -> TightnessProbe:
     """Min-max gap at u using only perturbed probes, one added at a time.
 
-    Probes are u plus shrinking random perturbations; the gap sequence is
-    nonincreasing and omega is its final value.  A zero omega means the
-    sampled linearizations already reproduce the operator at u.
+    Probes are u plus shrinking random perturbations; one `minmax_eval`
+    over all of them records the gap after each probe.  The gap sequence is
+    nonincreasing up to rounding and omega is its final value.  A zero
+    omega means the sampled linearizations already reproduce the operator
+    at u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if count < 1:
@@ -155,11 +157,8 @@ def probe_tightness(op, u, count: int = 6, scale: float = 0.5,
     rng = np.random.default_rng(seed)
     probes = [u + scale * 0.5 ** k * rng.standard_normal(u.size)
               for k in range(count)]
-    gaps = []
-    for k in range(1, count + 1):
-        gaps.append(minmax_eval(op, u, probes[:k]).gap)
-    return TightnessProbe(gaps=np.array(gaps), omega=float(gaps[-1]),
-                          seed=seed)
+    gaps = minmax_eval(op, u, probes).gaps
+    return TightnessProbe(gaps=gaps, omega=float(gaps[-1]), seed=seed)
 
 
 @dataclass(frozen=True)

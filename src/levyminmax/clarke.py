@@ -1,9 +1,12 @@
 """Generalized differentials of nonsmooth discrete operators.
 
 An operator here is any map on flat node vectors (the lexicographic grid
-ordering).  An operator with an exact `jacobian(v)` (a linear stencil)
-supplies its own matrix and no kink.  Any other operator's Jacobian is
-measured by central differences; near a kink the two half-step
+ordering).  An operator with an exact `jacobian(v)` supplies its own
+matrix and kink flag: a linear stencil its kernel matrix and no kink, a
+Bellman or Isaacs envelope of stencils and matrices the rows of the terms
+active at v, with a kink where two terms tie to rounding.  An envelope
+with some other term returns None there, and is measured like any other
+operator: by central differences, where near a kink the two half-step
 measurements disagree, which is exactly the detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
 the generalized differential: enough for mean-value residuals, min-max
@@ -65,7 +68,9 @@ class JacobianSample:
     matrix by more than KINK_FACTOR * step, which a twice-differentiable
     map cannot do, and also when that drift is not finite (an operator that
     is non-finite near v, such as Monge-Ampere off convexity).  An exact
-    Jacobian has no kink.
+    Jacobian carries the operator's own flag: never for a linear stencil,
+    and for an envelope when two terms tie at some row within their
+    rounding bounds (see `operators.BellmanOp`).
     """
 
     point: np.ndarray
@@ -77,25 +82,28 @@ class JacobianSample:
 def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
     """Jacobian of op at v: exact when op has one, else measured at s and s/2.
 
-    An operator with a `jacobian(v)` method supplies the matrix itself,
-    with kink False and no operator call.  Otherwise the central-difference
-    Jacobian is measured: an operator with a `footprint` (see the module
-    docstring) one colour at a time after one evaluation of op(v) checks it
-    is finite, 4 (2r+1)^d + 1 operator calls; any other operator one basis
-    column at a time, 4n calls.  Both measurements give the same dense
-    matrix.
+    An operator whose `jacobian(v)` returns (matrix, kink) supplies both
+    itself: a linear stencil makes no operator call, an envelope one per
+    term.  When op has no `jacobian`, or it returns None (an envelope with
+    a term that is not affine), the central-difference Jacobian is
+    measured: an operator with a `footprint` (see the module docstring) one
+    colour at a time after one evaluation of op(v) checks it is finite,
+    4 (2r+1)^d + 1 operator calls; any other operator one basis column at a
+    time, 4n calls.  Both measurements give the same dense matrix.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
     if s <= 0:
         raise ClarkeError(f"step must be positive, got {s}")
     exact = getattr(op, "jacobian", None)
-    if exact is not None:
-        m = np.asarray(exact(v), dtype=float)
+    got = exact(v) if exact is not None else None
+    if got is not None:
+        m, kink = got
+        m = np.asarray(m, dtype=float)
         if m.shape != (v.size, v.size):
             raise ClarkeError(f"operator Jacobian has shape {m.shape}, "
                               f"expected {(v.size, v.size)}")
-        return JacobianSample(point=v, matrix=m, step=s, kink=False)
+        return JacobianSample(point=v, matrix=m, step=s, kink=bool(kink))
     groups = _column_groups(op, v)
     full = _matrix(op, v, s, groups)
     half = _matrix(op, v, 0.5 * s, groups)
@@ -154,6 +162,18 @@ def _matrix(op, v: np.ndarray, s: float, groups: list) -> np.ndarray:
     return out
 
 
+def _same_sample(a: np.ndarray, b: np.ndarray) -> bool:
+    """Finite entries within DEDUP_TOL, non-finite ones equal (NaN to NaN)."""
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - b)
+    worst = float(np.max(gap))
+    if not math.isnan(worst):
+        return worst <= DEDUP_TOL
+    odd = np.isnan(gap)
+    return (np.array_equal(a[odd], b[odd], equal_nan=True)
+            and float(np.max(gap, where=~odd, initial=0.0)) <= DEDUP_TOL)
+
+
 @dataclass
 class ClarkeSet:
     """Deduplicated Jacobian samples standing in for the differential at v."""
@@ -165,7 +185,7 @@ class ClarkeSet:
     def add(self, sample: JacobianSample) -> bool:
         m = sample.matrix
         for other in self.members:
-            if float(np.max(np.abs(other - m))) <= DEDUP_TOL:
+            if _same_sample(other, m):
                 return False
         self.members.append(m)
         self.kinked = self.kinked or sample.kink
@@ -266,12 +286,17 @@ def mean_value_residual(op, u, v, diff: ClarkeSet | None = None,
 
 @dataclass(frozen=True)
 class MinMaxReport:
-    """Pointwise min over probes of max over sampled linearizations."""
+    """Pointwise min over probes of max over sampled linearizations.
+
+    gaps[k] is the gap of the min over the first k + 1 probes alone, so
+    gap == gaps[-1].
+    """
 
     values: np.ndarray
     direct: np.ndarray
     gap: float
     argmin: np.ndarray
+    gaps: np.ndarray
 
 
 def minmax_eval(op, u, probes, count: int = 9,
@@ -280,7 +305,8 @@ def minmax_eval(op, u, probes, count: int = 9,
 
     For each probe v the inner layer is T(v) plus the componentwise max of
     J (u - v) over Jacobians sampled along the segment from v to u; the
-    outer layer is the componentwise min over probes.  With u among the
+    outer layer is the componentwise min over probes, kept as a running
+    minimum whose gap is recorded after each probe.  With u among the
     probes the result reproduces T(u) up to the sampling defect, reported
     as the max-norm gap.
     """
@@ -290,6 +316,7 @@ def minmax_eval(op, u, probes, count: int = 9,
     direct = _apply(op, u)
     best = None
     argmin = None
+    gaps = []
     for p, v in enumerate(probes):
         v = np.atleast_1d(np.asarray(v, dtype=float))
         diff = segment_differential(op, v, u, count=count, step=step)
@@ -301,8 +328,9 @@ def minmax_eval(op, u, probes, count: int = 9,
             take = inner < best
             best = np.where(take, inner, best)
             argmin = np.where(take, p, argmin)
-    gap = float(np.max(np.abs(best - direct)))
-    return MinMaxReport(values=best, direct=direct, gap=gap, argmin=argmin)
+        gaps.append(float(np.max(np.abs(best - direct))))
+    return MinMaxReport(values=best, direct=direct, gap=gaps[-1],
+                        argmin=argmin, gaps=np.array(gaps))
 
 
 def upper_directional(op, v, w, diff: ClarkeSet | None = None) -> np.ndarray:

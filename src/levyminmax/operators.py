@@ -13,8 +13,14 @@ Discretization conventions chosen for sign correctness:
 Grid operators declare a footprint (grid shape, reach): output node i reads
 only the nodes whose multi-index differs from i's by at most reach on every
 axis.  `clarke` uses it to measure Jacobians a column group at a time.
-A linear stencil also has `jacobian(v)`, its exact kernel matrix, which
-`clarke` takes instead of measuring anything.
+
+Exact Jacobians, which `clarke` takes instead of measuring anything, come
+as `jacobian(v) -> (matrix, kink)`.  A linear stencil returns its kernel
+matrix and no kink.  An affine term (a stencil, or a matrix kept as a
+`MatrixTerm`) can `scatter` chosen rows of its matrix into an output, so a
+Bellman or Isaacs envelope of such terms builds one n x n matrix and writes
+each row from the term active there: no per-term matrix is built or kept.
+An envelope with a plain callable term has no exact Jacobian (None).
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary, either directly (sparse), by conjugate gradients, or mode by
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -78,22 +85,36 @@ class StencilOperator:
         return all(w >= -tol for off, w in self.kernel.items()
                    if any(o != 0 for o in off))
 
-    def matrix(self) -> np.ndarray:
-        """Dense kernel matrix: one scatter per offset, reads outside dropped."""
-        n = self.grid.node_count
+    @property
+    def rounding(self) -> tuple:
+        """(m, rho): a row of self(v) sums m products, absolute row sum <= rho."""
+        return len(self.kernel), float(sum(abs(w) for w in self.kernel.values()))
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray) -> None:
+        """Write the given rows of the kernel matrix into out, zero there.
+
+        Reads outside the box are dropped.  Distinct offsets reach distinct
+        columns, so every entry is written once, for all offsets at once.
+        """
         shape = self.grid.shape
-        idx = np.indices(shape).reshape(len(shape), -1)
-        size = np.array(shape)[:, None]
+        offs = np.array(list(self.kernel), dtype=np.int64)
+        offs = offs.reshape(-1, len(shape)).T[:, :, None]
+        tgt = np.array(np.unravel_index(rows, shape))[:, None, :] + offs
+        size = np.array(shape)[:, None, None]
+        k, r = np.nonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
+        cols = np.ravel_multi_index(tgt[:, k, r], shape)
+        out[rows[r], cols] = np.array(list(self.kernel.values()))[k]
+
+    def matrix(self) -> np.ndarray:
+        """Dense kernel matrix: the scatter of every row."""
+        n = self.grid.node_count
         m = np.zeros((n, n))
-        for off, w in self.kernel.items():
-            tgt = idx + np.array(off)[:, None]
-            rows = np.flatnonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
-            m[rows, np.ravel_multi_index(tgt[:, rows], shape)] += w
+        self.scatter(m, np.arange(n))
         return m
 
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Exact Jacobian: the kernel matrix, the same at every v."""
-        return self.matrix()
+    def jacobian(self, v: np.ndarray) -> tuple:
+        """Exact Jacobian and kink flag: the kernel matrix, the same at every v."""
+        return self.matrix(), False
 
     def row(self, index) -> RowFunctional:
         """The exact functional applied at a node (outside reads dropped)."""
@@ -193,9 +214,53 @@ def levy_stencil(grid: DyadicGrid, op: LevyOperator,
     return StencilOperator(grid=grid, kernel=ker)
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the float64 unit roundoff.
+
+    A computed sum of m products, in any order, is within gamma_m times the
+    sum of the products' magnitudes of the exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).
+    """
+    u = 0.5 * np.finfo(float).eps
+    return m * u / (1.0 - m * u)
+
+
+class _Pick(NamedTuple):
+    """Row-wise choice among stacked values, with its rounding bound."""
+
+    index: np.ndarray
+    value: np.ndarray
+    err: np.ndarray
+    tie: np.ndarray
+
+
+def _select(vals: np.ndarray, err: np.ndarray, pick) -> _Pick:
+    """First maximiser or minimiser (pick = np.argmax, np.argmin) per row.
+
+    A row ties when another entry lies within the sum of its rounding bound
+    and the picked entry's: the computed values cannot order the two.
+    """
+    node = np.arange(vals.shape[1])
+    index = pick(vals, axis=0)
+    best, best_err = vals[index, node], err[index, node]
+    tie = np.abs(vals - best) <= err + best_err
+    tie[index, node] = False
+    return _Pick(index, best, best_err, tie.any(axis=0))
+
+
 @dataclass(frozen=True)
 class BellmanOp:
-    """Componentwise upper envelope of affine operator terms."""
+    """Componentwise upper envelope of affine operator terms.
+
+    When every term is affine with a row scatter (a `StencilOperator` or a
+    matrix), `jacobian(v)` is exact: the envelope's Clarke Jacobian at v is
+    the hull of the active terms' rows (Clarke 1983, section 2.6), and row
+    i takes the row of the first maximiser of f(v)_i + s_i.  Computing term
+    k's row i sums m_k products and the shift, so it rounds by at most
+    gamma_(m_k+1) (rho_k |v|_inf + |s_i|), with rho_k the term's largest
+    absolute row sum.  A row where another term comes within the sum of the
+    two bounds is a tie: it keeps the first maximiser and sets the kink flag.
+    """
 
     terms: tuple
 
@@ -203,15 +268,48 @@ class BellmanOp:
     def footprint(self) -> tuple | None:
         return _joint_footprint(f for f, _ in self.terms)
 
+    @property
+    def affine(self) -> bool:
+        return all(hasattr(f, "scatter") for f, _ in self.terms)
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         vals = [np.asarray(f(v), dtype=float) + s for f, s in self.terms]
         return np.max(np.stack(vals), axis=0)
 
+    def _active(self, v: np.ndarray) -> _Pick:
+        """The first maximising term at each row."""
+        peak = float(np.max(np.abs(v), initial=0.0))
+        vals = np.stack([np.asarray(f(v), dtype=float) + s for f, s in self.terms])
+        err = np.empty_like(vals)
+        for k, (f, s) in enumerate(self.terms):
+            m, rho = f.rounding
+            err[k] = _gamma(m + 1) * (rho * peak + np.abs(s))
+        return _select(vals, err, np.argmax)
+
+    def _scatter(self, out: np.ndarray, rows: np.ndarray, active: np.ndarray):
+        for k, (f, _) in enumerate(self.terms):
+            f.scatter(out, rows[active[rows] == k])
+
+    def jacobian(self, v: np.ndarray) -> tuple | None:
+        """Active rows and kink flag, or None when some term is not affine."""
+        if not self.affine:
+            return None
+        v = np.asarray(v, dtype=float)
+        pick = self._active(v)
+        out = np.zeros((v.size, v.size))
+        self._scatter(out, np.arange(v.size), pick.index)
+        return out, bool(pick.tie.any())
+
 
 @dataclass(frozen=True)
 class IsaacsOp:
-    """Lower envelope of upper envelopes: min over teams, max within."""
+    """Lower envelope of upper envelopes: min over teams, max within.
+
+    With affine terms, `jacobian(v)` takes row i from the active term of
+    the first minimising team; a tie between teams, or inside the team
+    picked at i, sets the kink flag, with the bounds of `BellmanOp`.
+    """
 
     teams: tuple
 
@@ -222,6 +320,20 @@ class IsaacsOp:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         vals = [team(v) for team in self.teams]
         return np.min(np.stack(vals), axis=0)
+
+    def jacobian(self, v: np.ndarray) -> tuple | None:
+        """Active rows and kink flag, or None when some term is not affine."""
+        if not all(getattr(team, "affine", False) for team in self.teams):
+            return None
+        v = np.asarray(v, dtype=float)
+        inner = [team._active(v) for team in self.teams]
+        outer = _select(np.stack([p.value for p in inner]),
+                        np.stack([p.err for p in inner]), np.argmin)
+        tied = np.stack([p.tie for p in inner])[outer.index, np.arange(v.size)]
+        out = np.zeros((v.size, v.size))
+        for t, (team, p) in enumerate(zip(self.teams, inner)):
+            team._scatter(out, np.flatnonzero(outer.index == t), p.index)
+        return out, bool(np.any(outer.tie | tied))
 
 
 def _joint_footprint(parts) -> tuple | None:
@@ -238,14 +350,35 @@ def _joint_footprint(parts) -> tuple | None:
     return prints[0][0], max(reach for _, reach in prints)
 
 
+@dataclass(frozen=True, eq=False)
+class MatrixTerm:
+    """A dense matrix as an affine envelope term: v -> M v."""
+
+    matrix: np.ndarray
+
+    @property
+    def rounding(self) -> tuple:
+        """(m, rho): a row of M v sums m products, absolute row sum <= rho."""
+        return self.matrix.shape[1], float(np.linalg.norm(self.matrix, np.inf))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray) -> None:
+        """Write the given rows of M into out."""
+        out[rows] = self.matrix[rows]
+
+    def jacobian(self, v: np.ndarray) -> tuple:
+        return self.matrix.copy(), False
+
+
 def _as_term(term):
     if isinstance(term, tuple):
         f, s = term
     else:
         f, s = term, 0.0
     if isinstance(f, np.ndarray):
-        mat = f
-        f = lambda v, _m=mat: _m @ v
+        f = MatrixTerm(np.asarray(f, dtype=float))
     if not callable(f):
         raise OperatorError("each term needs a callable or matrix part")
     return f, s

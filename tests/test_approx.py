@@ -14,10 +14,13 @@ from levyminmax.approx import (ApproxError, DiscreteSurrogate, LipschitzProbe,
                                build_surrogate, convergence_study,
                                probe_lipschitz, probe_shift_regularity,
                                probe_tightness)
-from levyminmax.clarke import coefficient_fields, jacobian_at
+from levyminmax import clarke
+from levyminmax.clarke import (coefficient_fields, jacobian_at, minmax_eval,
+                               segment_differential)
 from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
                              RegularityClass, SmoothFn, restrict)
 from levyminmax.levy import LevyMeasure, LevyOperator, evaluate
+from levyminmax.operators import bellman, levy_stencil
 
 CLS = RegularityClass(2.0)
 
@@ -197,6 +200,31 @@ class TestTightnessProbe:
     def test_needs_probes(self):
         with pytest.raises(ApproxError):
             probe_tightness(lambda v: v, np.zeros(2), count=0)
+
+    def test_each_probe_is_evaluated_once(self, monkeypatch):
+        g = DyadicGrid(3, 1, 1.0)
+        x = g.points()[:, 0]
+        left = levy_stencil(g, LevyOperator(np.eye(1), np.array([-1.0]), -0.5,
+                                            LevyMeasure.empty(1)))
+        right = levy_stencil(g, LevyOperator(np.eye(1), np.array([1.0]), -0.5,
+                                             LevyMeasure.empty(1)))
+        op = bellman([left, (right, 0.3 * np.sin(5.0 * x))])
+        u = np.exp(-4.0 * x ** 2)
+        segments = []
+
+        def counted(*args, **kwargs):
+            segments.append(1)
+            return segment_differential(*args, **kwargs)
+        monkeypatch.setattr(clarke, "segment_differential", counted)
+        probe = probe_tightness(op, u, count=6, seed=3)
+        assert len(segments) == 6
+        # the same probes, one prefix at a time
+        rng = np.random.default_rng(3)
+        probes = [u + 0.5 * 0.5 ** k * rng.standard_normal(u.size)
+                  for k in range(6)]
+        want = [minmax_eval(op, u, probes[:k]).gap for k in range(1, 7)]
+        assert probe.gaps.tobytes() == np.array(want).tobytes()
+        assert probe.omega == want[-1]
 
 
 class TestShiftProbe:

@@ -8,6 +8,8 @@ default step).
 """
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies
 
 from levyminmax import clarke, operators
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
@@ -243,8 +245,8 @@ class TestCoefficientFields:
 class Counting:
     """Forwards to op and counts the calls, keeping op's footprint only.
 
-    A stencil wrapped this way hides its exact `jacobian`, so jacobian_at
-    measures it by finite differences.
+    A stencil or envelope wrapped this way hides its exact `jacobian`, so
+    jacobian_at measures it by finite differences.
     """
 
     def __init__(self, op):
@@ -421,7 +423,8 @@ class TestTranslationInvariance:
         grid, st, v = shift_case
         want = loop_matrix(st)
         assert np.array_equal(st.matrix(), want)
-        assert np.array_equal(st.jacobian(v), want)
+        matrix, kink = st.jacobian(v)
+        assert np.array_equal(matrix, want) and kink is False
         sample = jacobian_at(st, v)
         assert np.array_equal(sample.matrix, want) and not sample.kink
 
@@ -476,3 +479,210 @@ class TestTranslationInvariance:
         assert len(calls) == distinct.size < grid.node_count
         # each class's first row is its own representative
         assert np.array_equal(fields.row_class[distinct], distinct)
+
+
+# --- exact Clarke Jacobians of Bellman and Isaacs envelopes -----------------
+
+
+def monotone_kernel(rng, dim, reach, h):
+    """Comparison stencil: nonnegative off-centre weights, killing at the centre."""
+    kernel = {}
+    for off in np.ndindex(*(2 * reach + 1,) * dim):
+        off = tuple(o - reach for o in off)
+        if any(off) and rng.random() < 0.6:
+            kernel[off] = float(rng.uniform(0.0, 2.0)) / h ** 2
+    kernel[(0,) * dim] = -sum(kernel.values()) - float(rng.uniform(0.0, 1.0))
+    return kernel
+
+
+def random_term(rng, grid, as_matrix):
+    st = operators.StencilOperator(grid, monotone_kernel(rng, grid.dim, 2,
+                                                         grid.spacing))
+    shift = 20.0 * rng.standard_normal(grid.node_count)
+    return (st.matrix() if as_matrix else st), shift
+
+
+def term_matrix(f):
+    return f if isinstance(f, np.ndarray) else f.matrix()
+
+
+def reference_rows(teams, v):
+    """Active rows selected from each term's full matrix, and the tie margin.
+
+    The row of the first maximiser within each team, then of the first
+    minimising team.  The margin at a row is the smallest gap between the
+    winner and a runner-up at either level.
+    """
+    node = np.arange(v.size)
+    vals, mats, margin = [], [], np.full(v.size, np.inf)
+    for team in teams:
+        t = np.stack([(f @ v if isinstance(f, np.ndarray) else f(v)) + s
+                      for f, s in team])
+        vals.append(t)
+        mats.append(np.stack([term_matrix(f) for f, _ in team]))
+        if len(team) > 1:
+            top2 = np.sort(t, axis=0)[-2:]
+            margin = np.minimum(margin, top2[1] - top2[0])
+    inner = [np.argmax(t, axis=0) for t in vals]
+    team_val = np.stack([t[k, node] for t, k in zip(vals, inner)])
+    if len(teams) > 1:
+        low2 = np.sort(team_val, axis=0)[:2]
+        margin = np.minimum(margin, low2[1] - low2[0])
+    outer = np.argmin(team_val, axis=0)
+    rows = np.stack([mats[t][inner[t][i], i] for i, t in enumerate(outer)])
+    scale = np.max([np.abs(m).sum(axis=2).max(axis=0) for m in mats], axis=0)
+    return rows, margin, scale
+
+
+def envelope_op(teams):
+    return (operators.bellman(teams[0]) if len(teams) == 1
+            else operators.isaacs(teams))
+
+
+@strategies.composite
+def envelopes(draw):
+    """A Bellman (one team) or Isaacs family of stencil and matrix terms."""
+    dim = draw(strategies.sampled_from([1, 2]))
+    grid = DyadicGrid(3, 1, 1.0) if dim == 1 else DyadicGrid(2, 2, 1.0)
+    rng = np.random.default_rng(draw(strategies.integers(0, 2 ** 32 - 1)))
+    sizes = draw(strategies.lists(strategies.integers(1, 3), min_size=1,
+                                  max_size=3))
+    teams = [[random_term(rng, grid, draw(strategies.booleans()))
+              for _ in range(k)] for k in sizes]
+    v = rng.standard_normal(grid.node_count)
+    return grid, teams, v, rng
+
+
+ENVELOPE_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestExactEnvelopeJacobian:
+    @ENVELOPE_SETTINGS
+    @given(envelopes())
+    def test_rows_are_the_active_terms_rows(self, case):
+        grid, teams, v, _ = case
+        op = envelope_op(teams)
+        matrix, _ = op.jacobian(v)
+        want, _, _ = reference_rows(teams, v)
+        assert matrix.tobytes() == want.tobytes()
+        assert jacobian_at(op, v).matrix.tobytes() == want.tobytes()
+
+    @ENVELOPE_SETTINGS
+    @given(envelopes())
+    def test_rows_agree_with_coloured_differences(self, case):
+        grid, teams, v, _ = case
+        op = envelope_op(teams)
+        exact = jacobian_at(op, v)
+        measured = jacobian_at(Counting(op), v)
+        _, margin, scale = reference_rows(teams, v)
+        clear = margin > 10.0 * scale * measured.step
+        assert np.count_nonzero(clear) >= v.size // 2
+        dev = np.abs(exact.matrix - measured.matrix)[clear].max(axis=1)
+        assert np.all(dev <= 1e-6 * scale[clear])
+        if np.all(clear):
+            assert not exact.kink
+
+    @ENVELOPE_SETTINGS
+    @given(envelopes())
+    def test_minmax_gap_with_u_among_probes_is_rounding(self, case):
+        grid, teams, u, rng = case
+        op = envelope_op(teams)
+        probes = [u] + [u + 0.1 ** k * rng.standard_normal(u.size)
+                        for k in (1, 2)]
+        rep = minmax_eval(op, u, probes)
+        scale = max(np.abs(term_matrix(f)).sum(axis=1).max()
+                    * max(np.abs(p).max() for p in probes) + np.abs(s).max()
+                    for team in teams for f, s in team)
+        assert rep.gap <= 64 * np.finfo(float).eps * scale
+
+    def test_exact_tie_keeps_the_first_term_and_sets_kink(self):
+        # at v = 0 every term is 0 on every row: all rows tie exactly
+        grid = DyadicGrid(3, 1, 1.0)
+        a = stencil(grid, [[2]], seed=1)
+        b = stencil(grid, [[-1]], seed=2)
+        zero = np.zeros(grid.node_count)
+        for first, second in ((a, b), (b, a)):
+            for op in (operators.bellman([first, second.matrix()]),
+                       operators.isaacs([[first], [second]])):
+                matrix, kink = op.jacobian(zero)
+                assert kink and np.array_equal(matrix, first.matrix())
+
+    def test_tie_bound_is_the_rounding_of_the_two_terms(self):
+        # the same stencil twice, shifted apart by d: the two computed
+        # values differ by d to rounding, and each rounds by at most
+        # gamma_(m+1) (rho |v|_inf + |s|)
+        grid = DyadicGrid(3, 1, 1.0)
+        a = stencil(grid, [[2]], seed=1)
+        v = np.random.default_rng(0).standard_normal(grid.node_count)
+        m, rho = a.rounding
+        u = 0.5 * np.finfo(float).eps
+        bound = (m + 1) * u / (1.0 - (m + 1) * u) * rho * np.max(np.abs(v))
+        for d, tie in ((0.5 * bound, True), (4.0 * bound, False)):
+            matrix, kink = operators.bellman([(a, 0.0), (a, d)]).jacobian(v)
+            assert kink is tie and np.array_equal(matrix, a.matrix())
+
+    def test_tie_in_a_losing_team_is_no_kink(self):
+        grid = DyadicGrid(3, 1, 1.0)
+        a = stencil(grid, [[2]], seed=1)
+        game = operators.isaacs([[(a, 1e6), (a, 1e6)], [(a, 0.0)]])
+        matrix, kink = game.jacobian(np.ones(grid.node_count))
+        assert not kink and np.array_equal(matrix, a.matrix())
+
+    def test_one_call_per_term_and_no_term_matrix(self, monkeypatch):
+        grid = DyadicGrid(3, 2, 1.0)
+        terms = envelope_terms(grid, 4, seed=6)
+        op = operators.isaacs([terms[2:], terms[:2]])
+        v = np.random.default_rng(6).standard_normal(grid.node_count)
+        want = op.jacobian(v)[0]
+        calls = []
+        call = operators.StencilOperator.__call__
+        monkeypatch.setattr(operators.StencilOperator, "__call__",
+                            lambda self, w: calls.append(1) or call(self, w))
+        monkeypatch.setattr(operators.StencilOperator, "matrix", None)
+        sample = jacobian_at(op, v)
+        assert len(calls) == 4
+        assert np.array_equal(sample.matrix, want)
+
+    def test_callable_term_is_measured(self):
+        grid = DyadicGrid(2, 1, 1.0)
+        a = stencil(grid, [[1]])
+        op = operators.bellman([a, lambda v: a(v) - 1.0])
+        v = np.ones(grid.node_count)
+        assert op.jacobian(v) is None
+        assert operators.isaacs([[a], [lambda v: a(v)]]).jacobian(v) is None
+        counted = Counting(op)
+        sample = jacobian_at(counted, v)
+        assert counted.calls == 4 * grid.node_count
+        assert np.max(np.abs(sample.matrix - a.matrix())) < 1e-6
+
+    def test_matrix_term_keeps_the_matrix(self):
+        m = np.random.default_rng(8).standard_normal((5, 5))
+        (term, shift), = operators.bellman([(m, 1.0)]).terms
+        v = np.arange(5.0)
+        assert np.array_equal(term(v), m @ v) and shift == 1.0
+        matrix, kink = term.jacobian(v)
+        assert np.array_equal(matrix, m) and not kink
+
+
+class TestClarkeSetNaN:
+    def test_equal_nan_samples_count_once(self):
+        m = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        diff = ClarkeSet(point=np.zeros(2))
+        sample = clarke.JacobianSample(np.zeros(2), m, 1e-5, True)
+        assert diff.add(sample)
+        assert not diff.add(sample)
+        near = m + np.array([[1e-12, 0.0], [0.0, -1e-12]])
+        assert not diff.add(clarke.JacobianSample(np.zeros(2), near, 1e-5, True))
+        assert len(diff) == 1
+
+    def test_nan_in_other_places_or_far_values_stay_distinct(self):
+        m = np.array([[1.0, np.nan], [0.0, 2.0]])
+        diff = ClarkeSet(point=np.zeros(2))
+        diff.add(clarke.JacobianSample(np.zeros(2), m, 1e-5, True))
+        moved = np.array([[np.nan, 1.0], [0.0, 2.0]])
+        far = np.array([[1.0, np.nan], [0.0, 2.5]])
+        minus = np.array([[1.0, np.nan], [-np.inf, 2.0]])
+        for other in (moved, far, minus):
+            assert diff.add(clarke.JacobianSample(np.zeros(2), other, 1e-5, True))
+        assert len(diff) == 4
