@@ -88,6 +88,16 @@ def _selected(k, m):
     return True
 
 
+def snapped_node(xi):
+    """The lattice point nearest the unit-frame point xi, as a list of ints,
+    when xi lies closer to it than SNAP_TOL_UNIT (Euclidean); else None."""
+    z = [math.floor(v + 0.5) for v in xi]
+    d2 = 0.0
+    for v, zi in zip(xi, z):
+        d2 += (v - zi) * (v - zi)
+    return z if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT else None
+
+
 def cover(xi, d):
     """All kept cubes whose inflated support contains the unit-frame point xi.
 
@@ -144,11 +154,7 @@ def partition_sums(pts, h, d):
     out = []
     for row in pts.tolist():
         xi = [v / h for v in row]
-        d2 = 0.0
-        for v in xi:
-            zi = math.floor(v + 0.5)
-            d2 += (v - zi) * (v - zi)
-        if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT:
+        if snapped_node(xi) is not None:
             out.append((-1.0, -1.0))
             continue
         weights = [w for _, _, _, w in cover(xi, d)]
@@ -210,11 +216,8 @@ def extend_many(pts, coeffs, n_half, d, h):
     out = []
     for x in pts.tolist():
         xi = [v / h for v in x]
-        z = [math.floor(v + 0.5) for v in xi]
-        d2 = 0.0
-        for v, zi in zip(xi, z):
-            d2 += (v - zi) * (v - zi)
-        if d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT:
+        z = snapped_node(xi)
+        if z is not None:
             p = _pos(n_half, z)
             out.append(values[p] if p >= 0 else 0.0)
             continue

@@ -24,6 +24,10 @@ from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
 from .whitney import ProjectedFn, extend
 
 
+# size of the largest probe perturbation in `probe_tightness`
+PROBE_SCALE = 0.5
+
+
 class ApproxError(GridError):
     """Raised for ill-formed surrogate requests."""
 
@@ -141,21 +145,20 @@ class TightnessProbe:
     seed: int
 
 
-def probe_tightness(op, u, count: int = 6, scale: float = 0.5,
-                    seed: int = 0) -> TightnessProbe:
+def probe_tightness(op, u, count: int = 6, seed: int = 0) -> TightnessProbe:
     """Min-max gap at u using only perturbed probes, one added at a time.
 
-    Probes are u plus shrinking random perturbations; one `minmax_eval`
-    over all of them records the gap after each probe.  The gap sequence is
-    nonincreasing up to rounding and omega is its final value.  A zero
-    omega means the sampled linearizations already reproduce the operator
-    at u.
+    Probe k is u plus PROBE_SCALE 2^-k times unit normal noise; one
+    `minmax_eval` over all of them records the gap after each probe.  The
+    gap sequence is nonincreasing up to rounding and omega is its final
+    value.  A zero omega means the sampled linearizations already reproduce
+    the operator at u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if count < 1:
         raise ApproxError("need at least one probe")
     rng = np.random.default_rng(seed)
-    probes = [u + scale * 0.5 ** k * rng.standard_normal(u.size)
+    probes = [u + PROBE_SCALE * 0.5 ** k * rng.standard_normal(u.size)
               for k in range(count)]
     gaps = minmax_eval(op, u, probes).gaps
     return TightnessProbe(gaps=gaps, omega=float(gaps[-1]), seed=seed)

@@ -18,16 +18,17 @@ whose multi-index is within r of i's on every axis.  Nodes congruent modulo
 2r+1 on every axis then share a colour (Curtis, Powell and Reid, 1974), no
 output node reads two nodes of one colour, and one central difference per
 colour gives every row's entry in that colour's column: 2 (2r+1)^d operator
-calls per matrix instead of 2n, and the same entries bit for bit.  Without
-a footprint, when (2r+1)^d >= n, or when T(v) has a non-finite entry (the
-column loop then reads inf - inf outside the reach), the matrix is
-measured one basis column at a time.  Matrices are dense on every path.
+calls per matrix instead of 2n, and the same entries bit for bit.  A row
+where T is not finite (Monge-Ampere off convexity) is non-finite inside its
+reach box and 0 outside it.  Without a footprint, or when (2r+1)^d >= n,
+the matrix is measured one basis column at a time.  Matrices are dense on
+every path.
 
 Coefficient fields decompose each distinct row once.  A row's key is the
-bytes of its offsets relative to its node and of its weights, so the rows
-of an operator that commutes with lattice shifts share one decomposition
-away from the boundary, as the paper's translation-invariant min-max
-formula predicts.
+bytes of its offsets relative to its node and of its weights, read off the
+Jacobian row, so the rows of an operator that commutes with lattice shifts
+share one decomposition away from the boundary, as the paper's
+translation-invariant min-max formula predicts.
 """
 from __future__ import annotations
 
@@ -41,6 +42,11 @@ from .grid import DyadicGrid, GridError
 
 DEDUP_TOL = 1e-10
 KINK_FACTOR = 10.0
+# Jacobian entries below DROP_TOL times the row's largest are not row atoms
+DROP_TOL = 1e-12
+# projected-gradient budget and stopping step of `mean_value_residual`
+MEAN_VALUE_ITERS = 500
+MEAN_VALUE_TOL = 1e-10
 
 
 class ClarkeError(GridError):
@@ -87,9 +93,9 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
     term.  When op has no `jacobian`, or it returns None (an envelope with
     a term that is not affine), the central-difference Jacobian is
     measured: an operator with a `footprint` (see the module docstring) one
-    colour at a time after one evaluation of op(v) checks it is finite,
-    4 (2r+1)^d + 1 operator calls; any other operator one basis column at a
-    time, 4n calls.  Both measurements give the same dense matrix.
+    colour at a time, 4 (2r+1)^d operator calls; any other operator one
+    basis column at a time, 4n calls.  Both give the same dense matrix
+    wherever T is finite.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
@@ -104,7 +110,7 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
             raise ClarkeError(f"operator Jacobian has shape {m.shape}, "
                               f"expected {(v.size, v.size)}")
         return JacobianSample(point=v, matrix=m, step=s, kink=bool(kink))
-    groups = _column_groups(op, v)
+    groups = _column_groups(op, v.size)
     full = _matrix(op, v, s, groups)
     half = _matrix(op, v, 0.5 * s, groups)
     drift = float(np.max(np.abs(full - half)))
@@ -112,18 +118,16 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
                           kink=not drift <= KINK_FACTOR * s)
 
 
-def _column_groups(op, v: np.ndarray) -> list:
+def _column_groups(op, n: int) -> list:
     """(perturbed nodes, rows, columns) of each central difference.
 
     One colour per group when the operator's footprint allows it, else one
     basis column per group (every row, one column).
     """
-    n = v.size
     fp = getattr(op, "footprint", None)
     if fp is not None:
         shape, reach = tuple(fp[0]), int(fp[1])
-        if (math.prod(shape) == n and (2 * reach + 1) ** len(shape) < n
-                and np.all(np.isfinite(_apply(op, v)))):
+        if math.prod(shape) == n and (2 * reach + 1) ** len(shape) < n:
             return _colours(shape, reach)
     return [(j, slice(None), j) for j in range(n)]
 
@@ -201,21 +205,20 @@ class ClarkeSet:
 
 
 def sample_differential(op, v, samples: int = 8, radius: float = 1e-4,
-                        seed: int = 0, step: float | None = None) -> ClarkeSet:
+                        seed: int = 0) -> ClarkeSet:
     """Jacobians at v and at nearby random points, deduplicated."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     out = ClarkeSet(point=v)
-    out.add(jacobian_at(op, v, step))
+    out.add(jacobian_at(op, v))
     rng = np.random.default_rng(seed)
     for _ in range(max(0, samples - 1)):
         d = rng.standard_normal(v.size)
         d *= radius / max(float(np.max(np.abs(d))), 1e-300)
-        out.add(jacobian_at(op, v + d, step))
+        out.add(jacobian_at(op, v + d))
     return out
 
 
-def segment_differential(op, v, u, count: int = 9,
-                         step: float | None = None) -> ClarkeSet:
+def segment_differential(op, v, u, count: int = 9) -> ClarkeSet:
     """Jacobians sampled along the segment from v to u (both ends included)."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -223,7 +226,7 @@ def segment_differential(op, v, u, count: int = 9,
         raise ClarkeError("segment sampling needs at least the two endpoints")
     out = ClarkeSet(point=v)
     for t in np.linspace(0.0, 1.0, count):
-        out.add(jacobian_at(op, (1.0 - t) * v + t * u, step))
+        out.add(jacobian_at(op, (1.0 - t) * v + t * u))
     return out
 
 
@@ -249,8 +252,8 @@ class MeanValueReport:
     converged: bool
 
 
-def mean_value_residual(op, u, v, diff: ClarkeSet | None = None,
-                        iters: int = 500, tol: float = 1e-10) -> MeanValueReport:
+def mean_value_residual(op, u, v,
+                        diff: ClarkeSet | None = None) -> MeanValueReport:
     """Solve the simplex least squares fit for the mean value identity.
 
     The increment T(u) - T(v) should lie in the convex hull of the sampled
@@ -271,10 +274,10 @@ def mean_value_residual(op, u, v, diff: ClarkeSet | None = None,
     alpha = 1.0 / lip if lip > 0 else 1.0
     it = 0
     converged = False
-    for it in range(1, iters + 1):
+    for it in range(1, MEAN_VALUE_ITERS + 1):
         grad = gtg @ lam - g.T @ rhs
         nxt = project_simplex(lam - alpha * grad)
-        if float(np.max(np.abs(nxt - lam))) < tol:
+        if float(np.max(np.abs(nxt - lam))) < MEAN_VALUE_TOL:
             lam = nxt
             converged = True
             break
@@ -299,8 +302,7 @@ class MinMaxReport:
     gaps: np.ndarray
 
 
-def minmax_eval(op, u, probes, count: int = 9,
-                step: float | None = None) -> MinMaxReport:
+def minmax_eval(op, u, probes, count: int = 9) -> MinMaxReport:
     """Evaluate the min-max form of the operator at u.
 
     For each probe v the inner layer is T(v) plus the componentwise max of
@@ -319,7 +321,7 @@ def minmax_eval(op, u, probes, count: int = 9,
     gaps = []
     for p, v in enumerate(probes):
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        diff = segment_differential(op, v, u, count=count, step=step)
+        diff = segment_differential(op, v, u, count=count)
         inner = _apply(op, v) + np.max(diff.stacked() @ (u - v), axis=0)
         if best is None:
             best = inner
@@ -370,51 +372,37 @@ class CoefficientFields:
         return self.decompositions[i].levy_measure()
 
 
-def row_functionals(matrix: np.ndarray, grid: DyadicGrid,
-                    drop_tol: float = 1e-12):
-    """Interpret each matrix row as a finitely supported functional.
+def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
+    """Linearize at v and split every row into local plus jump parts.
 
-    Entries below drop_tol relative to the largest row entry are dropped;
-    the diagonal is always kept so the zero-order part survives.
+    A row keeps its entries above DROP_TOL times its largest, and always
+    its diagonal so the zero-order part survives.  Each distinct row (same
+    relative offsets and weights, bit for bit) is decomposed once; the
+    other rows of its class share that decomposition, rebased to their own
+    node.
     """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    matrix = jacobian_at(op, v).matrix
     pts = grid.points()
+    pts.setflags(write=False)   # rebased base points are views of it
     n = pts.shape[0]
     if matrix.shape != (n, n):
         raise ClarkeError(f"matrix shape {matrix.shape} does not match "
                           f"the {n}-node grid")
-    rows = []
-    for i in range(n):
-        w = matrix[i]
-        scale = float(np.max(np.abs(w)))
-        keep = np.abs(w) > drop_tol * max(scale, 1e-300)
-        keep[i] = True
-        offs = pts[keep] - pts[i]
-        rows.append(RowFunctional(pts[i], offs, w[keep]))
-    return rows
-
-
-def coefficient_fields(op, grid: DyadicGrid, v,
-                       drop_tol: float = 1e-12,
-                       step: float | None = None) -> CoefficientFields:
-    """Linearize at v and split every row into local plus jump parts.
-
-    Each distinct row (same relative offsets and weights, bit for bit) is
-    decomposed once; the other rows of its class share that decomposition,
-    rebased to their own node.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    sample = jacobian_at(op, v, step)
-    rows = row_functionals(sample.matrix, grid, drop_tol)
     first: dict = {}
-    row_class = np.empty(len(rows), dtype=np.int64)
+    row_class = np.empty(n, dtype=np.int64)
     decs = []
-    for i, row in enumerate(rows):
-        j = first.setdefault((row.offsets.tobytes(), row.weights.tobytes()), i)
+    for i, w in enumerate(matrix):
+        keep = np.abs(w) > DROP_TOL * max(float(np.max(np.abs(w))), 1e-300)
+        keep[i] = True
+        # grid points run in lexicographic order, so these offsets are
+        # already the sorted offsets a RowFunctional stores
+        offs, wts = pts[keep] - pts[i], w[keep]
+        j = first.setdefault((offs.tobytes(), wts.tobytes()), i)
         row_class[i] = j
-        decs.append(decompose(row) if j == i
-                    else replace(decs[j], base_point=row.base_point))
+        decs.append(decompose(RowFunctional(pts[i], offs, wts)) if j == i
+                    else replace(decs[j], base_point=pts[i]))
     d = grid.dim
-    n = len(rows)
     a = np.stack([dec.a_matrix for dec in decs]) if n else np.zeros((0, d, d))
     b = np.stack([dec.drift for dec in decs]) if n else np.zeros((0, d))
     c = np.array([dec.zero_order for dec in decs])

@@ -41,7 +41,7 @@ from scipy.sparse.linalg import spsolve
 
 from .calculus import _shifted, hessian_field
 from .courrege import RowFunctional
-from .grid import DyadicGrid, GridError
+from .grid import _STRIP_NODE_CAP, DyadicGrid, GridError
 from .levy import LevyMeasure, LevyOperator
 
 MONOTONE_TOL = 1e-12
@@ -287,19 +287,9 @@ class BellmanOp:
             err[k] = _gamma(m + 1) * (rho * peak + np.abs(s))
         return _select(vals, err, np.argmax)
 
-    def _scatter(self, out: np.ndarray, rows: np.ndarray, active: np.ndarray):
-        for k, (f, _) in enumerate(self.terms):
-            f.scatter(out, rows[active[rows] == k])
-
     def jacobian(self, v: np.ndarray) -> tuple | None:
-        """Active rows and kink flag, or None when some term is not affine."""
-        if not self.affine:
-            return None
-        v = np.asarray(v, dtype=float)
-        pick = self._active(v)
-        out = np.zeros((v.size, v.size))
-        self._scatter(out, np.arange(v.size), pick.index)
-        return out, bool(pick.tie.any())
+        """Active rows and kink flag: the one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).jacobian(v)
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,9 @@ class IsaacsOp:
         tied = np.stack([p.tie for p in inner])[outer.index, np.arange(v.size)]
         out = np.zeros((v.size, v.size))
         for t, (team, p) in enumerate(zip(self.teams, inner)):
-            team._scatter(out, np.flatnonzero(outer.index == t), p.index)
+            rows = np.flatnonzero(outer.index == t)
+            for k, (f, _) in enumerate(team.terms):
+                f.scatter(out, rows[p.index[rows] == k])
         return out, bool(np.any(outer.tie | tied))
 
 
@@ -560,6 +552,11 @@ class StripProblem:
             raise OperatorError("strip dimensions must be positive")
         if self.nx < 4 or self.ny < 2:
             raise OperatorError("need nx >= 4 and ny >= 2")
+        nodes = self.nx * (self.ny + 1)
+        if nodes > _STRIP_NODE_CAP:
+            raise OperatorError(
+                f"strip would hold {nodes} nodes, above the desk-scale "
+                f"strip budget {_STRIP_NODE_CAP}")
 
     @property
     def dx(self) -> float:
@@ -578,16 +575,17 @@ def _mode_rates(p: StripProblem) -> np.ndarray:
     return 2.0 * (1.0 - np.cos(2.0 * math.pi * k / p.nx)) / p.dx ** 2
 
 
-def _mode_profiles(p: StripProblem) -> np.ndarray:
-    """Decay profile per Fourier mode and vertical node, shape (ny+1, modes).
+def _mode_profiles(p: StripProblem, rows: np.ndarray) -> np.ndarray:
+    """Decay profile per Fourier mode at the vertical node indices rows.
 
-    Solves the vertical three-term recurrence in closed form: the discrete
-    rate mu satisfies cosh(mu dy) = 1 + lam dy^2 / 2 and the profile is
-    sinh(mu (H - y)) / sinh(mu H), evaluated in overflow-safe form.
+    Shape (len(rows), modes).  Solves the vertical three-term recurrence in
+    closed form: the discrete rate mu satisfies cosh(mu dy) = 1 + lam dy^2/2
+    and the profile is sinh(mu (H - y)) / sinh(mu H), evaluated in
+    overflow-safe form.
     """
     lam = _mode_rates(p)
-    y = np.arange(p.ny + 1) * p.dy
-    out = np.empty((p.ny + 1, lam.size))
+    y = rows * p.dy
+    out = np.empty((y.size, lam.size))
     out[:, 0] = 1.0 - y / p.height
     if lam.size > 1:
         t = 1.0 + lam[1:] * p.dy ** 2 / 2.0
@@ -605,7 +603,7 @@ def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
         raise OperatorError(f"boundary data shape {g.shape} != ({p.nx},)")
     if method == "modes":
         ghat = np.fft.rfft(g)
-        prof = _mode_profiles(p)
+        prof = _mode_profiles(p, np.arange(p.ny + 1))
         return np.fft.irfft(prof * ghat[None, :], n=p.nx, axis=1)
     if method in ("direct", "cg"):
         return _dtn_solve_sparse(p, g, method)
@@ -670,16 +668,20 @@ def boundary_derivative(p: StripProblem, u: np.ndarray) -> np.ndarray:
     return (u[1] - u[0]) / p.dy + 0.5 * p.dy * lateral
 
 
+def _boundary_symbol(p: StripProblem) -> np.ndarray:
+    """Fourier multiplier of `boundary_derivative` on the mode-by-mode
+    solution: reads only the first interior row of the profiles."""
+    first = _mode_profiles(p, np.arange(1, 2))[0]
+    return (first - 1.0) / p.dy - 0.5 * p.dy * _mode_rates(p)
+
+
 def dtn_kernel(p: StripProblem) -> np.ndarray:
     """First row of the circulant boundary-derivative map.
 
     Row sum is exactly -1/height (the constant mode), off-center entries
     are nonnegative: the map passes the comparison sign test.
     """
-    prof = _mode_profiles(p)
-    lam = _mode_rates(p)
-    d = (prof[1] - 1.0) / p.dy - 0.5 * p.dy * lam
-    return np.fft.irfft(d, n=p.nx)
+    return np.fft.irfft(_boundary_symbol(p), n=p.nx)
 
 
 def dtn_matrix(p: StripProblem) -> np.ndarray:
@@ -692,7 +694,4 @@ def dtn_apply(p: StripProblem, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (p.nx,):
         raise OperatorError(f"boundary data shape {g.shape} != ({p.nx},)")
-    prof = _mode_profiles(p)
-    lam = _mode_rates(p)
-    d = (prof[1] - 1.0) / p.dy - 0.5 * p.dy * lam
-    return np.fft.irfft(d * np.fft.rfft(g), n=p.nx)
+    return np.fft.irfft(_boundary_symbol(p) * np.fft.rfft(g), n=p.nx)

@@ -114,12 +114,11 @@ class ProjectedFn:
         return self.extension.values(pts)
 
     def _node_index(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """The node the extension snaps x to (its value there), or None."""
         h = self.grid.spacing
-        idx = np.floor(x / h + 0.5).astype(int)
-        if np.max(np.abs(x - idx * h)) < _kernels.SNAP_TOL_UNIT * h:
-            return tuple(int(i) for i in idx)
-        return None
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        z = _kernels.snapped_node([v / h for v in xs])
+        return None if z is None else tuple(z)
 
     def grad(self, x) -> np.ndarray:
         idx = self._node_index(x)

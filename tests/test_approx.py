@@ -193,7 +193,7 @@ class TestTightnessProbe:
     def test_gaps_shrink_to_zero_on_piecewise_linear_map(self):
         op = lambda v: np.maximum(v, 2.0 * v)
         u = np.array([0.7, -0.4])
-        probe = probe_tightness(op, u, count=6, scale=0.5, seed=0)
+        probe = probe_tightness(op, u, count=6, seed=0)
         assert np.all(np.diff(probe.gaps) <= 1e-12)
         assert probe.omega <= 1e-8
 

@@ -183,3 +183,39 @@ def test_stdout_json_when_no_out_file(capsys):
     body = out[:out.rindex("decompose")]
     rep = json.loads(body)
     assert rep["A"] == [[1.0]]
+
+
+def _contract_cases():
+    """(subcommand, extra arguments): every bad input on every subcommand."""
+    bad = [("level -1", ["--level", "-1"]), ("level 25", ["--level", "25"]),
+           ("level 1000", ["--level", "1000"]),
+           ("dim 0", ["--dim", "0"]), ("dim 4", ["--dim", "4"]),
+           ("operator", ["--operator", "nosuch"]),
+           ("frac beta 0", ["--operator", "frac", "--beta", "0"]),
+           ("frac beta 2.5", ["--operator", "frac", "--beta", "2.5"]),
+           ("frac beta nan", ["--operator", "frac", "--beta", "nan"]),
+           ("missing config", ["--config", "{dir}/missing.json"]),
+           ("non-JSON config", ["--config", "{dir}/text.json"]),
+           ("list config", ["--config", "{dir}/list.json"]),
+           ("unwritable out", ["--out", "{dir}/no/such/dir/report.json"])]
+    return [pytest.param(cmd, args, id=f"{cmd} {name}")
+            for cmd in ("decompose", "minmax", "converge", "dtn")
+            for name, args in bad]
+
+
+@pytest.mark.parametrize("cmd, args", _contract_cases())
+def test_exit_code_contract(tmp_path, capsys, cmd, args):
+    # exit 0 or 1 when the subcommand ignores the argument, else exit 2 with
+    # a message; never an exception (huge levels must fail before allocating)
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [cmd] + [a.format(dir=tmp_path) for a in args]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "report.json")]
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in capsys.readouterr().err

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levyminmax._kernels import KMAX, SNAP_TOL_UNIT
 from levyminmax.cubes import (CubeError, WhitneyCube, base_family, cubes_at,
                               partition_gradient_bound,
                               partition_raw_sums, uncovered_volume)
@@ -126,6 +129,44 @@ def test_partition_raw_sums_bulk():
         assert ok.all()
         assert np.all(sums[ok, 0] >= 1.0)
         assert np.allclose(sums[ok, 1], 1.0, atol=1e-12)
+
+
+@st.composite
+def off_lattice_points(draw):
+    """(point, spacing): a node plus an offset, some within 2^-20 of it.
+
+    Near offsets run down to just outside the snap radius 2^-26, where the
+    cover reaches its deepest generations.
+    """
+    d = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1.0, 0.25, 2.0 ** -6]))
+    node = np.array(draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)))
+    unit = st.floats(-0.5, 0.5, allow_nan=False)
+    off = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    size = float(np.linalg.norm(off))
+    if draw(st.booleans()):
+        if size < 1e-3:
+            off, size = np.ones(d), math.sqrt(d)
+        lo = math.log2(SNAP_TOL_UNIT * (1.0 + 1e-6))
+        off *= 2.0 ** draw(st.floats(lo, -20.0)) / size
+    elif size < SNAP_TOL_UNIT * (1.0 + 1e-6):
+        off = np.full(d, 0.25)
+    return (node + off) * h, h
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(off_lattice_points())
+def test_cover_properties_hold_off_lattice(case):
+    # Whitney (Stein 1970): the bumps cover, normalise to a partition of
+    # unity, and each cube's lattice distance is 1 to 4 diameters; the
+    # snap radius keeps every cube below the generation cap KMAX
+    x, h = case
+    raw, total = partition_raw_sums(x[None, :], h)[0]
+    assert raw >= 1.0
+    assert abs(total - 1.0) <= 1e-14
+    cubes = cubes_at(x, spacing=h).cubes
+    assert all(1.0 <= q.ratio < 4.0 for q in cubes)
+    assert max(q.generation for q in cubes) <= KMAX - 1
 
 
 def test_partition_gradient_bound_is_moderate():

@@ -6,8 +6,8 @@ from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
                                  value_field)
 from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
                              grid_function_from_flat, restrict)
-from levyminmax.whitney import (discrete_min_gradient_bound, extend,
-                                holder_norm,
+from levyminmax.whitney import (ProjectedFn, discrete_min_gradient_bound,
+                                extend, holder_norm,
                                 order_preservation_defect, project)
 
 QUAD = RegularityClass(2.5)
@@ -99,6 +99,26 @@ def test_extension_snap_region_is_consistent():
     outside = node + 2.0 ** -24 * g.spacing
     assert E(inside) == E(node)
     assert abs(E(outside) - E(node)) < 1e-6
+
+
+def test_projection_snaps_where_the_extension_does():
+    # node + 0.8 * tol * (1, 1) is within the snap tolerance on each axis
+    # but not in Euclidean distance: the extension blends there, so grad
+    # and hess must not read the node's fields
+    g = DyadicGrid(level=2, dim=2, box_radius=1.0)
+    u = grid_function_from_flat(
+        g, np.random.default_rng(29).standard_normal(g.node_count))
+    P = ProjectedFn(extend(u, QUAD))
+    node = g.point_of((1, -1))
+    tol = _kernels.SNAP_TOL_UNIT * g.spacing
+    near = node + 0.5 * tol * np.ones(2)
+    assert P.value(near) == P.value(node)
+    assert np.array_equal(P.grad(near), P.grad(node))
+    assert np.array_equal(P.hess(near), P.hess(node))
+    off = node + 0.8 * tol * np.ones(2)
+    assert P.value(off) != P.value(node)
+    assert not np.array_equal(P.grad(off), P.grad(node))
+    assert not np.array_equal(P.hess(off), P.hess(node))
 
 
 def test_extension_input_shapes():
