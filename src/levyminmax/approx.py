@@ -1,10 +1,15 @@
 """Discrete surrogates of function-space operators, with probe diagnostics.
 
-A source operator is any map (fn, x) -> float taking a function with
-value/grad/hess and a point.  The surrogate pipeline is: wrap flat node
-data into grid data, extend it off the lattice, apply the source at every
-node, return the flat result.  That makes any such operator a map on node
-vectors, ready for the differential-sampling machinery.
+A source operator is a `LevyOperator` or any map (fn, x) -> float taking a
+function with value/grad/hess and a point.  The surrogate pipeline is: wrap
+flat node data into grid data, extend it off the lattice, apply the source
+at every node, return the flat result.  That makes any such operator a map
+on node vectors, ready for the differential-sampling machinery.
+
+A `LevyOperator` source is applied to the whole grid at once: node values,
+gradients and Hessians are read from the extension's fields, and each
+atom's shifted values come from one extension call over all nodes.  Any
+other callable is applied node by node.
 
 The probes are seeded sampling estimates, reported with hatted names:
 rho_hat for the sup-norm Lipschitz ratio, omega for envelope-tightness and
@@ -17,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ConvergenceStudy, fit_order
+from .calculus import FIELD_MARGIN, ConvergenceStudy, fit_order
 from .clarke import minmax_eval
 from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
                    restrict, translate)
+from .levy import LevyOperator, apply, evaluate
 from .whitney import ProjectedFn, extend
 
 
@@ -53,7 +59,16 @@ class DiscreteSurrogate:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         fn = self.lift(v)
         pts = self.grid.points()
-        return np.array([self.source(fn, x) for x in pts])
+        op = self.source
+        if not isinstance(op, LevyOperator):
+            return np.array([op(fn, x) for x in pts])
+        ext = fn.extension
+        n, d = self.grid.node_count, self.grid.dim
+        box = (slice(FIELD_MARGIN, -FIELD_MARGIN),) * d
+        return apply(op, ext.value_field[box].ravel(),
+                     lambda: ext.grad_field[box].reshape(n, d),
+                     lambda: ext.hess_field[box].reshape(n, d, d),
+                     (ext.values(pts + y) for y, _, _ in op.jumps))
 
     def on_grid(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -65,8 +80,13 @@ class DiscreteSurrogate:
 def build_surrogate(source, grid: DyadicGrid,
                     smoothness: RegularityClass | None = None,
                     name: str = "") -> DiscreteSurrogate:
-    if not callable(source):
-        raise ApproxError("source operator must be callable as source(fn, x)")
+    if isinstance(source, LevyOperator):
+        if source.dim != grid.dim:
+            raise ApproxError(f"source of dimension {source.dim} on a "
+                              f"{grid.dim}-d grid")
+    elif not callable(source):
+        raise ApproxError("source operator must be a LevyOperator or "
+                          "callable as source(fn, x)")
     if smoothness is None:
         smoothness = RegularityClass(2.0)
     return DiscreteSurrogate(grid=grid, smoothness=smoothness, source=source,
@@ -82,7 +102,9 @@ def convergence_study(source, u, levels, dim: int = 1,
     u must carry exact value/grad/hess.  The error at each level is the
     max-norm gap between the surrogate on restricted data and the source
     applied to u itself, over nodes inside region_radius (default: half the
-    box, which keeps nonlocal tails of moderate reach inside the data).
+    box, which keeps nonlocal tails of moderate reach inside the data).  A
+    `LevyOperator` source is applied to u through `levy.evaluate`, all
+    those nodes in one batch.
     """
     levels = list(levels)
     if len(levels) < 3:
@@ -97,7 +119,10 @@ def convergence_study(source, u, levels, dim: int = 1,
         got = surr(v.flat())
         pts = g.points()
         mask = np.max(np.abs(pts), axis=1) <= radius + 1e-12
-        want = np.array([source(u, x) for x in pts[mask]])
+        if isinstance(source, LevyOperator):
+            want = evaluate(source, u, pts[mask])
+        else:
+            want = np.array([source(u, x) for x in pts[mask]])
         errs.append(float(np.max(np.abs(got[mask] - want))))
         spacings.append(g.spacing)
     order, exact = fit_order(spacings, errs)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .approx import convergence_study, probe_lipschitz, probe_tightness
 from .courrege import RowFunctional, decompose, reconstruct_residual
-from .grid import DyadicGrid, GridError, RegularityClass, SmoothFn
+from .grid import (_STRIP_LEVEL_CAP, _STRIP_NODE_CAP, DyadicGrid, GridError,
+                   RegularityClass, SmoothFn)
 from .levy import LevyMeasure, LevyOperator
 from .operators import (
     StripProblem,
@@ -34,7 +35,10 @@ from .operators import (
 )
 
 OPERATOR_NAMES = ("laplace", "advect", "jump", "frac")
-SOURCE_NAMES = ("identity", "trace", "jump")
+# converge source: (box radius, radius of the nodes the error is taken over;
+# None for half the box).  The jump source's region keeps x + 1.2 e1 in the box.
+SOURCE_BOXES = {"identity": (1.0, None), "trace": (1.0, None),
+                "jump": (4.0, 0.5)}
 
 
 def _named_operator(name: str, dim: int, beta: float,
@@ -161,25 +165,32 @@ def _bell(dim: int) -> SmoothFn:
     return SmoothFn(val, grad, hess, RegularityClass(2.0), name="bell")
 
 
-def _named_source(name: str):
+def _named_source(name: str, dim: int) -> LevyOperator:
+    """The `converge` source of that name, one of SOURCE_BOXES, in dim."""
+    zeros = np.zeros((dim, dim))
     if name == "identity":
-        return (lambda fn, x: fn.value(x)), 1.0, None
+        return LevyOperator(zeros, np.zeros(dim), 1.0, LevyMeasure.empty(dim))
     if name == "trace":
-        return (lambda fn, x: float(np.trace(fn.hess(x)))), 1.0, None
-    if name == "jump":
-        op = LevyOperator(np.zeros((1, 1)), np.zeros(1), 0.0,
-                          LevyMeasure(np.array([[0.3], [1.2]]),
-                                      np.array([1.0, 0.5])))
-        from .levy import evaluate
-
-        return (lambda fn, x: evaluate(op, fn, x)), 4.0, 0.5
-    raise GridError(f"unknown source {name!r}; pick from {SOURCE_NAMES}")
+        return LevyOperator(np.eye(dim), np.zeros(dim), 0.0,
+                            LevyMeasure.empty(dim))
+    # jump: atoms along e1, as `decompose --operator jump` places them
+    e1 = np.eye(1, dim)[0]
+    return LevyOperator(zeros, np.zeros(dim), 0.0,
+                        LevyMeasure(np.stack([0.3 * e1, 1.2 * e1]),
+                                    np.array([1.0, 0.5])))
 
 
 def cmd_converge(args) -> int:
     if args.level < 5:
         raise GridError("need --level >= 5 for a three-point rate fit")
-    source, box, region = _named_source(args.operator)
+    if args.operator not in SOURCE_BOXES:
+        raise GridError(f"unknown source {args.operator!r}; pick from "
+                        f"{tuple(SOURCE_BOXES)}")
+    box, region = SOURCE_BOXES[args.operator]
+    # the finest grid first: an oversized --level or a bad --dim fails
+    # before any coarser level is studied
+    DyadicGrid(args.level, args.dim, box)
+    source = _named_source(args.operator, args.dim)
     study = convergence_study(source, _bell(args.dim), range(3, args.level + 1),
                               dim=args.dim, box_radius=box,
                               region_radius=region)
@@ -200,6 +211,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_dtn(args) -> int:
+    # the default strip grows fourfold per level: refuse before forming 2**level
+    if args.level > _STRIP_LEVEL_CAP:
+        raise GridError(f"dtn --level {args.level}: the default strip exceeds "
+                        f"the strip node budget {_STRIP_NODE_CAP} = nx (ny + 1) "
+                        f"above --level {_STRIP_LEVEL_CAP}")
     cfg = {"width": 2.0 * math.pi, "height": 10.0,
            "nx": 2 ** args.level, "ny": 2 ** (args.level - 1),
            "modes": [1, 2, 4]}

@@ -26,7 +26,8 @@ _LEVEL_CAPS = {1: 6, 2: 4, 3: 3}
 # node budgets implied by the level caps at their default boxes
 _NODE_CAPS = {1: 2 * 4096 + 1, 2: 513 ** 2, 3: 129 ** 3}
 # strip node budget nx (ny + 1): the default `levymm dtn` strip at level 13
-_STRIP_NODE_CAP = 2 ** 13 * (2 ** 12 + 1)
+_STRIP_LEVEL_CAP = 13
+_STRIP_NODE_CAP = 2 ** _STRIP_LEVEL_CAP * (2 ** (_STRIP_LEVEL_CAP - 1) + 1)
 
 ON_LATTICE_TOL = 1e-13
 

@@ -141,7 +141,13 @@ def tv_distance(m1: LevyMeasure, m2: LevyMeasure, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class LevyOperator:
-    """Constant-coefficient operator (A, B, C, measure); A PSD, masses >= 0."""
+    """Constant-coefficient operator (A, B, C, measure); A PSD, masses >= 0.
+
+    Construction also derives what every application needs: `jumps`, the
+    (y, mass, compensated) triples of the atoms with nonzero mass, where
+    compensated means |y| < 1; whether the drift and the diffusion are
+    nonzero; and whether the gradient is needed at all.
+    """
 
     diffusion: np.ndarray
     drift: np.ndarray
@@ -165,42 +171,92 @@ class LevyOperator:
         object.__setattr__(self, "diffusion", a)
         object.__setattr__(self, "drift", b)
         object.__setattr__(self, "zero_order", float(self.zero_order))
+        mu = self.measure
+        jumps = tuple((y, float(m), float(np.linalg.norm(y)) < 1.0)
+                      for y, m in zip(mu.atoms, mu.masses) if m != 0.0)
+        has_drift = bool(np.any(b != 0.0))
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "has_drift", has_drift)
+        object.__setattr__(self, "has_diffusion", bool(np.any(a != 0.0)))
+        object.__setattr__(self, "needs_grad",
+                           has_drift or any(c for _, _, c in jumps))
 
     @property
     def dim(self) -> int:
         return self.drift.size
 
 
-def evaluate(op: LevyOperator, u, x) -> float:
-    """Apply the operator to pointwise data at x.
-
-    u must expose value/grad/hess as needed: the gradient when the drift or
-    any compensated atom is present, the Hessian when the diffusion is
-    nonzero.  Jumps with |y| < 1 (strictly) are gradient compensated.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _point_values(u, pts: np.ndarray) -> np.ndarray:
+    """Values of u at the rows of pts: one `values` call when u has one."""
+    if hasattr(u, "values"):
+        return np.asarray(u.values(pts), dtype=float)
     val = u.value if hasattr(u, "value") else u
-    u0 = float(val(x))
+    return np.array([float(val(p)) for p in pts], dtype=float)
+
+
+def evaluate(op: LevyOperator, u, x):
+    """Apply the operator to pointwise data at one point or at a batch.
+
+    x is one point (shape (d,), or a scalar in 1-d), which returns a float,
+    or an (m, d) batch of points, which returns an array of m values.  u
+    must expose value (or values) and, as needed, grad and hess at single
+    points: the gradient when the drift or any compensated atom is present,
+    the Hessian when the diffusion is nonzero.  Jumps with |y| < 1
+    (strictly) are gradient compensated.  The values at the points and at
+    every shift x + y come from one `u.values` call when u has one.
+    """
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim < 2
+    d = op.dim
+    if single and pts.size == d:
+        pts = pts.reshape(1, d)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise LevyError(f"operator of dimension {d} applied at points of "
+                        f"shape {np.shape(x)}")
+    m = len(pts)
+    stacked = np.concatenate([pts] + [pts + y for y, _, _ in op.jumps])
+    vals = _point_values(u, stacked).reshape(len(op.jumps) + 1, m)
+    out = apply(op, vals[0],
+                lambda: np.array([u.grad(p) for p in pts],
+                                 dtype=float).reshape(m, d),
+                lambda: np.array([u.hess(p) for p in pts],
+                                 dtype=float).reshape(m, d, d),
+                vals[1:])
+    return float(out[0]) if single else out
+
+
+def apply(op: LevyOperator, u0: np.ndarray, grad, hess, shifted) -> np.ndarray:
+    """The operator at m points from the data of u there.
+
+    u0 holds the m values; grad() and hess() return the (m, d) gradients
+    and (m, d, d) Hessians and are called only when the operator needs them;
+    shifted yields, for each atom of `op.jumps` in order, the m values of u
+    at the points shifted by the atom.  Terms are added in a fixed order
+    (zero order, drift, diffusion, atoms), each dot product and trace
+    summed left to right, so the result at a point does not depend on m.
+    """
     out = op.zero_order * u0
-    needs_grad = bool(np.any(op.drift != 0.0))
-    mu = op.measure
-    if len(mu):
-        r = np.linalg.norm(mu.atoms, axis=1)
-        needs_grad = needs_grad or bool(np.any((r < 1.0) & (mu.masses != 0.0)))
-    g = None
-    if needs_grad:
-        g = np.asarray(u.grad(x), dtype=float)
-        out += float(op.drift @ g)
-    if np.any(op.diffusion != 0.0):
-        h = np.asarray(u.hess(x), dtype=float)
-        out += float(np.trace(op.diffusion @ h))
-    for y, m in zip(mu.atoms, mu.masses):
-        if m == 0.0:
-            continue
-        jump = float(val(x + y)) - u0
-        if float(np.linalg.norm(y)) < 1.0:
-            if g is None:
-                g = np.asarray(u.grad(x), dtype=float)
-            jump -= float(g @ y)
-        out += m * jump
+    d = op.dim
+    g = grad() if op.needs_grad else None
+    if op.has_drift:
+        out = out + _dot(op.drift, g)
+    if op.has_diffusion:
+        h = hess()
+        tr = _dot(op.diffusion[0], h[:, :, 0])
+        for k in range(1, d):
+            tr = tr + _dot(op.diffusion[k], h[:, :, k])
+        out = out + tr
+    for (y, mass, compensated), vals in zip(op.jumps, shifted):
+        jump = vals - u0
+        if compensated:
+            jump = jump - _dot(y, g)
+        out = out + mass * jump
     return out
+
+
+def _dot(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """c . rows[i] for each i, summed left to right over the d entries."""
+    acc = c[0] * rows[:, 0]
+    for k in range(1, c.size):
+        acc = acc + c[k] * rows[:, k]
+    return acc

@@ -43,6 +43,11 @@ class ExtendedFn:
         self.smoothness = smoothness
 
     @cached_property
+    def value_field(self) -> np.ndarray:
+        """Node values, box plus margin (zeros in the margin)."""
+        return value_field(self.node_data)
+
+    @cached_property
     def grad_field(self) -> np.ndarray:
         """Central gradient field of the node data, box plus margin."""
         return dgrad_padded(self.node_data)
@@ -56,7 +61,7 @@ class ExtendedFn:
     def _coeffs(self) -> list:
         """Flat value, gradient and Hessian fields, as far as the case blends."""
         case = self.smoothness.case
-        fields = [value_field(self.node_data)]
+        fields = [self.value_field]
         if case >= 1:
             fields.append(self.grad_field)
         if case >= 2:

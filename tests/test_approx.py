@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levyminmax import _kernels
 from levyminmax.approx import (ApproxError, DiscreteSurrogate, LipschitzProbe,
                                build_surrogate, convergence_study,
                                probe_lipschitz, probe_shift_regularity,
@@ -19,8 +22,10 @@ from levyminmax.clarke import (coefficient_fields, jacobian_at, minmax_eval,
                                segment_differential)
 from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
                              RegularityClass, SmoothFn, restrict)
+from levyminmax.cli import _named_source
 from levyminmax.levy import LevyMeasure, LevyOperator, evaluate
 from levyminmax.operators import bellman, levy_stencil
+from levyminmax.whitney import ProjectedFn
 
 CLS = RegularityClass(2.0)
 
@@ -90,6 +95,13 @@ class TestSurrogate:
     def test_source_must_be_callable(self):
         with pytest.raises(ApproxError):
             build_surrogate("laplace", DyadicGrid(2, 1, box_radius=1.0))
+        with pytest.raises(ApproxError):
+            build_surrogate(np.eye(1), DyadicGrid(2, 1, box_radius=1.0))
+
+    def test_levy_source_must_match_the_grid_dimension(self):
+        op = LevyOperator(np.eye(2), np.zeros(2), 0.0, LevyMeasure.empty(2))
+        with pytest.raises(ApproxError, match="dimension 2 on a 1-d grid"):
+            build_surrogate(op, DyadicGrid(2, 1, box_radius=1.0))
 
     def test_linearization_recovers_stencil_coefficients(self):
         g = DyadicGrid(3, 1, box_radius=1.0)
@@ -131,6 +143,102 @@ class TestSurrogate:
         inner = slice(2, g.node_count - 2)
         assert fields.a_field[inner] == pytest.approx(
             np.zeros((g.node_count - 4, 1, 1)), abs=1e-7)
+
+
+# grids small enough for the node-by-node reference: 9, 25 and 125 nodes
+LEVY_GRIDS = {1: DyadicGrid(2, 1, 1.0), 2: DyadicGrid(1, 2, 1.0),
+              3: DyadicGrid(1, 3, 1.0)}
+# atom radii: compensated, uncompensated, and beyond the box
+ATOM_RADII = {"inside": (0.05, 0.95), "outside": (1.0, 1.9),
+              "beyond": (2.5, 4.0)}
+
+
+@st.composite
+def levy_cases(draw):
+    """A random Levy operator on a small grid and random node data."""
+    d = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(sorted(ATOM_RADII)), max_size=4))
+    zero_masses = draw(st.lists(st.booleans(), min_size=len(kinds),
+                                max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.standard_normal((d, d))
+    atoms = np.zeros((len(kinds), d))
+    for i, kind in enumerate(kinds):
+        direction = rng.standard_normal(d)
+        atoms[i] = (rng.uniform(*ATOM_RADII[kind]) * direction
+                    / np.linalg.norm(direction))
+    masses = np.where(zero_masses, 0.0, rng.uniform(0.1, 2.0, len(kinds)))
+    measure = (LevyMeasure(atoms, masses) if len(kinds)
+               else LevyMeasure.empty(d))
+    op = LevyOperator(m @ m.T, rng.standard_normal(d),
+                      float(rng.standard_normal()), measure)
+    grid = LEVY_GRIDS[d]
+    return op, grid, rng.standard_normal(grid.node_count)
+
+
+def absolute_scale(op, surr, v):
+    """Per node: the operator's terms summed in absolute value."""
+    ext = surr.lift(v).extension
+    g = surr.grid
+    n, d = g.node_count, g.dim
+    box = (slice(2, -2),) * d
+    u0 = np.abs(ext.value_field[box].ravel())
+    grad = np.abs(ext.grad_field[box].reshape(n, d))
+    hess = np.abs(ext.hess_field[box].reshape(n, d, d))
+    scale = abs(op.zero_order) * u0 + grad @ np.abs(op.drift)
+    scale += np.einsum("kl,nlk->n", np.abs(op.diffusion), hess)
+    for y, mass in zip(op.measure.atoms, op.measure.masses):
+        scale += mass * (np.abs(ext.values(g.points() + y)) + u0
+                         + grad @ np.abs(y))
+    return scale
+
+
+class TestWholeGridLevySource:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(levy_cases())
+    def test_equals_the_node_by_node_loop(self, case):
+        op, grid, v = case
+        surr = build_surrogate(op, grid)
+        got = surr(v)
+        want = build_surrogate(lambda fn, x: evaluate(op, fn, x), grid)(v)
+        bound = 8.0 * np.finfo(float).eps * absolute_scale(op, surr, v)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name, per_node", [
+        ("identity", lambda op: (lambda fn, x: fn.value(x))),
+        ("trace", lambda op: (lambda fn, x: float(np.trace(fn.hess(x))))),
+        ("jump", lambda op: (lambda fn, x: evaluate(op, fn, x)))])
+    def test_converge_sources_are_bitwise_the_per_node_formulas(
+            self, name, per_node, d):
+        op = _named_source(name, d)
+        grid = LEVY_GRIDS[d]
+        v = np.random.default_rng(d).standard_normal(grid.node_count)
+        got = build_surrogate(op, grid)(v)
+        want = build_surrogate(per_node(op), grid)(v)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_extension_call_per_atom_and_no_node_reads(self, monkeypatch):
+        calls = []
+        extend_many = _kernels.extend_many
+
+        def counted(pts, *args):
+            calls.append(len(pts))
+            return extend_many(pts, *args)
+
+        def refused(*args):
+            raise AssertionError("per-node read of the projection")
+
+        monkeypatch.setattr(_kernels, "extend_many", counted)
+        for name in ("value", "grad", "hess"):
+            monkeypatch.setattr(ProjectedFn, name, refused)
+        mu = LevyMeasure(np.array([[0.3], [0.0625], [1.2]]),
+                         np.array([1.0, 0.0, 0.5]))
+        op = LevyOperator(np.eye(1), np.ones(1), -0.5, mu)
+        g = DyadicGrid(3, 1, 2.0)
+        build_surrogate(op, g)(np.random.default_rng(0).standard_normal(
+            g.node_count))
+        assert calls == [g.node_count, g.node_count]
 
 
 class TestConvergenceStudy:

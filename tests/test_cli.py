@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from levyminmax import approx
 from levyminmax.cli import build_parser, main
 
 
@@ -189,6 +190,7 @@ def _contract_cases():
     """(subcommand, extra arguments): every bad input on every subcommand."""
     bad = [("level -1", ["--level", "-1"]), ("level 25", ["--level", "25"]),
            ("level 1000", ["--level", "1000"]),
+           ("level 1000000", ["--level", "1000000"]),
            ("dim 0", ["--dim", "0"]), ("dim 4", ["--dim", "4"]),
            ("operator", ["--operator", "nosuch"]),
            ("frac beta 0", ["--operator", "frac", "--beta", "0"]),
@@ -198,9 +200,12 @@ def _contract_cases():
            ("non-JSON config", ["--config", "{dir}/text.json"]),
            ("list config", ["--config", "{dir}/list.json"]),
            ("unwritable out", ["--out", "{dir}/no/such/dir/report.json"])]
+    # the jump source is built for --dim; level 5 is the smallest study
+    jump = pytest.param("converge", ["--operator", "jump", "--dim", "2",
+                                     "--level", "5"], id="converge jump dim 2")
     return [pytest.param(cmd, args, id=f"{cmd} {name}")
             for cmd in ("decompose", "minmax", "converge", "dtn")
-            for name, args in bad]
+            for name, args in bad] + [jump]
 
 
 @pytest.mark.parametrize("cmd, args", _contract_cases())
@@ -219,3 +224,25 @@ def test_exit_code_contract(tmp_path, capsys, cmd, args):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [13, 25])
+def test_converge_refuses_an_oversized_level_before_any_surrogate(
+        tmp_path, capsys, monkeypatch, level):
+    built = []
+    monkeypatch.setattr(approx, "build_surrogate",
+                        lambda *a, **k: built.append(a) or None)
+    code = main(["converge", "--level", str(level),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("level", [14, 25, 1000000])
+def test_dtn_beyond_the_budget_level_names_the_strip_budget(tmp_path, capsys,
+                                                            level):
+    code = main(["dtn", "--level", str(level),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "strip node budget" in capsys.readouterr().err

@@ -196,3 +196,43 @@ class TestEvaluate:
         val_only = SmoothFn(lambda x: float(x[0] ** 2), cls=CLS)
         op = _op(0.0, 0.0, 0.0, _measure((1.5, 2.0)))
         assert evaluate(op, val_only, [0.0]) == pytest.approx(4.5, rel=1e-15)
+
+
+class TestBatchEvaluate:
+    OP = LevyOperator(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -2.0]),
+                      0.5, LevyMeasure(np.array([[0.25, 0.5], [1.5, 0.0],
+                                                 [0.0, -0.75]]),
+                                       np.array([1.0, 0.5, 0.0])))
+
+    @staticmethod
+    def bump(calls):
+        def val(x):
+            return math.exp(-float(x @ x))
+
+        def values(pts):
+            calls.append(len(pts))
+            return np.exp(-np.sum(pts * pts, axis=1))
+
+        return SmoothFn(val, grad=lambda x: -2.0 * x * val(x),
+                        hess=lambda x: (4.0 * np.outer(x, x)
+                                        - 2.0 * np.eye(2)) * val(x),
+                        cls=CLS, values=values)
+
+    def test_batch_equals_point_by_point(self):
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(7, 2))
+        u = self.bump([])
+        got = evaluate(self.OP, u, pts)
+        want = np.array([evaluate(self.OP, u, p) for p in pts])
+        assert got.shape == (7,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_values_call_for_the_point_and_its_shifts(self):
+        calls = []
+        evaluate(self.OP, self.bump(calls), np.array([0.1, -0.2]))
+        # the point and the two atoms of nonzero mass
+        assert calls == [3]
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), 0.0])
+    def test_points_of_another_dimension_rejected(self, x):
+        with pytest.raises(LevyError, match="dimension 2"):
+            evaluate(self.OP, self.bump([]), x)
