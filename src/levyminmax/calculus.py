@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridError, GridFunction, SmoothFn, restrict
+from .grid import DyadicGrid, GridError, GridFunction
 
 FIELD_MARGIN = 2
 
@@ -223,31 +223,3 @@ def fit_order(spacings: Sequence[float], errors: Sequence[float],
         return None, True
     slope = np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)[0]
     return float(slope), False
-
-
-def convergence_order(u: SmoothFn, which: str, levels: Sequence[int], x,
-                      dim: int = 1, box_radius: float = 2.0) -> ConvergenceStudy:
-    """Measure the stencil's empirical order against the exact derivative fields.
-
-    x must be a node of every level in the sweep.  A fixed small box_radius is
-    used across levels (recorded in the study) so the point stencil never
-    feels the boundary.
-    """
-    if which not in ("grad", "hess"):
-        raise GridError(f"unknown derivative kind {which!r}")
-    if len(levels) < 3:
-        raise GridError("need at least 3 levels for a rate fit")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    spacings, errors = [], []
-    for n in levels:
-        g = DyadicGrid(n, dim, box_radius)
-        idx = g.index_of(x)
-        un = restrict(u, g)
-        if which == "grad":
-            err = float(np.max(np.abs(dgrad(un, idx) - u.grad(x))))
-        else:
-            err = float(np.max(np.abs(dhess(un, idx) - u.hess(x))))
-        spacings.append(g.spacing)
-        errors.append(err)
-    order, exact = fit_order(spacings, errors)
-    return ConvergenceStudy(list(levels), spacings, errors, order, exact)

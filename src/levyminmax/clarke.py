@@ -335,15 +335,6 @@ def minmax_eval(op, u, probes, count: int = 9) -> MinMaxReport:
                         argmin=argmin, gaps=np.array(gaps))
 
 
-def upper_directional(op, v, w, diff: ClarkeSet | None = None) -> np.ndarray:
-    """Componentwise upper derivative: max over the sampled set of J w."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if diff is None:
-        diff = sample_differential(op, v)
-    return np.max(diff.stacked() @ w, axis=0)
-
-
 @dataclass(frozen=True)
 class CoefficientFields:
     """Row-by-row normal form of a linearization over the grid.

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KMAX
-from .calculus import fd_grad
 from .grid import ON_LATTICE_TOL, GridError
 
 
@@ -209,39 +208,3 @@ def uncovered_volume(dim: int, max_generation: int) -> float:
         if miss:
             count += 1
     return count * 2.0 ** (-k * dim)
-
-
-def partition_gradient_bound(dim: int, samples: int = 200, seed: int = 0,
-                             spacing: float = 1.0) -> float:
-    """Sampled sup of side(Q) * |grad of the normalized weight of Q|.
-
-    Scale invariance of the construction makes this a dimension-only
-    constant; it is estimated by central differences at random off-lattice
-    points, maximized over the active cubes there.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    drawn = 0
-    while drawn < samples:
-        x = spacing * rng.uniform(-0.5, 0.5, size=dim)
-        try:
-            cov = cubes_at(x, spacing=spacing)
-        except CubeError:
-            continue
-        drawn += 1
-        for q in cov.cubes:
-            try:
-                g = fd_grad(lambda y: _phi_of(q, y, spacing), x, q.side / 1024.0)
-            except CubeError:
-                continue
-            best = max(best, q.side * float(np.linalg.norm(g)))
-    return best
-
-
-def _phi_of(cube: WhitneyCube, x, spacing: float) -> float:
-    """Normalized partition weight of one cube at x (0 when inactive)."""
-    w = cube.weight(x)
-    if w == 0.0:
-        return 0.0
-    cov = cubes_at(x, spacing=spacing)
-    return w / cov.raw_sum

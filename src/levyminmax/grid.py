@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
-
 import numpy as np
 
 
@@ -204,37 +202,6 @@ def _index_array(level: int, dim: int, half: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-class NearestNode(NamedTuple):
-    index: np.ndarray
-    point: np.ndarray
-    distance: float
-    tie: bool
-
-
-def nearest_node(x, g: DyadicGrid) -> NearestNode:
-    """Closest in-box node to x; ties within 1e-13 of the best distance are flagged.
-
-    Candidates are the floor/ceil corners per coordinate (clipped to the box),
-    which always contain the true minimizer.
-    """
-    x = np.asarray(x, dtype=float)
-    h, n = g.spacing, g.half_count
-    q = x / h
-    lo = np.clip(np.floor(q).astype(np.int64), -n, n)
-    hi = np.clip(np.ceil(q).astype(np.int64), -n, n)
-    seen = {}
-    for corner in range(2 ** g.dim):
-        idx = tuple(int(hi[i]) if (corner >> i) & 1 else int(lo[i]) for i in range(g.dim))
-        if idx in seen:
-            continue
-        node = np.array(idx, dtype=np.int64)
-        seen[idx] = math.sqrt(float(np.sum((x - node * h) ** 2)))
-    ranked = sorted(seen.items(), key=lambda kv: kv[1])
-    best_idx, dist = ranked[0]
-    tie = len(ranked) > 1 and ranked[1][1] - dist < ON_LATTICE_TOL
-    return NearestNode(np.array(best_idx, dtype=np.int64), np.array(best_idx) * h, dist, tie)
-
-
 class GridFunction:
     """Real values on the nodes of a DyadicGrid.  Immutable after construction.
 
@@ -328,14 +295,6 @@ def grid_function_from_flat(g: DyadicGrid, flat: np.ndarray) -> GridFunction:
     return GridFunction(g, np.asarray(flat, dtype=float).reshape(g.shape))
 
 
-def basis_indicator(g: DyadicGrid, index) -> GridFunction:
-    """Indicator of a single node."""
-    values = np.zeros(g.shape)
-    n = g.half_count
-    values[tuple(int(i) + n for i in np.atleast_1d(index))] = 1.0
-    return GridFunction(g, values)
-
-
 def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:
     """Sample a function on every node of the grid."""
     pts = g.points()
@@ -344,23 +303,6 @@ def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:
         bad = pts[~np.isfinite(vals)][0]
         raise GridError(f"non-finite sample at node {tuple(bad)}")
     return GridFunction(g, vals.reshape(g.shape))
-
-
-def truncate(u: GridFunction) -> GridFunction:
-    """Zero all values outside [-2**level, 2**level]^dim; inside unchanged."""
-    g = u.grid
-    cut = float(2 ** g.level)
-    if g.box_radius <= cut:
-        return GridFunction(g, u.values)
-    keep = int(round(cut / g.spacing))
-    n = g.half_count
-    vals = u.values.copy()
-    mask_ax = np.abs(np.arange(-n, n + 1)) > keep
-    for axis in range(g.dim):
-        sl = [slice(None)] * g.dim
-        sl[axis] = mask_ax
-        vals[tuple(sl)] = 0.0
-    return GridFunction(g, vals)
 
 
 def translate(u: GridFunction, z) -> GridFunction:

@@ -10,7 +10,7 @@ what degenerate ellipticity / the comparison property requires.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

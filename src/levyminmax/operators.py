@@ -23,10 +23,10 @@ each row from the term active there: no per-term matrix is built or kept.
 An envelope with a plain callable term has no exact Jacobian (None).
 
 The strip map solves the 5-point Laplace system with periodic lateral
-boundary, either directly (sparse), by conjugate gradients, or mode by
-mode in the lateral Fourier basis.  The boundary derivative uses the
-harmonicity-corrected one-sided difference: the naive 3-point reading of
-the same data is several times less accurate at moderate frequencies.
+boundary, either directly (sparse) or mode by mode in the lateral Fourier
+basis.  The boundary derivative uses the harmonicity-corrected one-sided
+difference: the naive 3-point reading of the same data is several times
+less accurate at moderate frequencies.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import spsolve
 
 from .calculus import _shifted, hessian_field
@@ -597,7 +596,11 @@ def _mode_profiles(p: StripProblem, rows: np.ndarray) -> np.ndarray:
 
 
 def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
-    """Harmonic extension of bottom data; rows run bottom to top."""
+    """Harmonic extension of bottom data; rows run bottom to top.
+
+    method "modes" solves mode by mode in the lateral Fourier basis;
+    "direct" solves the sparse 5-point system and is the reference.
+    """
     g = np.asarray(g, dtype=float)
     if g.shape != (p.nx,):
         raise OperatorError(f"boundary data shape {g.shape} != ({p.nx},)")
@@ -605,8 +608,12 @@ def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
         ghat = np.fft.rfft(g)
         prof = _mode_profiles(p, np.arange(p.ny + 1))
         return np.fft.irfft(prof * ghat[None, :], n=p.nx, axis=1)
-    if method in ("direct", "cg"):
-        return _dtn_solve_sparse(p, g, method)
+    if method == "direct":
+        mat, load = strip_system(p)
+        out = np.zeros((p.ny + 1, p.nx))
+        out[0] = g
+        out[1:p.ny] = spsolve(mat.tocsc(), load(g)).reshape(p.ny - 1, p.nx)
+        return out
     raise OperatorError(f"unknown method {method!r}")
 
 
@@ -637,21 +644,6 @@ def strip_system(p: StripProblem):
         return rhs
 
     return mat, load
-
-
-def _dtn_solve_sparse(p: StripProblem, g: np.ndarray, method: str) -> np.ndarray:
-    mat, load = strip_system(p)
-    rhs = load(g)
-    if method == "cg":
-        sol, info = sparse_cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
-        if info != 0:
-            raise OperatorError(f"conjugate gradients stalled (info={info})")
-    else:
-        sol = spsolve(mat.tocsc(), rhs)
-    out = np.zeros((p.ny + 1, p.nx))
-    out[0] = g
-    out[1:p.ny] = sol.reshape(p.ny - 1, p.nx)
-    return out
 
 
 def boundary_derivative(p: StripProblem, u: np.ndarray) -> np.ndarray:

@@ -2,15 +2,15 @@
 
 The base profile ``phi0`` is the classic exponential ramp
 q(t)/(q(t)+q(1-t)) with q(t)=exp(-1/t): smooth, nondecreasing, 0 below 0 and
-1 above 1.  Everything else is built from it: radial ramps ``phi_rR``/
-``psi``, the shrinking pairs ``phi_delta``/``eta_delta``, the linear-to-flat
-profile ``eta0``, the admissible cutoff class (values in [0,1], equal to 1
-near 0, supported in the ball of radius 2), and the cutoff-compensated
-Taylor polynomials used to split a kernel into local and jump parts.
+1 above 1.  Everything else is built from it: the linear-to-flat profile
+``eta0``, the admissible cutoff class ``SClassFn`` (values in [0,1], equal
+to 1 near 0, supported in the ball of radius 2) with its reverse radial
+ramps ``from_psi`` and the shrinking pair members ``shrunk_unit`` and
+``shrunk_origin``, and the cutoff-compensated Taylor polynomials used to
+split a kernel into local and jump parts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,35 +34,6 @@ def phi0(t):
         qb[lt1] = np.exp(-1.0 / (1.0 - t[lt1]))
     out = qa / (qa + qb)
     return float(out[0]) if scalar else out
-
-
-def phi_rR(r: float, R: float, y):
-    """Radial ramp phi0((|y|-R)/r): 0 on the ball of radius R, 1 outside R+r."""
-    if r <= 0 or R <= 0:
-        raise GridError(f"ramp parameters must be positive, got r={r}, R={R}")
-    y = np.asarray(y, dtype=float)
-    norm = np.sqrt(np.sum(np.atleast_2d(y) ** 2, axis=-1)) if y.ndim > 1 \
-        else float(np.sqrt(np.sum(y ** 2)))
-    return phi0((norm - R) / r)
-
-
-def psi(r: float, R: float, y):
-    """Reverse ramp 1 - phi_rR: equal to 1 on B_R, 0 outside B_{R+r}."""
-    return 1.0 - phi_rR(r, R, y)
-
-
-def phi_delta(delta: float, y):
-    """Cutoff equal to 1 inside B_{1-2 delta} and 0 outside B_{1-delta}."""
-    if not (0.0 < delta < 0.25):
-        raise GridError(f"delta must lie in (0, 1/4), got {delta}")
-    return psi(delta, 1.0 - 2.0 * delta, y)
-
-
-def eta_delta(delta: float, y):
-    """Cutoff equal to 1 inside B_delta and 0 outside B_{2 delta}; monotone in delta."""
-    if not (0.0 < delta < 0.25):
-        raise GridError(f"delta must lie in (0, 1/4), got {delta}")
-    return psi(delta, delta, y)
 
 
 def eta0(t):
@@ -102,28 +73,30 @@ class SClassFn:
 
     @staticmethod
     def from_psi(r: float, R: float, label: str = "") -> "SClassFn":
+        """Reverse ramp 1 - phi0((|y|-R)/r): 1 on B_R, 0 outside B_{R+r}."""
+        if r <= 0:
+            raise GridError(f"ramp width must be positive, got r={r}")
         if R + r > 2.0:
             raise GridError(f"support radius {R + r} exceeds 2")
         return SClassFn(lambda t: 1.0 - phi0((t - R) / r), R, R + r,
-                        label or f"psi({r},{R})")
+                        label or f"from_psi({r},{R})")
 
     @staticmethod
     def shrunk_unit(delta: float) -> "SClassFn":
         """The pair member with plateau B_{1-2 delta}, support B_{1-delta}."""
         if not (0.0 < delta < 0.25):
             raise GridError(f"delta must lie in (0, 1/4), got {delta}")
-        return SClassFn.from_psi(delta, 1.0 - 2.0 * delta, f"phi_delta({delta})")
+        return SClassFn.from_psi(delta, 1.0 - 2.0 * delta, f"shrunk_unit({delta})")
 
     @staticmethod
     def shrunk_origin(delta: float) -> "SClassFn":
         """The pair member with plateau B_delta, support B_{2 delta}."""
         if not (0.0 < delta < 0.25):
             raise GridError(f"delta must lie in (0, 1/4), got {delta}")
-        return SClassFn.from_psi(delta, delta, f"eta_delta({delta})")
+        return SClassFn.from_psi(delta, delta, f"shrunk_origin({delta})")
 
 
-DEFAULT_PHI = SClassFn.from_psi(0.5, 1.0, "psi(1/2,1)")
-DEFAULT_ETA = SClassFn.from_psi(0.5, 1.0, "psi(1/2,1)")
+DEFAULT_PHI = SClassFn.from_psi(0.5, 1.0, "from_psi(1/2,1)")
 
 
 def validate_s_member(f: SClassFn, samples: int = 256, seed: int = 0, dim: int = 3) -> None:
@@ -155,7 +128,7 @@ class CutoffPair:
         return self
 
 
-DEFAULT_PAIR = CutoffPair(DEFAULT_PHI, DEFAULT_ETA)
+DEFAULT_PAIR = CutoffPair(DEFAULT_PHI, DEFAULT_PHI)
 
 
 def _cutoff_poly(u0: float, grad, hess, pair: CutoffPair,

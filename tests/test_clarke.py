@@ -16,7 +16,7 @@ from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
                                minmax_eval, project_simplex,
                                representation_residual, sample_differential,
-                               segment_differential, upper_directional)
+                               segment_differential)
 from levyminmax.courrege import RowFunctional, decompose, reconstruct_residual
 from levyminmax.grid import DyadicGrid
 from levyminmax.levy import LevyMeasure, LevyOperator
@@ -193,23 +193,6 @@ class TestMinMax:
     def test_needs_probes(self):
         with pytest.raises(ClarkeError):
             minmax_eval(double_well_op(), np.zeros(2), [])
-
-
-class TestUpperDirectional:
-    def test_max_slope_wins_at_tie(self):
-        op = double_well_op()
-        diff = sample_differential(op, np.zeros(2), samples=16, radius=1e-4,
-                                   seed=3)
-        up = upper_directional(op, np.zeros(2), np.ones(2), diff=diff)
-        assert up == pytest.approx(np.full(2, 2.0), abs=1e-8)
-        down = upper_directional(op, np.zeros(2), -np.ones(2), diff=diff)
-        assert down == pytest.approx(np.full(2, -1.0), abs=1e-8)
-
-    def test_smooth_point_matches_jacobian_action(self):
-        m = np.array([[1.0, -2.0], [0.5, 3.0]])
-        w = np.array([0.3, 0.7])
-        up = upper_directional(linear_op(m), np.array([5.0, 5.0]), w)
-        assert up == pytest.approx(m @ w, abs=1e-9)
 
 
 class TestCoefficientFields:

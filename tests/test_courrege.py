@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyminmax.courrege import (CourregeError, RowFunctional, a_of, b_of,
                                  c_of, decompose, is_gcp, mu_of,
@@ -243,6 +245,44 @@ class TestDecompose:
         for u in probe_battery(1, seed=2):
             assert dec.apply(u) == pytest.approx(evaluate(op, u, [0.0]),
                                                  rel=1e-12, abs=1e-13)
+
+
+@st.composite
+def sign_test_rows(draw):
+    """A random row passing the sign test, with a probe seed for its check.
+
+    Off-centre weights are nonnegative, the centre weight is at most minus
+    their sum, and every offset lies beyond 5e-2 of the centre: radii near
+    5e-2 move the schedule floor, radii near 1 the drift convention.
+    """
+    d = draw(st.integers(1, 3))
+    direction = st.tuples(*[st.floats(-1.0, 1.0)] * d).filter(
+        lambda t: np.linalg.norm(t) > 0.1)
+    radius = st.floats(5e-2, 2.0, exclude_min=True)
+    offsets = draw(st.lists(
+        st.builds(lambda t, r: r * np.array(t) / np.linalg.norm(t),
+                  direction, radius),
+        min_size=1, max_size=6,
+        unique_by=lambda y: tuple(np.round(y, 6))))
+    weights = draw(st.lists(st.floats(0.0, 8.0), min_size=len(offsets),
+                            max_size=len(offsets)))
+    centre = -sum(weights) - draw(st.floats(0.0, 4.0))
+    base = draw(st.tuples(*[st.floats(-1.0, 1.0)] * d))
+    row = RowFunctional(np.array(base), np.vstack([np.zeros(d)] + offsets),
+                        np.array([centre] + weights))
+    return row, draw(st.integers(0, 2 ** 16))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(sign_test_rows())
+    def test_normal_form_reconstructs_every_sign_test_row(self, case):
+        row, seed = case
+        dec = decompose(row)
+        assert dec.gcp
+        assert dec.residual < 1e-12
+        probes = probe_battery(row.dim, seed)
+        assert reconstruct_residual(row, dec, probes=probes) < 1e-12
 
 
 class TestDecompositionJson:

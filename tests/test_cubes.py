@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from levyminmax._kernels import KMAX, SNAP_TOL_UNIT
 from levyminmax.cubes import (CubeError, WhitneyCube, base_family, cubes_at,
-                              partition_gradient_bound,
                               partition_raw_sums, uncovered_volume)
 
 
@@ -167,12 +166,6 @@ def test_cover_properties_hold_off_lattice(case):
     cubes = cubes_at(x, spacing=h).cubes
     assert all(1.0 <= q.ratio < 4.0 for q in cubes)
     assert max(q.generation for q in cubes) <= KMAX - 1
-
-
-def test_partition_gradient_bound_is_moderate():
-    for d in (1, 2):
-        bound = partition_gradient_bound(d, samples=60, seed=3)
-        assert 0.0 < bound < 500.0
 
 
 def test_bad_arguments():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
-                             RegularityClass, SmoothFn, basis_indicator,
-                             grid_function_from_flat, nearest_node, restrict,
-                             translate, truncate)
+                             RegularityClass, SmoothFn,
+                             grid_function_from_flat, restrict, translate)
 
 
 def test_grid_basic_geometry():
@@ -51,35 +50,6 @@ def test_indices_cover_box_lexicographically():
     assert tuple(idx[-1]) == (1, 1)
     pts = g.points()
     assert np.allclose(pts[0], [-0.5, -0.5])
-
-
-def test_nearest_node_matches_brute_force():
-    rng = np.random.default_rng(7)
-    g = DyadicGrid(level=2, dim=2, box_radius=1.0)
-    nodes = g.points()
-    for _ in range(50):
-        x = rng.uniform(-1.3, 1.3, size=2)
-        res = nearest_node(x, g)
-        d2 = np.sum((nodes - x) ** 2, axis=1)
-        assert res.distance == pytest.approx(np.sqrt(d2.min()), abs=1e-12)
-
-
-def test_nearest_node_frozen_case():
-    # nearest level-1 node to (0.3, 0.1) is (0.5, 0.0) at distance sqrt(0.05)
-    g = DyadicGrid(level=1, dim=2, box_radius=1.0)
-    res = nearest_node([0.3, 0.1], g)
-    assert tuple(res.index) == (1, 0)
-    assert res.distance == pytest.approx(0.22360679774997896, abs=1e-15)
-    assert not res.tie
-
-
-def test_nearest_node_reports_ties():
-    g = DyadicGrid(level=1, dim=1, box_radius=1.0)
-    res = nearest_node([0.25], g)
-    assert res.tie
-    # midpoints in 2d tie across four nodes
-    g2 = DyadicGrid(level=1, dim=2, box_radius=1.0)
-    assert nearest_node([0.25, 0.25], g2).tie
 
 
 def test_grid_function_value_and_pad():
@@ -130,15 +100,6 @@ def test_json_is_deterministic():
     assert u.to_json() == u.to_json()
 
 
-def test_truncate_zeroes_outside_unit_dyadic_box():
-    g = DyadicGrid(level=1, dim=1, box_radius=4.0)
-    u = restrict(SmoothFn(lambda x: 1.0 + 0.0 * x[0]), g)
-    t = truncate(u)
-    assert t.value((8,)) == 0.0        # x=4 lies outside [-2, 2]
-    assert t.value((4,)) == 1.0        # x=2 on the boundary survives
-    assert t.value((0,)) == 1.0
-
-
 def test_translate_shifts_samples():
     g = DyadicGrid(level=2, dim=1, box_radius=1.0)
     u = restrict(SmoothFn(lambda x: x[0]), g)
@@ -148,13 +109,6 @@ def test_translate_shifts_samples():
     assert v.value((4,)) == 0.0
     with pytest.raises(GridError):
         translate(u, [0.1])            # off-lattice shift
-
-
-def test_basis_indicator():
-    g = DyadicGrid(level=1, dim=2, box_radius=1.0)
-    e = basis_indicator(g, (1, -1))
-    assert e.value((1, -1)) == 1.0
-    assert e.flat().sum() == 1.0
 
 
 def test_regularity_class_cases():

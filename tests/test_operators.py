@@ -457,7 +457,6 @@ def test_dtn_solvers_agree():
     g = np.random.default_rng(0).standard_normal(p.nx)
     um = dtn_solve(p, g, "modes")
     assert np.max(np.abs(um - dtn_solve(p, g, "direct"))) < 1e-12
-    assert np.max(np.abs(um - dtn_solve(p, g, "cg"))) < 1e-9
     assert np.max(np.abs(um[-1])) == 0.0
     assert np.max(np.abs(um[0] - g)) < 1e-14
 

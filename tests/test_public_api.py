@@ -1,4 +1,7 @@
-"""The package's public names all resolve."""
+"""The package's public names all resolve, and its modules import only what they use."""
+import ast
+import pathlib
+
 import levyminmax
 
 
@@ -12,3 +15,23 @@ def test_star_import_works():
     namespace = {}
     exec("from levyminmax import *", namespace)
     assert set(levyminmax.__all__) <= set(namespace)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, so only the other modules are checked
+    package = pathlib.Path(levyminmax.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{stmt.lineno} {bound}")
+    assert unused == []

@@ -4,8 +4,7 @@ import pytest
 from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
                              restrict)
 from levyminmax.special import (DEFAULT_PAIR, DEFAULT_PHI, SClassFn,
-                                CutoffPair, eta0, eta_delta, phi0,
-                                phi_delta, phi_rR, psi, taylor_cutoff,
+                                CutoffPair, eta0, phi0, taylor_cutoff,
                                 taylor_cutoff_discrete, validate_s_member)
 
 
@@ -35,40 +34,34 @@ def test_phi0_monotone_and_flat_tails():
 
 
 def test_phi_rR_geometry():
+    cutoff = SClassFn.from_psi(0.5, 1.0)
     y = np.array([0.0, 1.0, 0.0])
-    assert phi_rR(0.5, 1.0, y) == 0.0
-    assert phi_rR(0.5, 1.0, 1.6 * y) == 1.0
-    assert 0.0 < phi_rR(0.5, 1.0, 1.25 * y) < 1.0
-    with pytest.raises(GridError):
-        phi_rR(0.0, 1.0, y)
-    with pytest.raises(GridError):
-        phi_rR(0.5, -1.0, y)
-
-
-def test_psi_complements_phi_rR():
-    pts = np.random.default_rng(0).normal(size=(64, 2))
-    assert np.allclose(psi(0.5, 1.0, pts) + phi_rR(0.5, 1.0, pts), 1.0)
+    assert cutoff(y) == 1.0
+    assert cutoff(1.6 * y) == 0.0
+    assert 0.0 < cutoff(1.25 * y) < 1.0
 
 
 def test_phi_delta_bands():
     d = 0.1
-    assert phi_delta(d, np.array([0.79, 0.0])) == 1.0
-    assert phi_delta(d, np.array([0.91, 0.0])) == 0.0
-    mid = phi_delta(d, np.array([0.85, 0.0]))
+    phi = SClassFn.shrunk_unit(d)
+    assert phi(np.array([0.79, 0.0])) == 1.0
+    assert phi(np.array([0.91, 0.0])) == 0.0
+    mid = phi(np.array([0.85, 0.0]))
     assert 0.0 < mid < 1.0
     for bad in (0.0, 0.25, 0.4):
         with pytest.raises(GridError):
-            phi_delta(bad, np.zeros(2))
+            SClassFn.shrunk_unit(bad)
 
 
 def test_eta_delta_bands_and_monotonicity():
     d = 0.1
-    assert eta_delta(d, np.array([0.09])) == 1.0
-    assert eta_delta(d, np.array([0.21])) == 0.0
+    eta = SClassFn.shrunk_origin(d)
+    assert eta(np.array([0.09])) == 1.0
+    assert eta(np.array([0.21])) == 0.0
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.5, 0.5, size=(128, 3))
-    small = eta_delta(0.05, pts)
-    large = eta_delta(0.2, pts)
+    small = SClassFn.shrunk_origin(0.05)(pts)
+    large = SClassFn.shrunk_origin(0.2)(pts)
     assert np.all(large - small >= -1e-12)
 
 
@@ -94,6 +87,9 @@ def test_s_class_membership_of_defaults():
 def test_s_class_rejects_oversized_support():
     with pytest.raises(GridError):
         SClassFn.from_psi(0.5, 1.8)
+    for width in (0.0, -0.5):
+        with pytest.raises(GridError):
+            SClassFn.from_psi(width, 1.0)
     with pytest.raises(GridError):
         SClassFn(lambda t: np.exp(-t), -1.0, 1.0)
 
