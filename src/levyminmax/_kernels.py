@@ -15,9 +15,13 @@ dist/diam in [1, 4] against the lattice and tile the cell around the origin;
 translating by integer vectors tiles space minus the lattice.  The inflation
 factor for supports is 9/8.
 
-A query point sees at most 5 generations of 3**d candidates each, so a
-cover holds at most 135 cubes in d = 3.
+A query point sees 2 or 3 generations (see `cover`).  On each axis only
+the cube holding the point and, within 1/16 of a side from a face, its
+neighbour across that face have positive weight, so a generation adds at
+most 2**d cubes and a cover holds at most 24 cubes in d = 3.
 """
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -78,14 +82,33 @@ def _ring_test(m):
     return near2 < 16 * d and far2 >= 4 * d
 
 
-def _selected(k, m):
-    """Cube is kept: meets its shell and no dyadic ancestor meets its own."""
-    if not _ring_test(m):
-        return False
-    for shift in range(1, k):
-        if _ring_test(tuple(mi >> shift for mi in m)):
-            return False
-    return True
+def _selected(m):
+    """Cube is kept: meets its shell and no dyadic ancestor meets its own.
+
+    Only the parent (index m >> 1) needs a test, in every generation.  In
+    units of the cube's side, a cube meeting its shell has a point p with
+    |p| < 4 sqrt(d).  Its ancestor j levels up (index m >> j, side 2**j)
+    contains p and has diameter 2**j sqrt(d), so its farthest point lies
+    below (4 + 2**j) sqrt(d) <= 2**(j+1) sqrt(d) when j >= 2: the inner
+    radius of that ancestor's shell, which it therefore misses.  A
+    generation-1 cube has no parent, but its index lies in {-1, 0}**d, where
+    far**2 = d < 4 d, so it misses its own shell and the test changes nothing.
+    """
+    return _ring_test(m) and not _ring_test(tuple(mi >> 1 for mi in m))
+
+
+@functools.cache
+def _kept_indices(d):
+    """Corner indices of the kept cubes of all generations, in dimension d.
+
+    Selection does not depend on the generation (see `_selected`), and a
+    kept index has near_i <= b = isqrt(16 d - 1), so m_i lies in [-b-1, b].
+    Built on first use: 2744 candidates in d = 3.
+    """
+    b = math.isqrt(16 * d - 1)
+    axis = range(-b - 1, b + 1)
+    return frozenset(m for m in itertools.product(axis, repeat=d)
+                     if _selected(m))
 
 
 def snapped_node(xi):
@@ -104,6 +127,30 @@ def cover(xi, d):
     Returns (cell, generation, index, weight) tuples: cell lattice point,
     generation, cell-local corner index and bump weight.  The list is empty
     when xi sits on the lattice closer than the enumeration can resolve.
+
+    Generations: let delta be the lattice distance of xi and
+    k0 = log2(sqrt(d) / delta).  A kept cube Q of generation k (side
+    s = 2**-k) meets its shell, so it lies at least 2 sqrt(d) s - diam =
+    sqrt(d) s from its node, which is its nearest node.  Its parent holds
+    points of Q, below the outer radius of the parent's shell, so the parent
+    misses that shell by lying inside its inner radius: far**2 <= 4 d - 1 in
+    the parent's integer units, so Q lies within 2 sqrt(4 d - 1) s of the
+    node.  A point of the 9/8-inflated support is less than sqrt(d) s / 16
+    from Q, so
+    (15/16) sqrt(d) s < delta < (2 sqrt(4 d - 1) + sqrt(d) / 16) s
+    < 4 sqrt(d) s for d <= 3, that is k0 + log2(15/16) < k < k0 + 2.  The
+    window ceil(k0 - 0.1) .. floor(k0) + 2 holds three generations when
+    k0 - floor(k0) <= 0.1 and two otherwise; the margin from
+    -log2(15/16) = 0.093 to 0.1 absorbs the rounding of k0.
+
+    Candidates per axis, with q = v/s and frac = q - floor(q): the cube
+    holding v has |(v - c)/s| <= 1/2 and weight exactly 1; the neighbour
+    below can have positive weight only when frac < 1/16, the one above only
+    when frac > 15/16.  At most one of the two is evaluated.  This holds in
+    floats too: q is exact, rounding is monotone and s/2, 9s/16 are floats;
+    frac rounds only for q in (-1/2, 0), where 1 + q and the neighbour's
+    1/2 - q round on the same grid, so a gate closed by rounding drops a
+    weight that evaluates to exactly 0.
     """
     # distance to the lattice sets the relevant generations
     d2 = 0.0
@@ -113,8 +160,9 @@ def cover(xi, d):
     if d2 <= 0.0:
         return []
     k0 = 0.5 * math.log(d / d2) / math.log(2.0)
-    kmin = max(math.floor(k0) - 1, 1)
-    kmax = min(math.floor(k0) + 3, KMAX)
+    kmin = max(math.ceil(k0 - 0.1), 1)
+    kmax = min(math.floor(k0) + 2, KMAX)
+    kept = _kept_indices(d)
     found = []
     for k in range(kmin, kmax + 1):
         s = 2.0 ** (-k)
@@ -125,11 +173,14 @@ def cover(xi, d):
         combos = [((), (), 1.0)]
         for v in xi:
             axis = []
-            base = math.floor(v / s)
-            for off in (-1, 0, 1):
+            q = v / s
+            base = math.floor(q)
+            frac = q - base
+            offs = (-1, 0) if frac < 0.0625 else (0, 1) if frac > 0.9375 else (0,)
+            for off in offs:
                 mg = base + off
                 ci = mg * s + 0.5 * s
-                wi = bump1((v - ci) / s)
+                wi = bump1((v - ci) / s) if off else 1.0
                 if wi <= 0.0:
                     continue
                 # centers are never half-integers, so floor(c+1/2) is safe
@@ -139,7 +190,7 @@ def cover(xi, d):
             combos = [(cell + (zi,), index + (ml,), w * wi)
                       for zi, ml, wi in axis for cell, index, w in combos]
         for cell, index, w in combos:
-            if _selected(k, index):
+            if index in kept:
                 found.append((cell, k, index, w))
     return found
 

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dtn", help="strip boundary map against continuum modes")
     common(p, 0.02)
-    p.set_defaults(func=cmd_dtn)
+    p.set_defaults(func=cmd_dtn, level=8)
     return parser
 
 

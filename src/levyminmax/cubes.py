@@ -134,7 +134,7 @@ def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
         hi = min(half - 1, reach - 1)
         axis = range(lo, hi + 1)
         for m in itertools.product(axis, repeat=dim):
-            if _kernels._selected(k, m):
+            if _kernels._selected(m):
                 out.append(WhitneyCube(dim=dim, generation=k, index=m,
                                        cell=(0,) * dim))
     out.sort(key=lambda q: (q.generation, q.index))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyminmax._kernels import KMAX, SNAP_TOL_UNIT
+from levyminmax._kernels import (KMAX, SNAP_TOL_UNIT, _kept_indices,
+                                 _ring_test, _selected)
 from levyminmax.cubes import (CubeError, WhitneyCube, base_family, cubes_at,
                               partition_raw_sums, uncovered_volume)
 
@@ -41,17 +43,18 @@ def test_family_covers_cell_minus_core():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3):
         fam = base_family(d, 7)
+        lo = np.array([q.corner for q in fam])[None, :, :]
+        side = np.array([q.side for q in fam])[None, :, None]
         core = 2.0 * np.sqrt(d) * 2.0 ** -7
         pts = rng.uniform(-0.5, 0.5, size=(300, d))
-        pts = pts[np.linalg.norm(pts, axis=1) > core]
-        for x in pts:
-            hits = [q for q in fam if q.contains(x)]
-            assert len(hits) >= 1
-            # interior points land in exactly one cube
-            on_face = any(
-                np.any(np.abs((x - q.corner) / q.side % 1.0) < 1e-12) for q in hits)
-            if not on_face:
-                assert len(hits) == 1
+        pts = pts[np.linalg.norm(pts, axis=1) > core][:, None, :]
+        # hits[p, q]: WhitneyCube.contains for every point and cube at once
+        hits = np.all((pts >= lo) & (pts <= lo + side), axis=2)
+        assert np.all(hits.sum(axis=1) >= 1)
+        # interior points land in exactly one cube
+        face = np.any(np.abs((pts - lo) / side % 1.0) < 1e-12, axis=2)
+        on_face = np.any(hits & face, axis=1)
+        assert np.all(hits.sum(axis=1)[~on_face] == 1)
 
 
 def test_uncovered_volume_frozen_and_decaying():
@@ -166,6 +169,61 @@ def test_cover_properties_hold_off_lattice(case):
     cubes = cubes_at(x, spacing=h).cubes
     assert all(1.0 <= q.ratio < 4.0 for q in cubes)
     assert max(q.generation for q in cubes) <= KMAX - 1
+
+
+def _selected_by_ancestors(k, m):
+    """Reference selection: the cube meets its shell and none of its k - 1
+    dyadic ancestors meets its own."""
+    return _ring_test(m) and not any(
+        _ring_test(tuple(mi >> j for mi in m)) for j in range(1, k))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_selection_equals_the_ancestor_walk(d):
+    kept = _kept_indices(d)
+    for k in range(1, 13):
+        half = 1 << (k - 1)
+        axis = range(max(-half, -16), min(half, 16))
+        for m in itertools.product(axis, repeat=d):
+            want = _selected_by_ancestors(k, m)
+            assert _selected(m) == want, (k, m)
+            assert (m in kept) == want, (k, m)
+
+
+def _brute_force_cover(x, h):
+    """{(generation, index, cell): weight} over every generation up to
+    floor(k0) + 5 and all 3**d dyadic cubes around x in each."""
+    xi = x / h
+    d = xi.size
+    k0 = math.log2(math.sqrt(d) / float(np.linalg.norm(xi - np.floor(xi + 0.5))))
+    found = {}
+    for k in range(1, min(KMAX, math.floor(k0) + 5) + 1):
+        s = 2.0 ** -k
+        near = [[math.floor(v / s) + off for off in (-1, 0, 1)] for v in xi]
+        for mg in itertools.product(*near):
+            # a cube belongs to the cell of the node nearest its centre
+            cell = tuple(math.floor((g + 0.5) * s + 0.5) for g in mg)
+            index = tuple(g - z * (1 << k) for g, z in zip(mg, cell))
+            if not _selected_by_ancestors(k, index):
+                continue
+            q = WhitneyCube(dim=d, generation=k, index=index, cell=cell,
+                            spacing=h)
+            w = q.weight(x)
+            if w > 0.0:
+                found[(k, index, cell)] = w
+    return found
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(off_lattice_points())
+def test_cover_equals_brute_force_over_all_generations(case):
+    x, h = case
+    want = _brute_force_cover(x, h)
+    cov = cubes_at(x, spacing=h)
+    got = {(q.generation, q.index, q.cell): w
+           for q, w in zip(cov.cubes, cov.weights)}
+    assert got.keys() == want.keys()
+    assert all(abs(got[key] - want[key]) <= 1e-15 for key in want)
 
 
 def test_bad_arguments():

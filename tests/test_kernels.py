@@ -220,7 +220,7 @@ def test_cover_cap_is_never_close():
         for _ in range(300):
             x = rng.uniform(-0.5, 0.5, size=d)
             worst = max(worst, len(_kernels.cover(x.tolist(), d)))
-    assert worst <= 80
+    assert worst <= 24
 
 
 def test_bump_profile():
