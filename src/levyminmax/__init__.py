@@ -18,7 +18,7 @@ from .grid import (
 from .special import CutoffPair, SClassFn, phi0, taylor_cutoff
 from .cubes import CubeCover, WhitneyCube, base_family, uncovered_volume
 from .calculus import ConvergenceStudy, dgrad, dhess, fit_order
-from .whitney import ExtendedFn, ProjectedFn, extend, holder_norm, project
+from .whitney import ExtendedFn, extend, holder_norm, project
 from .levy import (
     LevyError,
     LevyMeasure,
@@ -90,7 +90,6 @@ __all__ = [
     "LevyMeasure",
     "LevyOperator",
     "OperatorError",
-    "ProjectedFn",
     "RegularityClass",
     "RowFunctional",
     "SClassFn",

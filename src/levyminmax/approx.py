@@ -2,9 +2,10 @@
 
 A source operator is a `LevyOperator` or any map (fn, x) -> float taking a
 function with value/grad/hess and a point.  The surrogate pipeline is: wrap
-flat node data into grid data, extend it off the lattice, apply the source
-at every node, return the flat result.  That makes any such operator a map
-on node vectors, ready for the differential-sampling machinery.
+flat node data into grid data, extend it off the lattice (the `ExtendedFn`
+projector, which carries that API itself), apply the source at every node,
+return the flat result.  That makes any such operator a map on node
+vectors, ready for the differential-sampling machinery.
 
 A `LevyOperator` source is applied to the whole grid at once: node values,
 gradients and Hessians are read from the extension's fields, and each
@@ -27,7 +28,7 @@ from .clarke import minmax_eval
 from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
                    restrict, translate)
 from .levy import LevyOperator, apply, evaluate
-from .whitney import ProjectedFn, extend
+from .whitney import ExtendedFn, extend
 
 
 # size of the largest probe perturbation in `probe_tightness`
@@ -47,22 +48,21 @@ class DiscreteSurrogate:
     source: object
     name: str = ""
 
-    def lift(self, v: np.ndarray) -> ProjectedFn:
+    def lift(self, v: np.ndarray) -> ExtendedFn:
         """Grid data from a flat vector, extended off the lattice."""
         v = np.asarray(v, dtype=float)
         if v.size != self.grid.node_count:
             raise ApproxError(f"vector of size {v.size} does not fit the "
                               f"{self.grid.node_count}-node grid")
         gf = GridFunction(self.grid, v.reshape(self.grid.shape))
-        return ProjectedFn(extend(gf, self.smoothness), name=self.name)
+        return extend(gf, self.smoothness, name=self.name)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        fn = self.lift(v)
+        ext = self.lift(v)
         pts = self.grid.points()
         op = self.source
         if not isinstance(op, LevyOperator):
-            return np.array([op(fn, x) for x in pts])
-        ext = fn.extension
+            return np.array([op(ext, x) for x in pts])
         n, d = self.grid.node_count, self.grid.dim
         box = (slice(FIELD_MARGIN, -FIELD_MARGIN),) * d
         return apply(op, ext.value_field[box].ravel(),

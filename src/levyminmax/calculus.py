@@ -4,12 +4,13 @@ Field layer.  ``dgrad_padded(u)`` is the central gradient (symmetric
 two-point quotient per axis) and ``dhess_padded(u)`` the forward four-point
 Hessian, entry (k,l) built from x, x+h e_k, x+h e_l and x+h(e_k+e_l).  Both
 are exact on quadratics, linear in the data and commute with lattice
-translations.  They read the data zero-padded and cover the box plus a
-margin of ``FIELD_MARGIN`` = 2 nodes on each side: a node up to 2 outside
-the box still reaches box data through the +2e_k Hessian read, and every
-node beyond that reads only zeros, so its derivatives are 0.  The
-extension kernel takes its polynomial coefficients from these fields and
-the projected derivatives at nodes are reads of them.
+translations.  They read the data zero-padded, through the lattice shift
+``grid._shifted``, and cover the box plus a margin of ``FIELD_MARGIN`` = 2
+nodes on each side: a node up to 2 outside the box still reaches box data
+through the +2e_k Hessian read, and every node beyond that reads only
+zeros, so its derivatives are 0.  The extension kernel takes its
+polynomial coefficients from these fields, and ``ExtendedFn.grad``/``hess``
+at nodes are reads of them.
 
 Strict reads.  ``dgrad(u, x)``/``dhess(u, x)`` evaluate the same builders on
 the block of data around one node, and raise GridError when the stencil
@@ -31,27 +32,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridError, GridFunction
+from .grid import DyadicGrid, GridError, GridFunction, _shifted
 
 FIELD_MARGIN = 2
-
-
-def _shifted(values: np.ndarray, offset) -> np.ndarray:
-    """Zero-padded shifted read: out[i] = values[i + offset]."""
-    out = np.zeros_like(values)
-    src, dst = [], []
-    for o, n in zip(offset, values.shape):
-        o = int(o)
-        if abs(o) >= n:
-            return out
-        if o >= 0:
-            src.append(slice(o, n))
-            dst.append(slice(0, n - o))
-        else:
-            src.append(slice(0, n + o))
-            dst.append(slice(-o, n))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 def _unit(d: int, k: int) -> np.ndarray:

@@ -262,6 +262,19 @@ def cmd_dtn(args) -> int:
     return 0 if ok else 1
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: convert the text, refuse it unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levymm",
@@ -274,11 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=1)
         p.add_argument("--beta", type=float, default=1.0,
                        help="fractional order for the frac operator")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", default=0, type=_checked(
+            int, lambda v: v >= 0, "a non-negative integer"))
         p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument("--operator", default="laplace")
         p.add_argument("--config", help="JSON file of extra inputs")
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", default=tol, type=_checked(
+            float, math.isfinite, "a finite number"))
 
     p = sub.add_parser("decompose",
                        help="split a stencil row into drift, diffusion, jumps")

@@ -30,13 +30,13 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridError, RegularityClass, SmoothFn
-from .levy import LevyMeasure
+from .levy import OFFSET_TOL, LevyMeasure, _point_values
 from .special import SClassFn
 
 SCHEDULE_START = 3          # delta = 2**-k; 1/4 is outside the admissible window
 SCHEDULE_TOL = 1e-10
-# offsets this close (max norm) coincide; one this close to 0 is the centre
-OFFSET_TOL = 1e-12
+# sign test for comparison: off-center weights down to -SIGN_TOL count as >= 0
+SIGN_TOL = 1e-12
 
 
 class CourregeError(GridError):
@@ -105,18 +105,11 @@ class RowFunctional:
 
     def apply(self, u) -> float:
         """<row, u> for a plain callable u or a function with `values`."""
-        return float(np.sum(self.weights * _values(u, self.base_point + self.offsets)))
+        return float(np.sum(self.weights
+                            * _point_values(u, self.base_point + self.offsets)))
 
 
-def _values(u, pts: np.ndarray) -> np.ndarray:
-    """u at each row of pts: one `values` call when u has one."""
-    if hasattr(u, "values"):
-        return np.asarray(u.values(pts), dtype=float)
-    val = u.value if hasattr(u, "value") else u
-    return np.array([float(val(p)) for p in pts])
-
-
-def is_gcp(row: RowFunctional, tol: float = 1e-12) -> bool:
+def is_gcp(row: RowFunctional, tol: float = SIGN_TOL) -> bool:
     """Sign test for comparison: every off-center weight is >= -tol."""
     _, wts = row.jump_part()
     return bool(wts.size == 0 or np.min(wts) >= -tol)
@@ -197,7 +190,8 @@ class CourregeDecomposition:
         out += float(np.trace(self.a_matrix @ h))
         if self.atoms.shape[0]:
             inside, ev = self._cutoffs
-            comp = _values(u, x0 + self.atoms) - u0 - inside * (self.atoms @ g)
+            comp = (_point_values(u, x0 + self.atoms) - u0
+                    - inside * (self.atoms @ g))
             comp -= 0.5 * ev * np.einsum("ij,jk,ik->i", self.atoms, h, self.atoms)
             out += float(self.atom_weights @ comp)
         return out

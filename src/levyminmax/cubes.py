@@ -117,27 +117,20 @@ class CubeCover:
 def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
     """All kept cubes of the origin cell up to the given generation.
 
-    Enumerates candidate corner indices inside the shell reach (|index| is
-    bounded by the outer shell radius in side units, independent of the
-    generation) and keeps the ones passing the exact selection predicate.
+    Reads the kept-index table of the cover kernel: generation k keeps the
+    indices of the table inside its cell range [-2**(k-1), 2**(k-1) - 1].
     """
     if dim not in (1, 2, 3):
         raise CubeError(f"dim must be 1, 2 or 3, got {dim}")
     if not (1 <= max_generation <= KMAX):
         raise CubeError(
             f"max_generation {max_generation} outside [1, {KMAX}]")
-    reach = int(math.ceil(4.0 * math.sqrt(dim))) + 1
+    kept = sorted(_kernels._kept_indices(dim))
     out = []
     for k in range(1, max_generation + 1):
         half = 1 << (k - 1)
-        lo = max(-half, -reach)
-        hi = min(half - 1, reach - 1)
-        axis = range(lo, hi + 1)
-        for m in itertools.product(axis, repeat=dim):
-            if _kernels._selected(m):
-                out.append(WhitneyCube(dim=dim, generation=k, index=m,
-                                       cell=(0,) * dim))
-    out.sort(key=lambda q: (q.generation, q.index))
+        out += [WhitneyCube(dim=dim, generation=k, index=m, cell=(0,) * dim)
+                for m in kept if all(-half <= mi < half for mi in m)]
     return out
 
 

@@ -4,7 +4,8 @@ The lattice at refinement level ``n`` has spacing ``2**-n`` and carries real
 values on the nodes of a centered box.  Node coordinates are stored as exact
 integer multi-indices scaled by the spacing, so translation, nesting and
 restriction tests are free of float drift.  Reads outside the box return 0,
-matching the convention that grid functions vanish outside their box.
+matching the convention that grid functions vanish outside their box;
+``_shifted`` is the one zero-padded lattice shift of whole arrays.
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ class GridError(ValueError):
     pass
 
 
-# desk-scale caps: refinement beyond this is out of contract for each dimension
-_LEVEL_CAPS = {1: 6, 2: 4, 3: 3}
-# node budgets implied by the level caps at their default boxes
+# desk-scale node budgets: the default boxes at levels 6, 4 and 3 in dims 1-3
 _NODE_CAPS = {1: 2 * 4096 + 1, 2: 513 ** 2, 3: 129 ** 3}
 # strip node budget nx (ny + 1): the default `levymm dtn` strip at level 13
 _STRIP_LEVEL_CAP = 13
@@ -140,11 +139,6 @@ class DyadicGrid:
         if not (isinstance(self.level, (int, np.integer)) and 0 <= self.level <= 20):
             raise GridError(f"level must be an integer in [0, 20], got {self.level}")
         if self.box_radius == -1.0:
-            if self.level > _LEVEL_CAPS[self.dim]:
-                raise GridError(
-                    f"level {self.level} with the default box exceeds the "
-                    f"desk-scale node budget; cap is {_LEVEL_CAPS[self.dim]} "
-                    f"for dim {self.dim} (shrink box_radius to go finer)")
             object.__setattr__(self, "box_radius", float(2 ** self.level))
         r = self.box_radius
         n_half = r / self.spacing
@@ -153,7 +147,8 @@ class DyadicGrid:
         if self.node_count > _NODE_CAPS[self.dim]:
             raise GridError(
                 f"grid would hold {self.node_count} nodes, above the "
-                f"desk-scale cap {_NODE_CAPS[self.dim]} for dim {self.dim}")
+                f"desk-scale cap {_NODE_CAPS[self.dim]} for dim {self.dim} "
+                f"(shrink box_radius to go finer)")
 
     @property
     def spacing(self) -> float:
@@ -243,7 +238,7 @@ class GridFunction:
     def flat(self) -> np.ndarray:
         return self._values.ravel()
 
-    # --- algebra (used by the differential-sampling machinery) ---
+    # --- algebra ---
 
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
@@ -305,6 +300,24 @@ def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:
     return GridFunction(g, vals.reshape(g.shape))
 
 
+def _shifted(values: np.ndarray, offset) -> np.ndarray:
+    """Zero-padded shifted read: out[i] = values[i + offset]."""
+    out = np.zeros_like(values)
+    src, dst = [], []
+    for o, n in zip(offset, values.shape):
+        o = int(o)
+        if abs(o) >= n:
+            return out
+        if o >= 0:
+            src.append(slice(o, n))
+            dst.append(slice(0, n - o))
+        else:
+            src.append(slice(0, n + o))
+            dst.append(slice(-o, n))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
 def translate(u: GridFunction, z) -> GridFunction:
     """Shifted copy: result(x) = u(x + z) with zero padding outside the box.
 
@@ -320,15 +333,6 @@ def translate(u: GridFunction, z) -> GridFunction:
         zidx = np.rint(q).astype(np.int64)
         if np.max(np.abs(q - zidx)) > 1e-9:
             raise GridError(f"shift {z} is not on the level-{g.level} lattice")
-    n = g.half_count
-    out = np.zeros(g.shape)
-    # destination index i reads source index i + zidx
-    src_lo = np.maximum(-n, -n - zidx)
-    src_hi = np.minimum(n, n - zidx)
-    if np.any(src_lo > src_hi):
-        return GridFunction(g, out)
-    dst = tuple(slice(int(src_lo[i] + n), int(src_hi[i] + n + 1)) for i in range(g.dim))
-    src = tuple(slice(int(src_lo[i] + zidx[i] + n), int(src_hi[i] + zidx[i] + n + 1))
-                for i in range(g.dim))
-    out[dst] = u.values[src]
-    return GridFunction(g, out)
+    if zidx.shape != (g.dim,):
+        raise GridError(f"shift {z} does not have {g.dim} components")
+    return GridFunction(g, _shifted(u.values, zidx))

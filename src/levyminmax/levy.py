@@ -16,19 +16,23 @@ import numpy as np
 
 from .grid import GridError
 
+# atoms or row offsets this close (max norm) coincide; an offset this close
+# to 0 is the centre of its row
+OFFSET_TOL = 1e-12
+
 
 class LevyError(GridError):
     """Raised for ill-formed measures or operators."""
 
 
 def _canonical_atoms(atoms: np.ndarray, masses: np.ndarray):
-    """Sort atoms lexicographically and merge duplicates (within 1e-12)."""
+    """Sort atoms lexicographically and merge duplicates (within OFFSET_TOL)."""
     order = np.lexsort(atoms.T[::-1])
     atoms = atoms[order]
     masses = masses[order]
     keep_a, keep_m = [], []
     for a, m in zip(atoms, masses):
-        if keep_a and np.max(np.abs(keep_a[-1] - a)) < 1e-12:
+        if keep_a and np.max(np.abs(keep_a[-1] - a)) < OFFSET_TOL:
             keep_m[-1] += m
         else:
             keep_a.append(a.copy())
@@ -114,7 +118,8 @@ class LevyMeasure:
         return LevyMeasure(atoms, masses)
 
 
-def tv_distance(m1: LevyMeasure, m2: LevyMeasure, tol: float = 1e-12) -> float:
+def tv_distance(m1: LevyMeasure, m2: LevyMeasure,
+                tol: float = OFFSET_TOL) -> float:
     """Total variation distance |m1 - m2| of two atomic measures.
 
     Atoms are matched by location within tol; unmatched atoms contribute

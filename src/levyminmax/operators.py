@@ -38,12 +38,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .calculus import _shifted, hessian_field
-from .courrege import RowFunctional
-from .grid import _STRIP_NODE_CAP, DyadicGrid, GridError
+from .calculus import hessian_field
+from .courrege import SIGN_TOL, RowFunctional
+from .grid import _STRIP_NODE_CAP, DyadicGrid, GridError, _shifted
 from .levy import LevyMeasure, LevyOperator
-
-MONOTONE_TOL = 1e-12
 
 
 class OperatorError(GridError):
@@ -80,7 +78,7 @@ class StencilOperator:
             out += w * _shifted(vals, off)
         return out.ravel()
 
-    def is_monotone(self, tol: float = MONOTONE_TOL) -> bool:
+    def is_monotone(self, tol: float = SIGN_TOL) -> bool:
         return all(w >= -tol for off, w in self.kernel.items()
                    if any(o != 0 for o in off))
 

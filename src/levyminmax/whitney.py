@@ -1,4 +1,4 @@
-"""Extension of lattice data off the lattice, and the projection built on it.
+"""Extension of lattice data off the lattice: the discretization projector.
 
 The extension blends, with the cube partition weights, polynomials anchored
 at the node owning each active cube.  Polynomial degree follows the declared
@@ -8,10 +8,11 @@ over the box plus its margin.  On the lattice the extension reproduces the
 data exactly; across a node it stays continuous because every nearby
 anchored polynomial converges to the node value.
 
-Projection = restrict then extend.  At nodes the projected gradient and
-Hessian are reads of the same fields, the discrete stencils themselves,
-which makes local operators applied to projections coincide with classical
-finite-difference schemes.
+Projection = restrict then extend, and `ExtendedFn` is that projection: it
+carries the smooth-data API (value/values/grad/hess, name, cls).  At nodes
+its gradient and Hessian are reads of the same fields, the discrete
+stencils themselves, which makes local operators applied to projections
+coincide with classical finite-difference schemes.
 """
 from __future__ import annotations
 
@@ -28,19 +29,23 @@ from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
 
 
 class ExtendedFn:
-    """Callable extension of node data to all points.
+    """Extension of node data to all points; duck-types the smooth-data API.
 
-    Accepts a single point (scalar in 1-d, shape (d,) otherwise) or a batch
-    of shape (m, d).  Node values reproduce the data; off-lattice values are
-    the weighted polynomial blend.  Points closer to a node than the
-    generation cap resolves return the node value (the blend converges
-    there, so this stays continuous).
+    Calls accept a single point (scalar in 1-d, shape (d,) otherwise) or a
+    batch of shape (m, d).  Node values reproduce the data; off-lattice
+    values are the weighted polynomial blend.  Points closer to a node than
+    the generation cap resolves return the node value (the blend converges
+    there, so this stays continuous), and grad/hess there read the node's
+    derivative fields (fresh copies).  Elsewhere grad/hess are central
+    differences of the extension, step spacing/16 and /8 (plumbing only).
     """
 
-    def __init__(self, u: GridFunction, smoothness: RegularityClass):
+    def __init__(self, u: GridFunction, smoothness: RegularityClass,
+                 name: str = ""):
         self.node_data = u
         self.grid = u.grid
-        self.smoothness = smoothness
+        self.cls = smoothness
+        self.name = name or "projection"
 
     @cached_property
     def value_field(self) -> np.ndarray:
@@ -60,7 +65,7 @@ class ExtendedFn:
     @cached_property
     def _coeffs(self) -> list:
         """Flat value, gradient and Hessian fields, as far as the case blends."""
-        case = self.smoothness.case
+        case = self.cls.case
         fields = [self.value_field]
         if case >= 1:
             fields.append(self.grad_field)
@@ -91,32 +96,8 @@ class ExtendedFn:
             return float(self.values(x.reshape(1, -1))[0])
         return self.values(x)
 
-
-def extend(u: GridFunction, smoothness: RegularityClass) -> ExtendedFn:
-    return ExtendedFn(u, smoothness)
-
-
-class ProjectedFn:
-    """Restrict-then-extend of a function; duck-types the smooth-data API.
-
-    value/values evaluate the extension.  grad and hess at lattice nodes read
-    the extension's derivative fields (fresh copies); off the lattice they are
-    central differences of the extension with a spacing-scaled step (plumbing
-    accuracy only).
-    """
-
-    def __init__(self, extension: ExtendedFn, name: str = ""):
-        self.extension = extension
-        self.node_data = extension.node_data
-        self.grid = extension.grid
-        self.cls = extension.smoothness
-        self.name = name or "projection"
-
     def value(self, x) -> float:
-        return float(self.extension(np.asarray(x, dtype=float)))
-
-    def values(self, pts) -> np.ndarray:
-        return self.extension.values(pts)
+        return float(self(x))
 
     def _node_index(self, x):
         """The node the extension snaps x to (its value there), or None."""
@@ -128,23 +109,28 @@ class ProjectedFn:
     def grad(self, x) -> np.ndarray:
         idx = self._node_index(x)
         if idx is not None:
-            return field_at(self.extension.grad_field, idx)
+            return field_at(self.grad_field, idx)
         return fd_grad(self.value, x, self.grid.spacing / 16.0)
 
     def hess(self, x) -> np.ndarray:
         idx = self._node_index(x)
         if idx is not None:
-            return field_at(self.extension.hess_field, idx)
+            return field_at(self.hess_field, idx)
         return fd_hess(self.value, x, self.grid.spacing / 8.0)
 
 
-def project(f, g: DyadicGrid, smoothness: RegularityClass | None = None) -> ProjectedFn:
+def extend(u: GridFunction, smoothness: RegularityClass,
+           name: str = "") -> ExtendedFn:
+    return ExtendedFn(u, smoothness, name)
+
+
+def project(f, g: DyadicGrid, smoothness: RegularityClass | None = None) -> ExtendedFn:
     """Sample f on the grid and extend back; the discretization projector."""
     if smoothness is None:
         smoothness = getattr(f, "cls", RegularityClass(2.0))
     u = restrict(f, g)
     name = getattr(f, "name", "") or "fn"
-    return ProjectedFn(extend(u, smoothness), name=f"proj[{name}]")
+    return extend(u, smoothness, name=f"proj[{name}]")
 
 
 @dataclass(frozen=True)

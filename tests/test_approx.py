@@ -25,7 +25,7 @@ from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
 from levyminmax.cli import _named_source
 from levyminmax.levy import LevyMeasure, LevyOperator, evaluate
 from levyminmax.operators import bellman, levy_stencil
-from levyminmax.whitney import ProjectedFn
+from levyminmax.whitney import ExtendedFn
 
 CLS = RegularityClass(2.0)
 
@@ -178,7 +178,7 @@ def levy_cases(draw):
 
 def absolute_scale(op, surr, v):
     """Per node: the operator's terms summed in absolute value."""
-    ext = surr.lift(v).extension
+    ext = surr.lift(v)
     g = surr.grid
     n, d = g.node_count, g.dim
     box = (slice(2, -2),) * d
@@ -231,7 +231,7 @@ class TestWholeGridLevySource:
 
         monkeypatch.setattr(_kernels, "extend_many", counted)
         for name in ("value", "grad", "hess"):
-            monkeypatch.setattr(ProjectedFn, name, refused)
+            monkeypatch.setattr(ExtendedFn, name, refused)
         mu = LevyMeasure(np.array([[0.3], [0.0625], [1.2]]),
                          np.array([1.0, 0.0, 0.5]))
         op = LevyOperator(np.eye(1), np.ones(1), -0.5, mu)

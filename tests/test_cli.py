@@ -232,6 +232,22 @@ def test_exit_code_contract(tmp_path, capsys, cmd, args):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["decompose", "minmax", "converge", "dtn"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"), ("--tol", "x"),
+    ("--seed", "-1"), ("--seed", "1.5")])
+def test_bad_tol_or_seed_exits_two_naming_the_flag(tmp_path, capsys, cmd,
+                                                   flag, value):
+    # refused by the parser before any work: a nan tolerance would fail every
+    # check (exit 1), and a negative seed would stop in numpy's generator
+    # with a message that names no flag
+    with pytest.raises(SystemExit) as stop:
+        main([cmd, f"{flag}={value}", "--out", str(tmp_path / "report.json")])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("level", [13, 25])
 def test_converge_refuses_an_oversized_level_before_any_surrogate(
         tmp_path, capsys, monkeypatch, level):

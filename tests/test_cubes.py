@@ -188,6 +188,13 @@ def test_selection_equals_the_ancestor_walk(d):
             want = _selected_by_ancestors(k, m)
             assert _selected(m) == want, (k, m)
             assert (m in kept) == want, (k, m)
+    # base_family reads the same table: check it against the walk over each
+    # generation's full index range, so its range filter has its own reference
+    want = [(k, m) for k in range(1, 7)
+            for m in itertools.product(range(-(1 << (k - 1)), 1 << (k - 1)),
+                                       repeat=d)
+            if _selected_by_ancestors(k, m)]
+    assert [(q.generation, q.index) for q in base_family(d, 6)] == want
 
 
 def _brute_force_cover(x, h):

@@ -109,6 +109,9 @@ def test_translate_shifts_samples():
     assert v.value((4,)) == 0.0
     with pytest.raises(GridError):
         translate(u, [0.1])            # off-lattice shift
+    for z in (1, [1, 0], np.zeros(0, dtype=int)):
+        with pytest.raises(GridError):
+            translate(u, z)            # not one component per axis
 
 
 def test_regularity_class_cases():

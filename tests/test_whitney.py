@@ -6,9 +6,9 @@ from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
                                  value_field)
 from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
                              grid_function_from_flat, restrict)
-from levyminmax.whitney import (ProjectedFn, discrete_min_gradient_bound,
-                                extend, holder_norm,
-                                order_preservation_defect, project)
+from levyminmax.whitney import (discrete_min_gradient_bound, extend,
+                                holder_norm, order_preservation_defect,
+                                project)
 
 QUAD = RegularityClass(2.5)
 
@@ -108,7 +108,7 @@ def test_projection_snaps_where_the_extension_does():
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
     u = grid_function_from_flat(
         g, np.random.default_rng(29).standard_normal(g.node_count))
-    P = ProjectedFn(extend(u, QUAD))
+    P = extend(u, QUAD)
     node = g.point_of((1, -1))
     tol = _kernels.SNAP_TOL_UNIT * g.spacing
     near = node + 0.5 * tol * np.ones(2)
