@@ -5,6 +5,8 @@ plain Python over floats, ints and tuples.  All arithmetic is dyadic-exact:
 sides are powers of two, cube corners are integer multiples of the side.
 The extension blend receives its polynomial coefficients (value, gradient
 and Hessian fields from `calculus`) as flat lists and computes no stencils.
+`extend_point` is the one blend, at one point given as a list of floats;
+`extend_many` is the loop of it over the rows of an array.
 
 Geometry, in lattice units (spacing 1, lattice = the integer points):
 cell-local cubes of generation k have side 2**-k inside [-1/2, 1/2]^d and a
@@ -253,31 +255,32 @@ def _poly_eval(coeffs, p, d, h, z, x):
     return acc
 
 
-def extend_many(pts, coeffs, n_half, d, h):
-    """Evaluate the extension of node data at many physical points.
+def extend_point(x, coeffs, n_half, d, h):
+    """Evaluate the extension of node data at one physical point x (d floats).
 
     coeffs holds the flat value field, then the gradient field (d entries per
     node) and the Hessian field (d*d per node) as far as the regularity case
     blends them, all over the nodes of half-width n_half; anchors outside it
-    carry the zero polynomial.  Node points return the stored value;
-    off-lattice points blend the anchored polynomials of the active cubes
-    with normalized bump weights.
+    carry the zero polynomial.  A node point returns the stored value; an
+    off-lattice point blends the anchored polynomials of the active cubes
+    with normalized bump weights, and gets NaN when no cube covers it.
     """
-    values = coeffs[0]
-    out = []
-    for x in pts.tolist():
-        xi = [v / h for v in x]
-        z = snapped_node(xi)
-        if z is not None:
-            p = _pos(n_half, z)
-            out.append(values[p] if p >= 0 else 0.0)
-            continue
-        num = 0.0
-        den = 0.0
-        for cell, _, _, w in cover(xi, d):
-            p = _pos(n_half, cell)
-            pj = _poly_eval(coeffs, p, d, h, cell, x) if p >= 0 else 0.0
-            num += w * pj
-            den += w
-        out.append(num / den if den > 0.0 else math.nan)
-    return np.array(out, dtype=float)
+    xi = [v / h for v in x]
+    z = snapped_node(xi)
+    if z is not None:
+        p = _pos(n_half, z)
+        return coeffs[0][p] if p >= 0 else 0.0
+    num = 0.0
+    den = 0.0
+    for cell, _, _, w in cover(xi, d):
+        p = _pos(n_half, cell)
+        pj = _poly_eval(coeffs, p, d, h, cell, x) if p >= 0 else 0.0
+        num += w * pj
+        den += w
+    return num / den if den > 0.0 else math.nan
+
+
+def extend_many(pts, coeffs, n_half, d, h):
+    """`extend_point` at each row of the (m, d) array pts."""
+    return np.array([extend_point(x, coeffs, n_half, d, h)
+                     for x in pts.tolist()], dtype=float)

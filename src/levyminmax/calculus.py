@@ -10,7 +10,7 @@ nodes on each side: a node up to 2 outside the box still reaches box data
 through the +2e_k Hessian read, and every node beyond that reads only
 zeros, so its derivatives are 0.  The extension kernel takes its
 polynomial coefficients from these fields, and ``ExtendedFn.grad``/``hess``
-at nodes are reads of them.
+at nodes index them directly (zeros beyond the margin).
 
 Strict reads.  ``dgrad(u, x)``/``dhess(u, x)`` evaluate the same builders on
 the block of data around one node, and raise GridError when the stencil
@@ -77,15 +77,6 @@ def dgrad_padded(u: GridFunction) -> np.ndarray:
 def dhess_padded(u: GridFunction) -> np.ndarray:
     """Forward Hessian field over the box plus margin, shape (*shape, d, d)."""
     return _hess_field(value_field(u), u.grid.spacing)
-
-
-def field_at(field: np.ndarray, index) -> np.ndarray:
-    """Copy of a field entry at a node index; zeros beyond the margin."""
-    index = np.atleast_1d(index)
-    half = (field.shape[0] - 1) // 2
-    if np.any(np.abs(index) > half):
-        return np.zeros(field.shape[index.size:])
-    return field[tuple(int(i) + half for i in index)].copy()
 
 
 def _strict(u: GridFunction, x_index, lo: int, hi: int, what: str, build):

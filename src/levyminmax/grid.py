@@ -183,7 +183,9 @@ class DyadicGrid:
         return bool(np.all(np.abs(np.asarray(index)) <= self.half_count))
 
     def indices(self) -> np.ndarray:
-        """All node indices, shape (node_count, dim), lexicographic order."""
+        """All node indices, shape (node_count, dim), lexicographic order.
+
+        The array is shared between calls and read-only."""
         return _index_array(self.level, self.dim, self.half_count)
 
     def points(self) -> np.ndarray:
@@ -192,9 +194,13 @@ class DyadicGrid:
 
 @lru_cache(maxsize=32)
 def _index_array(level: int, dim: int, half: int) -> np.ndarray:
+    """Node indices of a grid, shared by every grid with these parameters,
+    so read-only."""
     ax = np.arange(-half, half + 1, dtype=np.int64)
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    out = np.stack([g.ravel() for g in grids], axis=-1)
+    out.setflags(write=False)
+    return out
 
 
 class GridFunction:

@@ -13,9 +13,15 @@ carries the smooth-data API (value/values/grad/hess, name, cls).  At nodes
 its gradient and Hessian are reads of the same fields, the discrete
 stencils themselves, which makes local operators applied to projections
 coincide with classical finite-difference schemes.
+
+One-point reads skip the batch API: a point becomes d validated Python
+floats once, `value` is one `_kernels.extend_point` call on them, and
+`grad`/`hess` at a node index the fields with plain ints.  `values` loops
+the same kernel over a batch, so both give the same bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .calculus import (FIELD_MARGIN, dgrad, dgrad_padded, dhess_padded,
-                       fd_grad, fd_hess, field_at, value_field)
+                       fd_grad, fd_hess, value_field)
 from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
                    restrict)
 
@@ -36,8 +42,10 @@ class ExtendedFn:
     values are the weighted polynomial blend.  Points closer to a node than
     the generation cap resolves return the node value (the blend converges
     there, so this stays continuous), and grad/hess there read the node's
-    derivative fields (fresh copies).  Elsewhere grad/hess are central
-    differences of the extension, step spacing/16 and /8 (plumbing only).
+    derivative fields (fresh copies; zeros beyond the fields' margin).
+    Elsewhere grad/hess are central differences of the extension, step
+    spacing/16 and /8 (plumbing only).  A point that is not d finite
+    coordinates raises GridError.
     """
 
     def __init__(self, u: GridFunction, smoothness: RegularityClass,
@@ -46,6 +54,9 @@ class ExtendedFn:
         self.grid = u.grid
         self.cls = smoothness
         self.name = name or "projection"
+        self.spacing = u.grid.spacing
+        # half-width of the padded fields: node indices run over [-n, n]^d
+        self.field_half = u.grid.half_count + FIELD_MARGIN
 
     @cached_property
     def value_field(self) -> np.ndarray:
@@ -80,43 +91,70 @@ class ExtendedFn:
             pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[1] != d:
             raise GridError(f"expected points of shape (m, {d}), got {pts.shape}")
-        out = _kernels.extend_many(pts, self._coeffs,
-                                   self.grid.half_count + FIELD_MARGIN, d,
-                                   self.grid.spacing)
+        finite = np.isfinite(pts)
+        if not finite.all():
+            bad = pts[int(np.argmin(finite.all(axis=1)))]
+            raise GridError(f"non-finite point {bad.tolist()}")
+        out = _kernels.extend_many(pts, self._coeffs, self.field_half, d,
+                                   self.spacing)
         if np.any(np.isnan(out)):
             bad = pts[int(np.argmax(np.isnan(out)))]
             raise GridError(f"no active cube at {bad.tolist()}; cover failed")
         return out
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return float(self.values(x.reshape(1, 1))[0])
-        if x.ndim == 1 and (self.grid.dim > 1 or x.size == 1):
-            return float(self.values(x.reshape(1, -1))[0])
-        return self.values(x)
+        a = np.asarray(x, dtype=float)
+        if a.ndim == 0 or (a.ndim == 1 and (self.grid.dim > 1 or a.size == 1)):
+            return self.value(a)
+        return self.values(a)
+
+    def _point(self, x) -> list:
+        """One point as a list of d finite Python floats, else GridError."""
+        a = np.asarray(x, dtype=float)
+        d = self.grid.dim
+        if a.ndim > 1 or a.size != d:
+            raise GridError(f"expected one point of dimension {d}, "
+                            f"got shape {a.shape}")
+        xs = a.ravel().tolist()
+        for v in xs:
+            if not math.isfinite(v):
+                raise GridError(f"non-finite point {xs}")
+        return xs
 
     def value(self, x) -> float:
-        return float(self(x))
+        xs = self._point(x)
+        out = _kernels.extend_point(xs, self._coeffs, self.field_half,
+                                    self.grid.dim, self.spacing)
+        if math.isnan(out):
+            raise GridError(f"no active cube at {xs}; cover failed")
+        return out
 
-    def _node_index(self, x):
-        """The node the extension snaps x to (its value there), or None."""
-        h = self.grid.spacing
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-        z = _kernels.snapped_node([v / h for v in xs])
-        return None if z is None else tuple(z)
+    def _snap(self, xs: list):
+        """The node xs snaps to, as a list of ints, or None."""
+        h = self.spacing
+        return _kernels.snapped_node([v / h for v in xs])
+
+    def _entry(self, field: np.ndarray, z: list) -> np.ndarray:
+        """Copy of a field entry at node z; zeros beyond the margin."""
+        n = self.field_half
+        for zi in z:
+            if zi < -n or zi > n:
+                return np.zeros(field.shape[len(z):])
+        return field[tuple(zi + n for zi in z)].copy()
 
     def grad(self, x) -> np.ndarray:
-        idx = self._node_index(x)
-        if idx is not None:
-            return field_at(self.grad_field, idx)
-        return fd_grad(self.value, x, self.grid.spacing / 16.0)
+        xs = self._point(x)
+        z = self._snap(xs)
+        if z is None:
+            return fd_grad(self.value, xs, self.spacing / 16.0)
+        return self._entry(self.grad_field, z)
 
     def hess(self, x) -> np.ndarray:
-        idx = self._node_index(x)
-        if idx is not None:
-            return field_at(self.hess_field, idx)
-        return fd_hess(self.value, x, self.grid.spacing / 8.0)
+        xs = self._point(x)
+        z = self._snap(xs)
+        if z is None:
+            return fd_hess(self.value, xs, self.spacing / 8.0)
+        return self._entry(self.hess_field, z)
 
 
 def extend(u: GridFunction, smoothness: RegularityClass,

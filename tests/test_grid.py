@@ -52,6 +52,15 @@ def test_indices_cover_box_lexicographically():
     assert np.allclose(pts[0], [-0.5, -0.5])
 
 
+def test_shared_node_indices_are_read_only():
+    # every grid with these parameters hands out the same cached array
+    g = DyadicGrid(level=1, dim=2, box_radius=1.0)
+    with pytest.raises(ValueError):
+        g.indices()[0, 0] = 99
+    assert tuple(DyadicGrid(level=1, dim=2, box_radius=1.0).indices()[0]) == (-2, -2)
+    assert DyadicGrid(level=1, dim=2, box_radius=1.0).points()[0, 0] == -1.0
+
+
 def test_grid_function_value_and_pad():
     g = DyadicGrid(level=1, dim=1, box_radius=1.0)
     u = grid_function_from_flat(g, np.arange(5, dtype=float))

@@ -1,5 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyminmax import _kernels
 from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
@@ -134,6 +139,88 @@ def test_extension_input_shapes():
     assert np.isscalar(E2(np.array([0.31, 0.2])))
     with pytest.raises(GridError):
         E2.values(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("dim, read, point, message", [
+    (1, "value", [0.1, 0.2], "dimension 1"),
+    (1, "hess", [[0.1]], "dimension 1"),
+    (2, "grad", [0.0], "dimension 2"),
+    (2, "hess", [0.0, 0.0, 0.0], "dimension 2"),
+    (2, "value", [math.nan, 0.0], "non-finite"),
+    (2, "value", [math.inf, 0.0], "non-finite"),
+    (2, "__call__", [0.0, -math.inf], "non-finite"),
+    (1, "grad", [math.inf], "non-finite"),
+    (2, "values", [[0.1, 0.2], [math.nan, 0.0]], "non-finite"),
+])
+def test_reads_reject_a_point_of_the_wrong_dimension_or_not_finite(
+        dim, read, point, message):
+    g = DyadicGrid(level=2, dim=dim, box_radius=1.0)
+    E = extend(grid_function_from_flat(g, np.ones(g.node_count)), QUAD)
+    with pytest.raises(GridError, match=message):
+        getattr(E, read)(np.array(point))
+
+
+@functools.cache
+def _extension(d, exponent):
+    g = DyadicGrid(level=2, dim=d, box_radius=1.0)
+    u = grid_function_from_flat(
+        g, np.random.default_rng(40 + d).standard_normal(g.node_count))
+    return extend(u, RegularityClass(exponent)), dgrad_padded(u), dhess_padded(u)
+
+
+@st.composite
+def one_point_reads(draw):
+    """Dimension, exponent, kind of point, its node (None off the lattice)
+    and the point: a node, a point within the snap tolerance of one, a node
+    in the fields' margin or beyond it, or a point anywhere on a wider box."""
+    d = draw(st.integers(1, 3))
+    exponent = draw(st.sampled_from((0.5, 1.5, 2.5)))
+    kind = draw(st.sampled_from(("node", "near", "off", "margin", "beyond")))
+    E = _extension(d, exponent)[0]
+    half, h = E.grid.half_count, E.grid.spacing
+    n = half + FIELD_MARGIN
+    if kind == "off":
+        coord = st.floats(-(n + 2) * h, (n + 2) * h)
+        return d, exponent, kind, None, np.array([draw(coord) for _ in range(d)])
+    z = [draw(st.integers(-half, half)) for _ in range(d)]
+    axis = draw(st.integers(0, d - 1))
+    if kind == "margin":
+        z[axis] = draw(st.sampled_from((-n, 1 - n, n - 1, n)))
+    elif kind == "beyond":
+        z[axis] = draw(st.sampled_from((-n - 3, -n - 1, n + 1, n + 3)))
+    x = np.array(z, dtype=float) * h
+    if kind == "near":
+        # Euclidean offset below 0.4 sqrt(3) < 1 snap tolerance
+        unit = [draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+        x = x + 0.4 * _kernels.SNAP_TOL_UNIT * h * np.array(unit)
+    return d, exponent, kind, z, x
+
+
+def _same(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(one_point_reads())
+def test_one_point_reads_are_the_batch_kernel_bit_for_bit(case):
+    d, exponent, kind, z, x = case
+    E, grad, hess = _extension(d, exponent)
+    want = E.values(x[None])[0]
+    assert _same(E.value(x), want)
+    assert _same(E(x), want)
+    if d == 1:
+        assert _same(E(float(x[0])), want)
+    if z is None:
+        return
+    n = E.grid.half_count + FIELD_MARGIN
+    if all(abs(zi) <= n for zi in z):
+        pos = tuple(zi + n for zi in z)
+        want_grad, want_hess = grad[pos], hess[pos]
+    else:
+        want_grad, want_hess = np.zeros(d), np.zeros((d, d))
+    assert _same(E.grad(x), want_grad)
+    assert _same(E.hess(x), want_hess)
 
 
 def test_interp_poly_matches_manual_formula():
