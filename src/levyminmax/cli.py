@@ -22,8 +22,8 @@ import numpy as np
 
 from .approx import convergence_study, probe_lipschitz, probe_tightness
 from .courrege import RowFunctional, decompose, reconstruct_residual
-from .grid import (_STRIP_LEVEL_CAP, _STRIP_NODE_CAP, DyadicGrid, GridError,
-                   RegularityClass, SmoothFn)
+from .grid import (_NODE_CAPS, _STRIP_LEVEL_CAP, _STRIP_NODE_CAP, DyadicGrid,
+                   GridError, RegularityClass, SmoothFn)
 from .levy import LevyMeasure, LevyOperator
 from .operators import (
     StripProblem,
@@ -39,6 +39,24 @@ OPERATOR_NAMES = ("laplace", "advect", "jump", "frac")
 # None for half the box).  The jump source's region keeps x + 1.2 e1 in the box.
 SOURCE_BOXES = {"identity": (1.0, None), "trace": (1.0, None),
                 "jump": (4.0, 0.5)}
+
+
+def _grid(cmd: str, level: int, dim: int, box: float | None = None) -> DyadicGrid:
+    """The command's grid; box None is the default radius 2**level.
+
+    A --level whose grid would exceed the node cap is refused naming the
+    flag and the largest level the cap allows in that dimension.
+    """
+    if dim in _NODE_CAPS and level >= 0:
+        top = -1
+        for k in range(level + 1):
+            half = 4 ** k if box is None else round(box * 2 ** k)
+            if (2 * half + 1) ** dim > _NODE_CAPS[dim]:
+                raise GridError(f"{cmd} --level {level}: the {dim}-d grid "
+                                f"exceeds the desk-scale node cap "
+                                f"{_NODE_CAPS[dim]} above --level {top}")
+            top = k
+    return DyadicGrid(level, dim, -1.0 if box is None else box)
 
 
 def _named_operator(name: str, dim: int, beta: float,
@@ -102,13 +120,13 @@ def cmd_decompose(args) -> int:
         row = _row_from_config(args.config)
         name = "config"
     else:
-        grid = DyadicGrid(args.level, args.dim)
+        grid = _grid("decompose", args.level, args.dim)
         op = _named_operator(args.operator, args.dim, args.beta, grid.spacing)
         row = _kernel_row(levy_stencil(grid, op))
         name = args.operator
     dec = decompose(row)
     residual = reconstruct_residual(row, dec, seed=args.seed)
-    report = json.loads(dec.to_json())
+    report = dec.report()
     report.update({
         "operator": name,
         "level": args.level,
@@ -126,7 +144,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_minmax(args) -> int:
-    grid = DyadicGrid(args.level, 1, box_radius=1.0)
+    grid = _grid("minmax", args.level, 1, 1.0)
     base = np.array([[1.0]])
     left = levy_stencil(grid, LevyOperator(base, np.array([-1.0]), -0.5,
                                            LevyMeasure.empty(1)))
@@ -189,7 +207,7 @@ def cmd_converge(args) -> int:
     box, region = SOURCE_BOXES[args.operator]
     # the finest grid first: an oversized --level or a bad --dim fails
     # before any coarser level is studied
-    DyadicGrid(args.level, args.dim, box)
+    _grid("converge", args.level, args.dim, box)
     source = _named_source(args.operator, args.dim)
     study = convergence_study(source, _bell(args.dim), range(3, args.level + 1),
                               dim=args.dim, box_radius=box,

@@ -18,11 +18,12 @@ it, otherwise decompose refuses.
 Rows and normal forms are evaluated on arrays: a probe with a `values`
 method (every `probe_battery` probe, any `SmoothFn` built with `values=`)
 is called once on all of a row's points, and the cutoff eta is evaluated
-once per decomposition, however many probes it is checked against.
+once per decomposition, however many probes it is checked against.  A
+decomposition's `report()` hands its normal form to the command line as
+plain floats and lists, read off the arrays in one pass each.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,14 +139,6 @@ def a_of(row: RowFunctional, cutoff) -> np.ndarray:
     return 0.5 * np.einsum("i,ij,ik->jk", wts * c, offs, offs)
 
 
-def mu_of(row: RowFunctional) -> LevyMeasure:
-    """Jump measure: all off-center atoms.  Requires nonnegative weights."""
-    offs, wts = row.jump_part()
-    if not offs.shape[0]:
-        return LevyMeasure.empty(row.dim)
-    return LevyMeasure(offs, wts)
-
-
 @dataclass(frozen=True)
 class CourregeDecomposition:
     """Normal form of a row at the schedule floor; reconstruction is exact."""
@@ -196,17 +189,17 @@ class CourregeDecomposition:
             out += float(self.atom_weights @ comp)
         return out
 
-    def to_json(self) -> str:
-        payload = {
-            "A": [[float(v) for v in r] for r in self.a_matrix],
-            "B": [float(v) for v in self.drift],
+    def report(self) -> dict:
+        """The normal form as plain JSON values: A, B, C, mu, gcp, residual."""
+        return {
+            "A": self.a_matrix.tolist(),
+            "B": self.drift.tolist(),
             "C": float(self.zero_order),
-            "mu": [{"mass": float(w), "y": [float(c) for c in y]}
-                   for y, w in zip(self.atoms, self.atom_weights)],
+            "mu": [{"mass": w, "y": y} for y, w in
+                   zip(self.atoms.tolist(), self.atom_weights.tolist())],
             "gcp": bool(self.gcp),
             "residual": float(self.residual),
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def probe_battery(dim: int, seed: int = 0):

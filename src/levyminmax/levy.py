@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,18 @@ class LevyError(GridError):
 
 
 def _canonical_atoms(atoms: np.ndarray, masses: np.ndarray):
-    """Sort atoms lexicographically and merge duplicates (within OFFSET_TOL)."""
+    """Sort atoms lexicographically and merge duplicates (within OFFSET_TOL).
+
+    A merge only happens where an atom lies within OFFSET_TOL of the last
+    kept one, which is its predecessor as long as nothing has merged; so
+    when no sorted neighbours are that close the sorted arrays are the
+    answer, and the loop runs only on measures that do merge.
+    """
     order = np.lexsort(atoms.T[::-1])
     atoms = atoms[order]
     masses = masses[order]
+    if not np.any(np.max(np.abs(np.diff(atoms, axis=0)), axis=1) < OFFSET_TOL):
+        return atoms, masses
     keep_a, keep_m = [], []
     for a, m in zip(atoms, masses):
         if keep_a and np.max(np.abs(keep_a[-1] - a)) < OFFSET_TOL:
@@ -148,10 +157,12 @@ def tv_distance(m1: LevyMeasure, m2: LevyMeasure,
 class LevyOperator:
     """Constant-coefficient operator (A, B, C, measure); A PSD, masses >= 0.
 
-    Construction also derives what every application needs: `jumps`, the
-    (y, mass, compensated) triples of the atoms with nonzero mass, where
-    compensated means |y| < 1; whether the drift and the diffusion are
-    nonzero; and whether the gradient is needed at all.
+    Construction derives whether the drift and the diffusion are nonzero.
+    On first use the operator derives and keeps what every application
+    needs: `jumps`, the (y, mass, compensated) triples of the atoms with
+    nonzero mass, where compensated means |y| < 1; and `needs_grad`,
+    whether the gradient is needed at all.  Code that only reads the
+    measure (a stencil assembly) never builds them.
     """
 
     diffusion: np.ndarray
@@ -176,15 +187,18 @@ class LevyOperator:
         object.__setattr__(self, "diffusion", a)
         object.__setattr__(self, "drift", b)
         object.__setattr__(self, "zero_order", float(self.zero_order))
-        mu = self.measure
-        jumps = tuple((y, float(m), float(np.linalg.norm(y)) < 1.0)
-                      for y, m in zip(mu.atoms, mu.masses) if m != 0.0)
-        has_drift = bool(np.any(b != 0.0))
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "has_drift", has_drift)
+        object.__setattr__(self, "has_drift", bool(np.any(b != 0.0)))
         object.__setattr__(self, "has_diffusion", bool(np.any(a != 0.0)))
-        object.__setattr__(self, "needs_grad",
-                           has_drift or any(c for _, _, c in jumps))
+
+    @cached_property
+    def jumps(self) -> tuple:
+        mu = self.measure
+        return tuple((y, float(m), float(np.linalg.norm(y)) < 1.0)
+                     for y, m in zip(mu.atoms, mu.masses) if m != 0.0)
+
+    @cached_property
+    def needs_grad(self) -> bool:
+        return self.has_drift or any(c for _, _, c in self.jumps)
 
     @property
     def dim(self) -> int:

@@ -178,20 +178,28 @@ def levy_stencil(grid: DyadicGrid, op: LevyOperator,
             add(tuple(-o for o in off), w)
             add(zero, -2.0 * w)
 
-    # atoms first: their compensation feeds the drift
-    b_eff = op.drift.astype(float).copy()
-    for y, m in zip(op.measure.atoms, op.measure.masses):
-        if m == 0.0:
-            continue
-        idx = np.rint(y / h).astype(np.int64)
-        if not np.any(idx):
-            raise OperatorError(
-                f"atom {y.tolist()} snaps to the origin at spacing {h}")
-        snapped = idx * h
-        add(tuple(idx), m)
+    # atoms first: their compensation feeds the drift.  Snapped atoms are
+    # integer multiples of h = 2**-level, so their squared norms are exact
+    # and the unit-ball test reads the same on the whole array as atom by
+    # atom; the kernel and drift sums run over plain floats in measure order.
+    b_eff = op.drift.astype(float).tolist()
+    live = op.measure.masses != 0.0
+    atoms = op.measure.atoms[live]
+    idx = np.rint(atoms / h).astype(np.int64)
+    at_origin = np.flatnonzero(~np.any(idx, axis=1))
+    if at_origin.size:
+        raise OperatorError(f"atom {atoms[at_origin[0]].tolist()} snaps to "
+                            f"the origin at spacing {h}")
+    snapped = idx * h
+    inside = np.linalg.norm(snapped, axis=1) < 1.0
+    for off, m, y, compensated in zip(idx.tolist(),
+                                      op.measure.masses[live].tolist(),
+                                      snapped.tolist(), inside.tolist()):
+        add(tuple(off), m)
         add(zero, -m)
-        if float(np.linalg.norm(snapped)) < 1.0:
-            b_eff -= m * snapped
+        if compensated:
+            for k in range(d):
+                b_eff[k] -= m * y[k]
 
     for k in range(d):
         b = b_eff[k]

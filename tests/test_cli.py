@@ -1,5 +1,7 @@
 """Command line behavior: reports, exit codes, determinism."""
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -268,3 +270,35 @@ def test_dtn_beyond_the_budget_level_names_the_strip_budget(tmp_path, capsys,
                  "--out", str(tmp_path / "report.json")])
     assert code == 2
     assert "strip node budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, top", [
+    (["decompose", "--dim", "2", "--level", "5"], 4),
+    (["converge", "--dim", "3", "--level", "8"], 6),
+    (["minmax", "--level", "19"], 12)], ids=["decompose", "converge", "minmax"])
+def test_oversized_level_names_the_flag_and_the_largest_level(
+        tmp_path, capsys, monkeypatch, argv, top):
+    # refused before any operator is built; no subcommand has a box flag
+    for name in ("_named_operator", "_named_source", "levy_stencil"):
+        monkeypatch.setattr(f"levyminmax.cli.{name}", None)
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]} --level {argv[-1]}:" in err
+    assert f"above --level {top}" in err and "box_radius" not in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--dim", "2", "--level", "4", "--beta", "1.1"],
+     "89a293232dc1bcad9c74cbcf4b5883344e5005b44354452636debeb9aa522b33"),
+    (["--dim", "3", "--level", "2", "--beta", "0.7"],
+     "92de51b617545a1a0cfee1679fbf1dfb13cadcd5fa45769df0421e6eecd57a07"),
+], ids=["frac 2-d level 4", "frac 3-d level 2"])
+def test_frac_report_bytes_are_recorded(tmp_path, argv, digest):
+    # the sha256 of the whole report, timestamp blanked, as recorded before
+    # the decomposition path took its atoms as arrays
+    out = tmp_path / "report.json"
+    assert main(["decompose", "--operator", "frac", "--seed", "0"] + argv
+                + ["--out", str(out)]) == 0
+    text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
+                  out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -6,7 +6,6 @@ Frozen facts used below, all derivable by hand:
 The reconstruction identity is algebraic, so residuals sit at rounding
 level; the assertions use 1e-12 with unit-scale probes and pitch 1/16.
 """
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyminmax.courrege import (CourregeError, RowFunctional, a_of, b_of,
-                                 c_of, decompose, is_gcp, mu_of,
+                                 c_of, decompose, is_gcp,
                                  probe_battery, reconstruct_residual)
 from levyminmax.grid import SmoothFn
 from levyminmax.levy import LevyError, LevyOperator, evaluate
@@ -113,13 +112,13 @@ class TestCoefficientExtraction:
         assert a == pytest.approx(np.array([[0.5 * 4.0 * 0.25 ** 2]]), abs=1e-16)
 
     def test_jump_measure_requires_nonnegative_weights(self):
-        mu = mu_of(second_difference_row())
+        mu = decompose(second_difference_row()).levy_measure()
         assert len(mu) == 4
         assert mu.total_mass() == 4.0 / H ** 2
         bad = RowFunctional(np.zeros(1), np.array([[0.0], [0.5]]),
                             np.array([1.0, -0.1]))
         with pytest.raises(LevyError):
-            mu_of(bad)
+            decompose(bad).levy_measure()
 
     def test_diffusion_is_psd_for_sign_correct_rows(self):
         rng = np.random.default_rng(11)
@@ -288,9 +287,8 @@ class TestRoundTripProperty:
 class TestDecompositionJson:
     def test_keys_and_determinism(self):
         row = second_difference_row()
-        text = decompose(row).to_json()
-        assert text == decompose(row).to_json()
-        payload = json.loads(text)
+        payload = decompose(row).report()
+        assert payload == decompose(row).report()
         assert set(payload) == {"A", "B", "C", "mu", "gcp", "residual"}
         assert payload["A"] == [[1.0, 0.0], [0.0, 1.0]]
         assert payload["B"] == [0.0, 0.0]
@@ -301,5 +299,5 @@ class TestDecompositionJson:
 
     def test_empty_measure_serializes_to_empty_list(self):
         row = RowFunctional(np.zeros(1), np.zeros((1, 1)), np.array([2.0]))
-        payload = json.loads(decompose(row).to_json())
+        payload = decompose(row).report()
         assert payload["mu"] == []

@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levyminmax.grid import RegularityClass, SmoothFn
-from levyminmax.levy import (LevyError, LevyMeasure, LevyOperator, evaluate,
-                             tv_distance)
+from levyminmax.grid import DyadicGrid, RegularityClass, SmoothFn
+from levyminmax.levy import (OFFSET_TOL, LevyError, LevyMeasure, LevyOperator,
+                             evaluate, tv_distance)
+from levyminmax.operators import OperatorError, StencilOperator, levy_stencil
 
 CLS = RegularityClass(2.0)
 
@@ -236,3 +239,190 @@ class TestBatchEvaluate:
     def test_points_of_another_dimension_rejected(self, x):
         with pytest.raises(LevyError, match="dimension 2"):
             evaluate(self.OP, self.bump([]), x)
+
+
+# --- per-atom reference for the array path ----------------------------------
+# The loops below are the per-atom forms of the measure's canonical atoms,
+# the operator's derived jumps and the stencil assembly.  The array path in
+# `levy` and `operators.levy_stencil` must reproduce them bit for bit.
+
+def _canonical_atoms_loop(atoms, masses):
+    order = np.lexsort(atoms.T[::-1])
+    atoms = atoms[order]
+    masses = masses[order]
+    keep_a, keep_m = [], []
+    for a, m in zip(atoms, masses):
+        if keep_a and np.max(np.abs(keep_a[-1] - a)) < OFFSET_TOL:
+            keep_m[-1] += m
+        else:
+            keep_a.append(a.copy())
+            keep_m.append(float(m))
+    return np.array(keep_a, dtype=float).reshape(len(keep_a), atoms.shape[1]), \
+        np.array(keep_m, dtype=float)
+
+
+def _jumps_loop(mu):
+    return tuple((y, float(m), float(np.linalg.norm(y)) < 1.0)
+                 for y, m in zip(mu.atoms, mu.masses) if m != 0.0)
+
+
+def _levy_stencil_loop(grid, op, drift="upwind"):
+    d = grid.dim
+    h = grid.spacing
+    ker: dict = {}
+
+    def add(off, w):
+        ker[off] = ker.get(off, 0.0) + w
+
+    zero = (0,) * d
+
+    def axis(k, s):
+        e = [0] * d
+        e[k] = s
+        return tuple(e)
+
+    a = op.diffusion
+    for k in range(d):
+        w = (a[k, k] - np.sum(np.abs(a[k])) + abs(a[k, k])) / h ** 2
+        if w != 0.0:
+            add(axis(k, 1), w)
+            add(axis(k, -1), w)
+            add(zero, -2.0 * w)
+    for k in range(d):
+        for l in range(k + 1, d):
+            w = abs(a[k, l]) / h ** 2
+            if w == 0.0:
+                continue
+            off = [0] * d
+            off[k] = 1
+            off[l] = 1 if a[k, l] > 0 else -1
+            add(tuple(off), w)
+            add(tuple(-o for o in off), w)
+            add(zero, -2.0 * w)
+
+    b_eff = op.drift.astype(float).copy()
+    for y, m in zip(op.measure.atoms, op.measure.masses):
+        if m == 0.0:
+            continue
+        idx = np.rint(y / h).astype(np.int64)
+        if not np.any(idx):
+            raise OperatorError(
+                f"atom {y.tolist()} snaps to the origin at spacing {h}")
+        snapped = idx * h
+        add(tuple(idx), m)
+        add(zero, -m)
+        if float(np.linalg.norm(snapped)) < 1.0:
+            b_eff -= m * snapped
+
+    for k in range(d):
+        b = b_eff[k]
+        if b == 0.0:
+            continue
+        if drift == "central":
+            add(axis(k, 1), b / (2.0 * h))
+            add(axis(k, -1), -b / (2.0 * h))
+        elif b > 0:
+            add(axis(k, 1), b / h)
+            add(zero, -b / h)
+        else:
+            add(axis(k, -1), -b / h)
+            add(zero, b / h)
+
+    add(zero, op.zero_order)
+    return StencilOperator(grid=grid, kernel=ker)
+
+
+@st.composite
+def levy_operators(draw):
+    """A random operator on a random lattice, stressing the atom paths.
+
+    Atoms are lattice nodes, arbitrary points, points a fraction of h from a
+    node (several snap to one node, some to the origin), exact copies and
+    copies moved by less than OFFSET_TOL (merged) or a little more (kept).
+    Masses may be 0; drift and diffusion may vanish.
+    """
+    d = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 3))
+    h = 2.0 ** -level
+    node = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+    frac = st.lists(st.floats(-0.45, 0.45), min_size=d, max_size=d)
+    anywhere = st.lists(st.floats(-2.5, 2.5), min_size=d, max_size=d)
+    site = st.one_of(
+        node.map(lambda k: np.array(k) * h),
+        anywhere.map(np.array),
+        st.tuples(node, frac).map(lambda p: (np.array(p[0]) + p[1]) * h))
+    atoms = draw(st.lists(site.filter(lambda y: np.max(np.abs(y)) > 0.0),
+                          min_size=0, max_size=12))
+    for y in list(atoms):
+        kind = draw(st.sampled_from(["none", "copy", "near", "apart"]))
+        if kind == "copy":
+            atoms.append(y.copy())
+        elif kind != "none":
+            step = draw(st.sampled_from([0.4, 0.9] if kind == "near"
+                                        else [1.1, 3.0])) * OFFSET_TOL
+            atoms.append(y + step * np.array(
+                draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                              min_size=d, max_size=d))))
+    atoms = [y for y in atoms if np.max(np.abs(y)) > 0.0]
+    order = draw(st.permutations(range(len(atoms))))
+    atoms = np.array([atoms[i] for i in order], dtype=float).reshape(-1, d)
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    masses = np.array(draw(st.lists(mass, min_size=len(atoms),
+                                    max_size=len(atoms))), dtype=float)
+    if draw(st.booleans()):
+        root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                      max_size=d * d))).reshape(d, d)
+        diffusion = root @ root.T
+        diffusion = 0.5 * (diffusion + diffusion.T)
+    else:
+        diffusion = np.zeros((d, d))
+    drift = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=d, max_size=d)))
+    scheme = draw(st.sampled_from(["upwind", "central"]))
+    return (DyadicGrid(level, d, box_radius=1.0), atoms, masses, diffusion,
+            drift, draw(st.floats(-2.0, 2.0)), scheme)
+
+
+class TestArrayPathOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(levy_operators())
+    def test_equals_the_per_atom_loops_bitwise(self, case):
+        grid, atoms, masses, diffusion, drift, c, scheme = case
+        d = grid.dim
+        mu = LevyMeasure(atoms, masses) if len(atoms) else LevyMeasure.empty(d)
+        if len(atoms):
+            want_a, want_m = _canonical_atoms_loop(atoms, masses)
+        else:
+            want_a, want_m = np.zeros((0, d)), np.zeros(0)
+        assert mu.atoms.shape == want_a.shape and mu.masses.shape == want_m.shape
+        assert mu.atoms.tobytes() == want_a.tobytes()
+        assert mu.masses.tobytes() == want_m.tobytes()
+
+        op = LevyOperator(diffusion, drift, c, mu)
+        want_jumps = _jumps_loop(mu)
+        assert len(op.jumps) == len(want_jumps)
+        for (y, m, comp), (wy, wm, wcomp) in zip(op.jumps, want_jumps):
+            assert y.tobytes() == wy.tobytes()
+            assert m.hex() == wm.hex() and comp == wcomp
+        assert op.needs_grad == (bool(np.any(drift != 0.0))
+                                 or any(comp for _, _, comp in want_jumps))
+
+        try:
+            want = _levy_stencil_loop(grid, op, scheme)
+        except OperatorError as err:
+            with pytest.raises(OperatorError) as got:
+                levy_stencil(grid, op, drift=scheme)
+            assert str(got.value) == str(err)
+            return
+        got = levy_stencil(grid, op, drift=scheme)
+        assert [(off, w.hex()) for off, w in got.kernel.items()] == \
+            [(off, w.hex()) for off, w in want.kernel.items()]
+
+    def test_origin_snap_names_the_first_live_atom(self):
+        g = DyadicGrid(2, 1, box_radius=1.0)
+        mu = LevyMeasure(np.array([[-0.1], [0.05], [0.5]]),
+                         np.array([0.0, 1.0, 1.0]))
+        op = LevyOperator(np.zeros((1, 1)), np.zeros(1), 0.0, mu)
+        with pytest.raises(OperatorError) as err:
+            levy_stencil(g, op)
+        assert str(err.value) == "atom [0.05] snaps to the origin at spacing 0.25"
