@@ -18,7 +18,7 @@ from .grid import (
 from .special import CutoffPair, SClassFn, phi0, taylor_cutoff
 from .cubes import CubeCover, WhitneyCube, base_family, uncovered_volume
 from .calculus import ConvergenceStudy, dgrad, dhess, fit_order
-from .whitney import ExtendedFn, extend, holder_norm, project
+from .whitney import ExtendedFn, extend, project
 from .levy import (
     LevyError,
     LevyMeasure,
@@ -113,7 +113,6 @@ __all__ = [
     "extend",
     "fit_order",
     "fractional_laplacian",
-    "holder_norm",
     "isaacs",
     "jacobian_at",
     "levy_stencil",

@@ -206,7 +206,12 @@ class ClarkeSet:
 
 def sample_differential(op, v, samples: int = 8, radius: float = 1e-4,
                         seed: int = 0) -> ClarkeSet:
-    """Jacobians at v and at nearby random points, deduplicated."""
+    """Jacobians at v and at nearby random points, deduplicated.
+
+    Clarke's generalized Jacobian at v is the convex hull of the limits of
+    Jacobians at points tending to v; this samples that definition at
+    distance radius.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     out = ClarkeSet(point=v)
     out.add(jacobian_at(op, v))

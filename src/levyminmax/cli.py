@@ -101,7 +101,14 @@ def _row_from_config(path: str) -> RowFunctional:
     missing = [k for k in keys if k not in cfg]
     if missing:
         raise GridError(f"row config {path} lacks {', '.join(missing)}")
-    return RowFunctional(*(np.asarray(cfg[k], dtype=float) for k in keys))
+    fields = []
+    for k in keys:
+        try:
+            fields.append(np.asarray(cfg[k], dtype=float))
+        except (TypeError, ValueError):
+            raise GridError(f"row config field {k} must be numeric: a "
+                            f"rectangular list of numbers") from None
+    return RowFunctional(*fields)
 
 
 def _emit(report: dict, summary: str, out: str | None) -> None:
@@ -116,29 +123,30 @@ def _emit(report: dict, summary: str, out: str | None) -> None:
 
 
 def cmd_decompose(args) -> int:
+    # a config row comes with no grid: it has a dimension but no level
     if args.config:
         row = _row_from_config(args.config)
-        name = "config"
+        name, level = "config", None
     else:
         grid = _grid("decompose", args.level, args.dim)
         op = _named_operator(args.operator, args.dim, args.beta, grid.spacing)
         row = _kernel_row(levy_stencil(grid, op))
-        name = args.operator
+        name, level = args.operator, args.level
     dec = decompose(row)
     residual = reconstruct_residual(row, dec, seed=args.seed)
     report = dec.report()
     report.update({
         "operator": name,
-        "level": args.level,
-        "dim": args.dim,
+        "level": level,
+        "dim": row.dim,
         "pitch": row.pitch,
         "delta_floor": dec.delta_floor,
         "atom_count": len(dec.atom_weights),
         "reconstruction": residual,
     })
     ok = residual <= args.tol
-    _emit(report, f"decompose {name} level={args.level}: residual "
-                  f"{residual:.3e} gcp={dec.gcp} "
+    shown = name if level is None else f"{name} level={level}"
+    _emit(report, f"decompose {shown}: residual {residual:.3e} gcp={dec.gcp} "
                   f"{'PASS' if ok else 'FAIL'}", args.out)
     return 0 if ok else 1
 
@@ -298,37 +306,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="levymm",
         description="decompose, verify and study monotone operator stencils")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes --level, --out, --tol and only the flags it
+    # reads, so a flag it would ignore exits 2 as unrecognized
+    optional = {
+        "--dim": dict(type=int, default=1),
+        "--beta": dict(type=float, default=1.0,
+                       help="fractional order for the frac operator"),
+        "--seed": dict(default=0, type=_checked(
+            int, lambda v: v >= 0, "a non-negative integer")),
+        "--operator": dict(default="laplace"),
+        "--config": dict(help="JSON file of extra inputs"),
+    }
 
-    def common(p, tol):
+    def command(name, func, help, tol, flags, **defaults):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--level", type=int, default=4,
                        help="dyadic refinement level (spacing 2**-level)")
-        p.add_argument("--dim", type=int, default=1)
-        p.add_argument("--beta", type=float, default=1.0,
-                       help="fractional order for the frac operator")
-        p.add_argument("--seed", default=0, type=_checked(
-            int, lambda v: v >= 0, "a non-negative integer"))
+        for flag in flags:
+            p.add_argument(flag, **optional[flag])
         p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument("--operator", default="laplace")
-        p.add_argument("--config", help="JSON file of extra inputs")
         p.add_argument("--tol", default=tol, type=_checked(
-            float, math.isfinite, "a finite number"))
+            float, lambda v: math.isfinite(v) and v >= 0,
+            "a finite non-negative number"))
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("decompose",
-                       help="split a stencil row into drift, diffusion, jumps")
-    common(p, 1e-8)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("minmax", help="probe the min-max gap of an envelope")
-    common(p, 1e-8)
-    p.set_defaults(func=cmd_minmax)
-
-    p = sub.add_parser("converge", help="surrogate consistency rate study")
-    common(p, 0.9)
-    p.set_defaults(func=cmd_converge, operator="trace", level=6)
-
-    p = sub.add_parser("dtn", help="strip boundary map against continuum modes")
-    common(p, 0.02)
-    p.set_defaults(func=cmd_dtn, level=8)
+    command("decompose", cmd_decompose,
+            "split a stencil row into drift, diffusion, jumps", 1e-8,
+            ("--dim", "--beta", "--seed", "--operator", "--config"))
+    command("minmax", cmd_minmax, "probe the min-max gap of an envelope",
+            1e-8, ("--seed",))
+    command("converge", cmd_converge, "surrogate consistency rate study",
+            0.9, ("--dim", "--operator"), operator="trace", level=6)
+    command("dtn", cmd_dtn, "strip boundary map against continuum modes",
+            0.02, ("--config",), level=8)
     return parser
 
 

@@ -176,9 +176,12 @@ def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
 def uncovered_volume(dim: int, max_generation: int) -> float:
     """Exact volume of the cell not covered by generations <= max_generation.
 
-    A point is uncovered exactly when its whole dyadic chain up to the cap
-    misses every shell, so the uncovered set is a union of cubes at the cap
-    generation and its volume is a count times a power of two.
+    This is the coverage identity of the Whitney cover: the cubes of all
+    generations cover the cell up to a null set, so this volume falls to 0
+    as the cap grows.  A point is uncovered exactly when its whole
+    dyadic chain up to the cap misses every shell, so the uncovered set is
+    a union of cubes at the cap generation and its volume is a count times
+    a power of two.
     """
     if dim not in (1, 2, 3):
         raise CubeError(f"dim must be 1, 2 or 3, got {dim}")

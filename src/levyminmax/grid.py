@@ -292,10 +292,6 @@ class GridFunction:
         return GridFunction(g, values)
 
 
-def grid_function_from_flat(g: DyadicGrid, flat: np.ndarray) -> GridFunction:
-    return GridFunction(g, np.asarray(flat, dtype=float).reshape(g.shape))
-
-
 def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:
     """Sample a function on every node of the grid."""
     pts = g.points()

@@ -131,6 +131,8 @@ def tv_distance(m1: LevyMeasure, m2: LevyMeasure,
                 tol: float = OFFSET_TOL) -> float:
     """Total variation distance |m1 - m2| of two atomic measures.
 
+    The paper states the spatial regularity of a min-max representation in
+    this distance: how far apart the Lévy measures at two base points are.
     Atoms are matched by location within tol; unmatched atoms contribute
     their full mass.
     """

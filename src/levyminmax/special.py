@@ -2,12 +2,14 @@
 
 The base profile ``phi0`` is the classic exponential ramp
 q(t)/(q(t)+q(1-t)) with q(t)=exp(-1/t): smooth, nondecreasing, 0 below 0 and
-1 above 1.  Everything else is built from it: the linear-to-flat profile
-``eta0``, the admissible cutoff class ``SClassFn`` (values in [0,1], equal
-to 1 near 0, supported in the ball of radius 2) with its reverse radial
-ramps ``from_psi`` and the shrinking pair members ``shrunk_unit`` and
-``shrunk_origin``, and the cutoff-compensated Taylor polynomials used to
-split a kernel into local and jump parts.
+1 above 1.  It is ``_kernels.ramp`` on arrays, so the cube partition and
+the cutoffs share one ramp, bit for bit.  Everything else is built from
+it: the linear-to-flat profile ``eta0``, the admissible cutoff class
+``SClassFn`` (values in [0,1], equal to 1 near 0, supported in the ball of
+radius 2) with its reverse radial ramps ``from_psi`` and the shrinking pair
+members ``shrunk_unit`` and ``shrunk_origin``, with which ``courrege``
+splits a row into local and jump parts, and ``taylor_cutoff``, the
+cutoff-compensated Taylor polynomial of smooth data at a point.
 """
 from __future__ import annotations
 
@@ -16,24 +18,25 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import dgrad, dhess, fd_grad, fd_hess
-from .grid import GridError, GridFunction, RegularityClass, SmoothFn
+from ._kernels import ramp
+from .calculus import fd_grad, fd_hess
+from .grid import GridError, RegularityClass, SmoothFn
 
 
 def phi0(t):
-    """Smooth nondecreasing ramp: 0 for t<=0, 1 for t>=1."""
+    """``_kernels.ramp`` elementwise: 0 for t<=0, 1 for t>=1, NaN for NaN.
+
+    A 0-d input gives a float.  ramp runs only where it takes its
+    exponential branch (neither t <= 0 nor t >= 1), so the flat tails cost
+    no Python call.
+    """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    qa = np.zeros_like(t)
-    qb = np.zeros_like(t)
-    pos = t > 0.0
-    lt1 = t < 1.0
-    with np.errstate(over="ignore", under="ignore"):
-        qa[pos] = np.exp(-1.0 / t[pos])
-        qb[lt1] = np.exp(-1.0 / (1.0 - t[lt1]))
-    out = qa / (qa + qb)
-    return float(out[0]) if scalar else out
+    if t.ndim == 0:
+        return ramp(float(t))
+    out = (t >= 1.0).astype(float)
+    inner = ~((t <= 0.0) | (t >= 1.0))
+    out[inner] = [ramp(v) for v in t[inner].tolist()]
+    return out
 
 
 def eta0(t):
@@ -131,10 +134,21 @@ class CutoffPair:
 DEFAULT_PAIR = CutoffPair(DEFAULT_PHI, DEFAULT_PHI)
 
 
-def _cutoff_poly(u0: float, grad, hess, pair: CutoffPair,
-                 beta: RegularityClass, name: str) -> SmoothFn:
-    """Assemble the offset function y -> cutoff-compensated Taylor value."""
+def taylor_cutoff(u: SmoothFn, x, pair: CutoffPair,
+                  beta: RegularityClass) -> SmoothFn:
+    """Cutoff-compensated Taylor data of u at x, as a function of the offset y.
+
+    Three regimes: below 1 the value alone; in [1,2) value plus a cutoff
+    gradient term; in [2,3) additionally a cutoff quadratic term.  On the
+    common plateau of the pair the result agrees with the Taylor polynomial
+    of the matching order.  Derivatives of the returned function are finite
+    difference measurements.
+    """
+    x = np.asarray(x, dtype=float)
     case = beta.case
+    u0 = u.value(x)
+    grad = u.grad(x) if case >= 1 else np.zeros(x.size)
+    hess = u.hess(x) if case >= 2 else np.zeros((x.size, x.size))
 
     def value(y):
         y = np.asarray(y, dtype=float)
@@ -156,35 +170,4 @@ def _cutoff_poly(u0: float, grad, hess, pair: CutoffPair,
 
     return SmoothFn(value, grad=lambda y: fd_grad(value, y, 1e-6),
                     hess=lambda y: fd_hess(value, y, 1e-4),
-                    cls=beta, name=name, values=values)
-
-
-def taylor_cutoff(u: SmoothFn, x, pair: CutoffPair,
-                  beta: RegularityClass) -> SmoothFn:
-    """Cutoff-compensated Taylor data of u at x, as a function of the offset y.
-
-    Three regimes: below 1 the value alone; in [1,2) value plus a cutoff
-    gradient term; in [2,3) additionally a cutoff quadratic term.  On the
-    common plateau of the pair the result agrees with the Taylor polynomial
-    of the matching order.  Derivatives of the returned function are finite
-    difference measurements.
-    """
-    x = np.asarray(x, dtype=float)
-    case = beta.case
-    u0 = u.value(x)
-    grad = u.grad(x) if case >= 1 else np.zeros(x.size)
-    hess = u.hess(x) if case >= 2 else np.zeros((x.size, x.size))
-    return _cutoff_poly(u0, grad, hess, pair, beta, f"P[{u.name}@{x.tolist()}]")
-
-
-def taylor_cutoff_discrete(u: GridFunction, x_index, pair: CutoffPair,
-                           beta: RegularityClass) -> SmoothFn:
-    """Same as taylor_cutoff but with grid data and stencil derivatives."""
-    x_index = np.asarray(x_index, dtype=np.int64)
-    case = beta.case
-    u0 = u.value(x_index)
-    d = u.grid.dim
-    grad = dgrad(u, x_index) if case >= 1 else np.zeros(d)
-    hess = dhess(u, x_index) if case >= 2 else np.zeros((d, d))
-    return _cutoff_poly(u0, grad, hess, pair, beta,
-                        f"Pn[node {x_index.tolist()}]")
+                    cls=beta, name=f"P[{u.name}@{x.tolist()}]", values=values)

@@ -22,14 +22,13 @@ the same kernel over a batch, so both give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .calculus import (FIELD_MARGIN, dgrad, dgrad_padded, dhess_padded,
-                       fd_grad, fd_hess, value_field)
+from .calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded, fd_grad,
+                       fd_hess, value_field)
 from .grid import (DyadicGrid, GridError, GridFunction, RegularityClass,
                    restrict)
 
@@ -171,70 +170,6 @@ def project(f, g: DyadicGrid, smoothness: RegularityClass | None = None) -> Exte
     return extend(u, smoothness, name=f"proj[{name}]")
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
-    """Sampled lower bound of a Holder-type norm (never an upper bound)."""
-
-    value: float
-    sup_norm: float
-    seminorm: float
-    exponent: float
-    derivative_order: int
-    samples: int
-
-
-def holder_norm(f, smoothness: RegularityClass, dim: int, box_radius: float = 1.0,
-                samples: int = 300, seed: int = 0) -> HolderEstimate:
-    """Monte-Carlo lower bound of the Holder norm of f on a box.
-
-    Samples the top derivative (by central differences unless f exposes
-    exact derivative callables) at random points and maximizes the Holder
-    quotient over sampled pairs, including tight pairs to probe the local
-    seminorm.  Strict integer classes carry no seminorm and report 0 there.
-    """
-    rng = np.random.default_rng(seed)
-    val = f.value if hasattr(f, "value") else f
-    m = smoothness.derivative_order
-    s = smoothness.holder_exponent
-
-    def top(x):
-        if m == 0:
-            return np.array([val(x)])
-        if m == 1:
-            if hasattr(f, "grad"):
-                try:
-                    return np.asarray(f.grad(x), dtype=float).ravel()
-                except GridError:
-                    pass
-            return fd_grad(val, x, 1e-6)
-        if hasattr(f, "hess"):
-            try:
-                return np.asarray(f.hess(x), dtype=float).ravel()
-            except GridError:
-                pass
-        return fd_hess(val, x, 1e-4).ravel()
-
-    pts = rng.uniform(-box_radius, box_radius, size=(samples, dim))
-    sup = 0.0
-    tops = []
-    for p in pts:
-        sup = max(sup, abs(val(p)))
-        tops.append(top(p))
-    semi = 0.0
-    if s > 0.0:
-        for i in range(0, samples - 1, 2):
-            dist = float(np.linalg.norm(pts[i] - pts[i + 1]))
-            if dist > 1e-9:
-                semi = max(semi, float(np.max(np.abs(tops[i] - tops[i + 1]))) / dist ** s)
-        for i in range(0, samples, 4):
-            q = pts[i] + rng.uniform(-1e-2, 1e-2, size=dim)
-            dist = float(np.linalg.norm(pts[i] - q))
-            if dist > 1e-9:
-                semi = max(semi, float(np.max(np.abs(tops[i] - top(q)))) / dist ** s)
-    return HolderEstimate(value=sup + semi, sup_norm=sup, seminorm=semi,
-                          exponent=s, derivative_order=m, samples=samples)
-
-
 def order_preservation_defect(f_low, f_high, g: DyadicGrid,
                               smoothness: RegularityClass,
                               samples: int = 400, seed: int = 0) -> float:
@@ -255,42 +190,3 @@ def order_preservation_defect(f_low, f_high, g: DyadicGrid,
     pts = rng.uniform(-g.box_radius, g.box_radius, size=(samples, g.dim))
     diff = e_low.values(pts) - e_high.values(pts)
     return float(max(0.0, diff.max()))
-
-
-@dataclass(frozen=True)
-class MinGradientReport:
-    """Discrete first-order condition at an interior minimum."""
-
-    index: tuple
-    point: np.ndarray
-    value: float
-    grad: np.ndarray
-    grad_norm: float
-    spacing: float
-
-    @property
-    def ratio(self) -> float:
-        return self.grad_norm / self.spacing
-
-
-def discrete_min_gradient_bound(w: GridFunction) -> MinGradientReport:
-    """Locate the interior node minimizing w and report its discrete gradient.
-
-    At an interior grid minimum each centered difference is a difference of
-    two nonnegative one-sided slopes, so the gradient norm is bounded by the
-    spacing times the second-difference scale; the ratio field exposes the
-    constant.
-    """
-    g = w.grid
-    half = g.half_count
-    if half < 2:
-        raise GridError("grid too small for an interior minimum")
-    vals = w.values
-    inner = vals[(slice(1, -1),) * g.dim]
-    pos = np.unravel_index(int(np.argmin(inner)), inner.shape)
-    idx = tuple(int(p) + 1 - half for p in pos)
-    grad = dgrad(w, idx)
-    return MinGradientReport(index=idx, point=g.point_of(idx),
-                             value=w.value(idx), grad=grad,
-                             grad_norm=float(np.max(np.abs(grad))),
-                             spacing=g.spacing)

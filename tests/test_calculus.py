@@ -3,8 +3,8 @@ import pytest
 
 from levyminmax.calculus import (FIELD_MARGIN, ConvergenceStudy, dgrad,
                                  dgrad_padded, dhess, dhess_padded, fit_order)
-from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
-                             grid_function_from_flat, restrict)
+from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
+                             RegularityClass, SmoothFn, restrict)
 
 
 def _sin():
@@ -46,8 +46,8 @@ def test_dgrad_linearity_and_translation_covariance():
     rng = np.random.default_rng(5)
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
     from levyminmax.grid import translate
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
-    v = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
+    v = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     idx = (1, 0)
     assert np.allclose(dgrad(u + v, idx), dgrad(u, idx) + dgrad(v, idx), atol=1e-12)
     shifted = translate(u, (1, -1))
@@ -100,7 +100,7 @@ def _field_nodes(g):
 def test_fields_equal_per_node_stencils_bitwise(dim, level):
     rng = np.random.default_rng(60 + dim)
     g = DyadicGrid(level=level, dim=dim, box_radius=1.0)
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     grad, hess = dgrad_padded(u), dhess_padded(u)
     assert grad.shape[:dim] == (g.shape[0] + 2 * FIELD_MARGIN,) * dim
     for x, pos in _field_nodes(g):
@@ -112,7 +112,7 @@ def test_fields_equal_per_node_stencils_bitwise(dim, level):
 def test_strict_reads_raise_exactly_where_the_stencil_leaves_the_box(dim):
     rng = np.random.default_rng(64 + dim)
     g = DyadicGrid(level=1, dim=dim, box_radius=1.0)
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     n = g.half_count
     grad, hess = dgrad_padded(u), dhess_padded(u)
     for x, pos in _field_nodes(g):
@@ -132,7 +132,7 @@ def test_hessian_raw_is_symmetric_and_sym_equals_raw():
     # the forward Hessian field, margin included
     rng = np.random.default_rng(6)
     g = DyadicGrid(level=2, dim=3, box_radius=0.5)
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     raw = dhess_padded(u)
     sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     assert np.allclose(raw, np.swapaxes(raw, -1, -2), atol=1e-12)

@@ -53,11 +53,26 @@ def test_decompose_reads_row_from_config(tmp_path):
     assert code == 0
     assert rep["operator"] == "config"
     assert rep["A"] == [[1.0]]
-    # the config path builds no grid, so a level past the node budget is fine
+    assert rep["dim"] == 1 and rep["level"] is None
+    # the config path builds no grid, so a level past the node budget is
+    # fine, and the report names no level
     code, high = run(["decompose", "--config", str(cfg), "--level", "7"],
                      tmp_path, "high.json")
     assert code == 0
-    assert high["A"] == [[1.0]] and high["level"] == 7
+    assert high["A"] == [[1.0]] and high["level"] is None
+    # the report's dimension is the row's, not --dim's default
+    plane = tmp_path / "row2.json"
+    plane.write_text(json.dumps({
+        "base_point": [0.0, 0.0],
+        "offsets": [[0.0, 0.0], [0.0625, 0.0], [-0.0625, 0.0],
+                    [0.0, 0.0625], [0.0, -0.0625]],
+        "weights": [-1024.0, 256.0, 256.0, 256.0, 256.0],
+    }))
+    code, flat = run(["decompose", "--config", str(plane)], tmp_path,
+                     "plane.json")
+    assert code == 0
+    assert flat["dim"] == 2 and flat["level"] is None
+    assert flat["A"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_minmax_command_passes(tmp_path):
@@ -144,7 +159,12 @@ def test_exit_two_on_bad_inputs(tmp_path, capsys):
     (lambda cfg: cfg.pop("base_point"), "lacks base_point"),
     (lambda cfg: (cfg.pop("offsets"), cfg.pop("weights")),
      "lacks offsets, weights"),
-], ids=["nan weight", "inf offset", "no base_point", "no offsets or weights"])
+    (lambda cfg: cfg.__setitem__("base_point", "x"),
+     "row config field base_point must be numeric"),
+    (lambda cfg: cfg["offsets"].__setitem__(1, [0.25, 0.5]),
+     "row config field offsets must be numeric"),
+], ids=["nan weight", "inf offset", "no base_point", "no offsets or weights",
+        "text base_point", "ragged offsets"])
 def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, edit, named):
     cfg = {"base_point": [0.0], "offsets": [[0.0], [0.25], [-0.25]],
            "weights": [-32.0, 16.0, 16.0]}
@@ -218,8 +238,8 @@ def _contract_cases():
 
 @pytest.mark.parametrize("cmd, args", _contract_cases())
 def test_exit_code_contract(tmp_path, capsys, cmd, args):
-    # exit 0 or 1 when the subcommand ignores the argument, else exit 2 with
-    # a message; never an exception (huge levels must fail before allocating)
+    # exit 0 or 1 when the input is valid, else exit 2 with a message; never
+    # an exception (huge levels must fail before allocating)
     (tmp_path / "text.json").write_text("not json")
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [cmd] + [a.format(dir=tmp_path) for a in args]
@@ -237,17 +257,39 @@ def test_exit_code_contract(tmp_path, capsys, cmd, args):
 @pytest.mark.parametrize("cmd", ["decompose", "minmax", "converge", "dtn"])
 @pytest.mark.parametrize("flag, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-inf"), ("--tol", "x"),
-    ("--seed", "-1"), ("--seed", "1.5")])
+    ("--tol", "-1"), ("--seed", "-1"), ("--seed", "1.5")])
 def test_bad_tol_or_seed_exits_two_naming_the_flag(tmp_path, capsys, cmd,
                                                    flag, value):
-    # refused by the parser before any work: a nan tolerance would fail every
-    # check (exit 1), and a negative seed would stop in numpy's generator
-    # with a message that names no flag
+    # refused by the parser before any work: a nan or negative tolerance
+    # would fail every check (exit 1; converge, whose tolerance is a minimum
+    # order, would pass every run), and a negative seed would stop in
+    # numpy's generator with a message that names no flag
     with pytest.raises(SystemExit) as stop:
         main([cmd, f"{flag}={value}", "--out", str(tmp_path / "report.json")])
     assert stop.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: expected" in err and "Traceback" not in err
+    if flag == "--seed" and cmd in ("converge", "dtn"):
+        # neither reads a seed, so neither has the flag
+        assert "unrecognized arguments: --seed" in err
+    else:
+        assert f"argument {flag}: expected" in err
+    assert "Traceback" not in err
+
+
+REFUSED_FLAGS = {"minmax": ("--dim", "--beta", "--operator", "--config"),
+                 "converge": ("--beta", "--seed", "--config"),
+                 "dtn": ("--dim", "--beta", "--operator", "--seed")}
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag) for cmd, flags in REFUSED_FLAGS.items() for flag in flags])
+def test_a_flag_the_subcommand_does_not_read_exits_two(tmp_path, capsys, cmd,
+                                                       flag):
+    # refused, not dropped: `minmax --dim 3` must not run the 1-d problem
+    with pytest.raises(SystemExit) as stop:
+        main([cmd, flag, "3", "--out", str(tmp_path / "report.json")])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", [13, 25])
@@ -287,17 +329,39 @@ def test_oversized_level_names_the_flag_and_the_largest_level(
     assert f"above --level {top}" in err and "box_radius" not in err
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["--dim", "2", "--level", "4", "--beta", "1.1"],
+@pytest.mark.parametrize("operator, argv, digest", [
+    ("frac", ["--dim", "2", "--level", "4", "--beta", "1.1"],
      "89a293232dc1bcad9c74cbcf4b5883344e5005b44354452636debeb9aa522b33"),
-    (["--dim", "3", "--level", "2", "--beta", "0.7"],
+    ("frac", ["--dim", "3", "--level", "2", "--beta", "0.7"],
      "92de51b617545a1a0cfee1679fbf1dfb13cadcd5fa45769df0421e6eecd57a07"),
-], ids=["frac 2-d level 4", "frac 3-d level 2"])
-def test_frac_report_bytes_are_recorded(tmp_path, argv, digest):
-    # the sha256 of the whole report, timestamp blanked, as recorded before
-    # the decomposition path took its atoms as arrays
+    ("jump", ["--dim", "1", "--level", "4"],
+     "70dca3241fbd388e88baeb53add6003af6fc8c6ecd3bfa64295e3f8880262fb7"),
+    ("jump", ["--dim", "2", "--level", "4"],
+     "d6a422e8a96c36301784be1e7834aead9e0fa05e3a9115c89301ccc2ab6cbe90"),
+    ("jump", ["--dim", "3", "--level", "2"],
+     "bf07431bce92df0814713d71e17b7e962d6e4c35a2c298713919faeb09bb724f"),
+    ("laplace", ["--dim", "1", "--level", "4"],
+     "8a62f7db0bf1420898c62feeb84e2107dd84d66b258d40d477d40a19fc0026b2"),
+    ("laplace", ["--dim", "2", "--level", "4"],
+     "81aa4fcb5ef2c573813a207bd5e1d3e583eccfed8339518d28336abba9c96baf"),
+    ("laplace", ["--dim", "3", "--level", "2"],
+     "1626e06a0b84dbd1ce20600f8008242fe5dbe9eb36abd9f7b882edcaaddf1602"),
+    ("advect", ["--dim", "1", "--level", "4"],
+     "970cb4d23d5ff282a3ad7e63cc33c31af62771362f806c0b57cad5745b3a5fde"),
+    ("advect", ["--dim", "2", "--level", "4"],
+     "e70fa994ffbcdd3d9f5ace0c9dfb9670545d1f0f09f647ebc8fb746be3f482f3"),
+    ("advect", ["--dim", "3", "--level", "2"],
+     "4f994f2622098a6fcf78c13ca2256a50f7cfe186f0f2276ab85a2710c28d5d6f"),
+], ids=["frac 2-d level 4", "frac 3-d level 2", "jump 1-d level 4",
+        "jump 2-d level 4", "jump 3-d level 2", "laplace 1-d level 4",
+        "laplace 2-d level 4", "laplace 3-d level 2", "advect 1-d level 4",
+        "advect 2-d level 4", "advect 3-d level 2"])
+def test_frac_report_bytes_are_recorded(tmp_path, operator, argv, digest):
+    # the sha256 of the whole report, timestamp blanked: the frac digests as
+    # recorded before the decomposition path took its atoms as arrays, the
+    # others before the cutoffs and the cube partition shared one ramp
     out = tmp_path / "report.json"
-    assert main(["decompose", "--operator", "frac", "--seed", "0"] + argv
+    assert main(["decompose", "--operator", operator, "--seed", "0"] + argv
                 + ["--out", str(out)]) == 0
     text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
                   out.read_text())

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
-                             RegularityClass, SmoothFn,
-                             grid_function_from_flat, restrict, translate)
+                             RegularityClass, SmoothFn, restrict, translate)
 
 
 def test_grid_basic_geometry():
@@ -63,7 +62,7 @@ def test_shared_node_indices_are_read_only():
 
 def test_grid_function_value_and_pad():
     g = DyadicGrid(level=1, dim=1, box_radius=1.0)
-    u = grid_function_from_flat(g, np.arange(5, dtype=float))
+    u = GridFunction(g, np.arange(5, dtype=float).reshape(g.shape))
     assert u.value((-2,)) == 0.0
     assert u.value((2,)) == 4.0
     with pytest.raises(GridError):
@@ -93,7 +92,7 @@ def test_restrict_rejects_nonfinite():
 def test_json_round_trip_is_exact():
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
     rng = np.random.default_rng(3)
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     text = u.to_json()
     v = GridFunction.from_json(text)
     assert v.grid == u.grid
@@ -105,7 +104,7 @@ def test_json_round_trip_is_exact():
 
 def test_json_is_deterministic():
     g = DyadicGrid(level=1, dim=1, box_radius=1.0)
-    u = grid_function_from_flat(g, np.linspace(-1, 1, 5))
+    u = GridFunction(g, np.linspace(-1, 1, 5).reshape(g.shape))
     assert u.to_json() == u.to_json()
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
-                             restrict)
+from levyminmax import _kernels
+from levyminmax.grid import GridError, RegularityClass, SmoothFn
 from levyminmax.special import (DEFAULT_PAIR, DEFAULT_PHI, SClassFn,
                                 CutoffPair, eta0, phi0, taylor_cutoff,
-                                taylor_cutoff_discrete, validate_s_member)
+                                validate_s_member)
 
 
 def test_phi0_endpoints_and_symmetry():
@@ -31,6 +33,36 @@ def test_phi0_monotone_and_flat_tails():
     eps = 1e-4
     assert phi0(eps) / eps < 1e-9
     assert (1.0 - phi0(1.0 - eps)) / eps < 1e-9
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit (so 0.0 is not -0.0), NaN where want is NaN."""
+    got = np.atleast_1d(np.asarray(got, dtype=float))
+    want = np.atleast_1d(np.asarray(want, dtype=float))
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64),
+                               want[~nan].view(np.int64)))
+
+
+RAMP_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-310,
+              2.2250738585072014e-308, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+              float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(RAMP_EDGES),
+                          st.floats(-0.5, 1.5), st.floats()),
+                min_size=1, max_size=40))
+def test_phi0_is_the_kernel_ramp_bit_for_bit(ts):
+    want = [_kernels.ramp(t) for t in ts]
+    assert _same_bits(phi0(np.array(ts)), want)
+    assert _same_bits(phi0(np.array(ts).reshape(-1, 1)),
+                      np.reshape(want, (-1, 1)))
+    for t, w in zip(ts, want):
+        for arg in (t, np.float64(t), np.array(t)):
+            got = phi0(arg)
+            assert type(got) is float and _same_bits(got, w)
 
 
 def test_phi_rR_geometry():
@@ -167,18 +199,6 @@ def test_taylor_cutoff_fd_gradient_agrees_on_plateau():
     y = np.array([0.2, -0.2])
     want = u.grad(x) + u.hess(x) @ y
     assert np.allclose(T.grad(y), want, atol=1e-6)
-
-
-def test_taylor_cutoff_discrete_uses_stencils():
-    g = DyadicGrid(level=3, dim=1, box_radius=1.0)
-    u = restrict(SmoothFn(lambda x: float(np.exp(x[0]))), g)
-    T = taylor_cutoff_discrete(u, (0,), DEFAULT_PAIR, RegularityClass(2.5))
-    h = g.spacing
-    grad = (np.exp(h) - np.exp(-h)) / (2 * h)
-    hess = (np.exp(2 * h) - 2 * np.exp(h) + 1.0) / h ** 2
-    y = np.array([0.3])
-    want = 1.0 + grad * 0.3 + 0.5 * hess * 0.09
-    assert T.value(y) == pytest.approx(want, abs=1e-12)
 
 
 def test_custom_pair_changes_transition_band_only():

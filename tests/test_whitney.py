@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from levyminmax import _kernels
 from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
                                  value_field)
-from levyminmax.grid import (DyadicGrid, GridError, RegularityClass, SmoothFn,
-                             grid_function_from_flat, restrict)
-from levyminmax.whitney import (discrete_min_gradient_bound, extend,
-                                holder_norm, order_preservation_defect,
-                                project)
+from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
+                             RegularityClass, SmoothFn, restrict)
+from levyminmax.whitney import extend, order_preservation_defect, project
 
 QUAD = RegularityClass(2.5)
 
@@ -30,7 +28,7 @@ def test_extension_reproduces_node_values():
     rng = np.random.default_rng(21)
     for d in (1, 2, 3):
         g = DyadicGrid(level=2, dim=d, box_radius=1.0)
-        u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+        u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
         E = extend(u, QUAD)
         for idx in [(0,) * d, (1,) * d, (-g.half_count,) * d]:
             assert E(g.point_of(idx)) == u.value(idx)
@@ -111,8 +109,8 @@ def test_projection_snaps_where_the_extension_does():
     # but not in Euclidean distance: the extension blends there, so grad
     # and hess must not read the node's fields
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
-    u = grid_function_from_flat(
-        g, np.random.default_rng(29).standard_normal(g.node_count))
+    flat = np.random.default_rng(29).standard_normal(g.node_count)
+    u = GridFunction(g, flat.reshape(g.shape))
     P = extend(u, QUAD)
     node = g.point_of((1, -1))
     tol = _kernels.SNAP_TOL_UNIT * g.spacing
@@ -155,7 +153,7 @@ def test_extension_input_shapes():
 def test_reads_reject_a_point_of_the_wrong_dimension_or_not_finite(
         dim, read, point, message):
     g = DyadicGrid(level=2, dim=dim, box_radius=1.0)
-    E = extend(grid_function_from_flat(g, np.ones(g.node_count)), QUAD)
+    E = extend(GridFunction(g, np.ones(g.node_count).reshape(g.shape)), QUAD)
     with pytest.raises(GridError, match=message):
         getattr(E, read)(np.array(point))
 
@@ -163,8 +161,8 @@ def test_reads_reject_a_point_of_the_wrong_dimension_or_not_finite(
 @functools.cache
 def _extension(d, exponent):
     g = DyadicGrid(level=2, dim=d, box_radius=1.0)
-    u = grid_function_from_flat(
-        g, np.random.default_rng(40 + d).standard_normal(g.node_count))
+    flat = np.random.default_rng(40 + d).standard_normal(g.node_count)
+    u = GridFunction(g, flat.reshape(g.shape))
     return extend(u, RegularityClass(exponent)), dgrad_padded(u), dhess_padded(u)
 
 
@@ -227,7 +225,7 @@ def test_interp_poly_matches_manual_formula():
     # the kernel's polynomial anchored at a node, from the coefficient fields
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
     rng = np.random.default_rng(26)
-    u = grid_function_from_flat(g, rng.standard_normal(g.node_count))
+    u = GridFunction(g, rng.standard_normal(g.node_count).reshape(g.shape))
     idx = (1, -1)
     x = [0.3, -0.2]
     n = g.half_count + FIELD_MARGIN
@@ -313,37 +311,3 @@ def test_order_preservation_rejects_bad_ordering():
     with pytest.raises(GridError):
         order_preservation_defect(low, high, DyadicGrid(3, 1, 1.0),
                                   RegularityClass(1.5))
-
-
-def test_holder_norm_brackets_known_function():
-    f = SmoothFn(lambda x: float(np.sin(x[0])))
-    est = holder_norm(f, RegularityClass(1.0), dim=1, box_radius=1.0,
-                      samples=200, seed=4)
-    assert est.sup_norm <= 1.0 + 1e-9
-    assert est.seminorm <= 1.0 + 1e-3   # |sin|_{Lip} = 1, FD noise allowed
-    assert est.value >= 0.8             # sampled lower bound is not trivial
-
-
-def test_holder_norm_exact_hessian_has_no_seminorm():
-    f = _quad_fn()
-    est = holder_norm(f, QUAD, dim=2, box_radius=1.0, samples=100, seed=5)
-    assert est.derivative_order == 2
-    assert est.seminorm == 0.0
-
-
-def test_holder_norm_strict_class_skips_seminorm():
-    f = SmoothFn(lambda x: float(np.cos(x[0])))
-    est = holder_norm(f, RegularityClass(1.0, strict=True), dim=1, samples=50)
-    assert est.seminorm == 0.0
-    assert est.exponent == 0.0
-
-
-def test_discrete_min_gradient_bound_scales_with_spacing():
-    f = SmoothFn(lambda x: float(np.sum((x - 0.11) ** 2)))
-    ratios = []
-    for lev in (3, 4, 5):
-        g = DyadicGrid(level=lev, dim=2, box_radius=1.0)
-        rep = discrete_min_gradient_bound(restrict(f, g))
-        assert abs(rep.point[0] - 0.11) <= g.spacing
-        ratios.append(rep.ratio)
-    assert max(ratios) <= 2.0 + 1e-12
