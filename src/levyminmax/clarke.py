@@ -347,8 +347,7 @@ class CoefficientFields:
     Rows with the same offsets relative to their node and the same weights
     form one class.  row_class[i] is the first row of row i's class; only
     that row is decomposed, and decompositions[i] is its decomposition
-    rebased to node i (the residual is the first row's).  The fields at i
-    repeat the class values.
+    rebased to node i.  The fields at i repeat the class values.
     """
 
     grid: DyadicGrid
@@ -375,7 +374,8 @@ def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
     its diagonal so the zero-order part survives.  Each distinct row (same
     relative offsets and weights, bit for bit) is decomposed once; the
     other rows of its class share that decomposition, rebased to their own
-    node.
+    node.  The decompositions are not checked here; `representation_residual`
+    checks each class once.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     matrix = jacobian_at(op, v).matrix

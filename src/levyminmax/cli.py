@@ -39,6 +39,9 @@ OPERATOR_NAMES = ("laplace", "advect", "jump", "frac")
 # None for half the box).  The jump source's region keeps x + 1.2 e1 in the box.
 SOURCE_BOXES = {"identity": (1.0, None), "trace": (1.0, None),
                 "jump": (4.0, 0.5)}
+# decompose's grid flags and their values when unset; a --config row builds
+# no grid and refuses every one of them that is set
+GRID_FLAGS = {"operator": "laplace", "level": 4, "dim": 1, "beta": 1.0}
 
 
 def _grid(cmd: str, level: int, dim: int, box: float | None = None) -> DyadicGrid:
@@ -125,15 +128,24 @@ def _emit(report: dict, summary: str, out: str | None) -> None:
 def cmd_decompose(args) -> int:
     # a config row comes with no grid: it has a dimension but no level
     if args.config:
+        given = [k for k in GRID_FLAGS if getattr(args, k) is not None]
+        if given:
+            raise GridError(f"decompose --config builds no grid, so it takes "
+                            f"no --{given[0]}: the row file fixes the row")
         row = _row_from_config(args.config)
         name, level = "config", None
     else:
-        grid = _grid("decompose", args.level, args.dim)
-        op = _named_operator(args.operator, args.dim, args.beta, grid.spacing)
-        row = _kernel_row(levy_stencil(grid, op))
-        name, level = args.operator, args.level
+        name, level, dim, beta = (
+            GRID_FLAGS[k] if getattr(args, k) is None else getattr(args, k)
+            for k in GRID_FLAGS)
+        grid = _grid("decompose", level, dim)
+        row = _kernel_row(levy_stencil(
+            grid, _named_operator(name, dim, beta, grid.spacing)))
     dec = decompose(row)
-    residual = reconstruct_residual(row, dec, seed=args.seed)
+    # the seed-0 check is the report's residual; another seed adds its own
+    seed0 = reconstruct_residual(row, dec)
+    residual = seed0 if args.seed == 0 else reconstruct_residual(
+        row, dec, seed=args.seed)
     report = dec.report()
     report.update({
         "operator": name,
@@ -142,6 +154,7 @@ def cmd_decompose(args) -> int:
         "pitch": row.pitch,
         "delta_floor": dec.delta_floor,
         "atom_count": len(dec.atom_weights),
+        "residual": seed0,
         "reconstruction": residual,
     })
     ok = residual <= args.tol
@@ -310,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     # reads, so a flag it would ignore exits 2 as unrecognized
     optional = {
         "--dim": dict(type=int, default=1),
-        "--beta": dict(type=float, default=1.0,
+        "--beta": dict(type=float,
                        help="fractional order for the frac operator"),
         "--seed": dict(default=0, type=_checked(
             int, lambda v: v >= 0, "a non-negative integer")),
-        "--operator": dict(default="laplace"),
+        "--operator": dict(),
         "--config": dict(help="JSON file of extra inputs"),
     }
 
@@ -332,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("decompose", cmd_decompose,
             "split a stencil row into drift, diffusion, jumps", 1e-8,
-            ("--dim", "--beta", "--seed", "--operator", "--config"))
+            ("--dim", "--beta", "--seed", "--operator", "--config"),
+            **dict.fromkeys(GRID_FLAGS))
     command("minmax", cmd_minmax, "probe the min-max gap of an envelope",
             1e-8, ("--seed",))
     command("converge", cmd_converge, "surrogate consistency rate study",

@@ -31,22 +31,17 @@ ON_LATTICE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class RegularityClass:
-    """Smoothness label beta in (0,3), with a strict flag at integer values.
+    """Smoothness label beta in (0,3).
 
-    Non-strict integer exponents mean "derivatives up to beta-1 plus a
-    Lipschitz top derivative" (so beta=2 is C^{1,1}); the strict flag instead
-    reads an integer beta as "beta continuous derivatives, no seminorm".
-    The flag only matters for norm bookkeeping, never for stencil selection.
+    An integer exponent means "derivatives up to beta-1 plus a Lipschitz
+    top derivative", the paper's convention (so beta=2 is C^{1,1}).
     """
 
     exponent: float
-    strict: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.exponent < 3.0):
             raise GridError(f"regularity exponent must lie in (0,3), got {self.exponent}")
-        if self.strict and self.exponent != int(self.exponent):
-            raise GridError("strict flag is only meaningful at integer exponents")
 
     @property
     def case(self) -> int:
@@ -63,7 +58,7 @@ class RegularityClass:
         """Order m of the highest derivative carried by the class."""
         b = self.exponent
         if b == int(b):
-            return int(b) if self.strict else int(b) - 1
+            return int(b) - 1
         return int(math.floor(b))
 
     @property
@@ -71,7 +66,7 @@ class RegularityClass:
         """Seminorm exponent s of the top derivative; s=1 means Lipschitz."""
         b = self.exponent
         if b == int(b):
-            return 0.0 if self.strict else 1.0
+            return 1.0
         return b - math.floor(b)
 
 

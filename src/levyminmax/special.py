@@ -4,12 +4,12 @@ The base profile ``phi0`` is the classic exponential ramp
 q(t)/(q(t)+q(1-t)) with q(t)=exp(-1/t): smooth, nondecreasing, 0 below 0 and
 1 above 1.  It is ``_kernels.ramp`` on arrays, so the cube partition and
 the cutoffs share one ramp, bit for bit.  Everything else is built from
-it: the linear-to-flat profile ``eta0``, the admissible cutoff class
-``SClassFn`` (values in [0,1], equal to 1 near 0, supported in the ball of
-radius 2) with its reverse radial ramps ``from_psi`` and the shrinking pair
-members ``shrunk_unit`` and ``shrunk_origin``, with which ``courrege``
-splits a row into local and jump parts, and ``taylor_cutoff``, the
-cutoff-compensated Taylor polynomial of smooth data at a point.
+it: the admissible cutoff class ``SClassFn`` (values in [0,1], equal to 1
+near 0, supported in the ball of radius 2) with its reverse radial ramps
+``from_psi`` and the shrinking pair members ``shrunk_unit`` and
+``shrunk_origin``, with which ``courrege`` splits a row into local and jump
+parts, and ``taylor_cutoff``, the cutoff-compensated Taylor polynomial of
+smooth data at a point.
 """
 from __future__ import annotations
 
@@ -37,15 +37,6 @@ def phi0(t):
     inner = ~((t <= 0.0) | (t >= 1.0))
     out[inner] = [ramp(v) for v in t[inner].tolist()]
     return out
-
-
-def eta0(t):
-    """Smooth monotone profile: identity below 1/2, constant 1 above 1."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise GridError("eta0 is only defined for t >= 0")
-    blend = phi0((t - 0.5) * 2.0)
-    return t * (1.0 - blend) + blend
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,27 @@ class TestCoefficientFields:
         with pytest.raises(ClarkeError):
             coefficient_fields(lambda v: v, DyadicGrid(2, 1), np.zeros(17))
 
+    def test_fields_are_checked_once_per_class_and_only_on_request(
+            self, monkeypatch):
+        # decompose returns the normal form unchecked; the one check of a
+        # CoefficientFields is representation_residual, once per row class
+        calls = []
+
+        def counted(row, dec, **kwargs):
+            calls.append(row.base_point)
+            return reconstruct_residual(row, dec, **kwargs)
+        for module in ("courrege", "clarke"):
+            monkeypatch.setattr(f"levyminmax.{module}.reconstruct_residual",
+                                counted)
+        grid, m = laplacian_matrix(level=3)
+        op, v = linear_op(m), np.zeros(grid.node_count)
+        fields = coefficient_fields(op, grid, v)
+        assert calls == []
+        classes = np.unique(fields.row_class)
+        assert 1 < classes.size < grid.node_count
+        assert representation_residual(op, grid, v, fields=fields) < 1e-10
+        assert len(calls) == classes.size
+
 
 # --- coloured (column-grouped) Jacobians of local grid operators -----------
 

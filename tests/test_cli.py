@@ -54,12 +54,6 @@ def test_decompose_reads_row_from_config(tmp_path):
     assert rep["operator"] == "config"
     assert rep["A"] == [[1.0]]
     assert rep["dim"] == 1 and rep["level"] is None
-    # the config path builds no grid, so a level past the node budget is
-    # fine, and the report names no level
-    code, high = run(["decompose", "--config", str(cfg), "--level", "7"],
-                     tmp_path, "high.json")
-    assert code == 0
-    assert high["A"] == [[1.0]] and high["level"] is None
     # the report's dimension is the row's, not --dim's default
     plane = tmp_path / "row2.json"
     plane.write_text(json.dumps({
@@ -73,6 +67,41 @@ def test_decompose_reads_row_from_config(tmp_path):
     assert code == 0
     assert flat["dim"] == 2 and flat["level"] is None
     assert flat["A"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--level", "7"), ("--operator", "frac"), ("--dim", "1"), ("--beta", "0.5")])
+def test_decompose_config_refuses_a_grid_flag(tmp_path, capsys, flag, value):
+    # the config row builds no grid, so a grid flag would be dropped unread;
+    # it is refused by name instead, even at its default value
+    cfg = tmp_path / "row.json"
+    cfg.write_text(json.dumps({"base_point": [0.0], "offsets": [[0.0]],
+                               "weights": [-1.0]}))
+    out = tmp_path / "report.json"
+    assert main(["decompose", "--config", str(cfg), flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"takes no {flag}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, checks", [(0, 1), (3, 2)])
+def test_decompose_checks_the_row_once_per_seed(tmp_path, monkeypatch, seed,
+                                                checks):
+    # the seed-0 check is both "residual" and, at --seed 0, "reconstruction"
+    from levyminmax.courrege import reconstruct_residual
+    calls = []
+
+    def counted(row, dec, **kwargs):
+        calls.append(kwargs.get("seed", 0))
+        return reconstruct_residual(row, dec, **kwargs)
+    monkeypatch.setattr("levyminmax.cli.reconstruct_residual", counted)
+    monkeypatch.setattr("levyminmax.courrege.reconstruct_residual", counted)
+    code, rep = run(["decompose", "--operator", "jump", "--level", "4",
+                     "--seed", str(seed)], tmp_path)
+    assert code == 0 and len(calls) == checks
+    assert sorted(set(calls)) == sorted({0, seed})
+    assert (rep["residual"] == rep["reconstruction"]) == (seed == 0)
 
 
 def test_minmax_command_passes(tmp_path):
@@ -366,3 +395,25 @@ def test_frac_report_bytes_are_recorded(tmp_path, operator, argv, digest):
     text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
                   out.read_text())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_report_bytes_off_the_seed_zero_grid_path_are_recorded(tmp_path):
+    # sha256 digests, timestamp blanked, recorded before the decomposition
+    # stopped storing its own residual: a second-seed check, and a config
+    # row with no off-centre atom (the schedule's empty-row case)
+    centre = tmp_path / "centre.json"
+    centre.write_text(json.dumps({"base_point": [0.0, 0.0],
+                                  "offsets": [[0.0, 0.0]], "weights": [-0.5]}))
+    cases = [
+        (["--operator", "frac", "--dim", "1", "--level", "6", "--beta", "0.6",
+          "--seed", "3"],
+         "c6450b2d62c8418ca29ab17a830697f5c65a0194ce7cc1910ce52bf408125661"),
+        (["--config", str(centre)],
+         "f0742c0aca1f812b1931b0dbf7085665f648b630a5a9021029f1a54edfbc25cb"),
+    ]
+    out = tmp_path / "report.json"
+    for argv, digest in cases:
+        assert main(["decompose"] + argv + ["--out", str(out)]) == 0
+        text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
+                      out.read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

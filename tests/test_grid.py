@@ -137,12 +137,8 @@ def test_regularity_class_cases():
 def test_regularity_class_integer_semantics():
     c11 = RegularityClass(2.0)
     assert c11.derivative_order == 1 and c11.holder_exponent == 1.0
-    c2 = RegularityClass(2.0, strict=True)
-    assert c2.derivative_order == 2 and c2.holder_exponent == 0.0
     frac = RegularityClass(2.5)
     assert frac.derivative_order == 2 and frac.holder_exponent == 0.5
-    with pytest.raises(GridError):
-        RegularityClass(2.5, strict=True)
 
 
 def test_smooth_fn_missing_derivatives_raise():

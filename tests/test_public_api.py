@@ -35,3 +35,24 @@ def test_no_module_imports_a_name_it_never_uses():
                     if bound not in used:
                         unused.append(f"{path.name}:{stmt.lineno} {bound}")
     assert unused == []
+
+
+def test_frozen_objects_are_written_only_in_post_init():
+    # object.__setattr__ on a frozen dataclass is how __post_init__ stores
+    # its normalized fields; anywhere else it mutates a finished value
+    package = pathlib.Path(levyminmax.__file__).parent
+    writes = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node)
+                   for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and func.name == "__post_init__"
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"
+                    and id(node) not in allowed):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []

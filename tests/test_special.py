@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from levyminmax import _kernels
 from levyminmax.grid import GridError, RegularityClass, SmoothFn
 from levyminmax.special import (DEFAULT_PAIR, DEFAULT_PHI, SClassFn,
-                                CutoffPair, eta0, phi0, taylor_cutoff,
+                                CutoffPair, phi0, taylor_cutoff,
                                 validate_s_member)
 
 
@@ -95,19 +95,6 @@ def test_eta_delta_bands_and_monotonicity():
     small = SClassFn.shrunk_origin(0.05)(pts)
     large = SClassFn.shrunk_origin(0.2)(pts)
     assert np.all(large - small >= -1e-12)
-
-
-def test_eta0_profile():
-    assert eta0(0.3) == 0.3
-    assert eta0(0.49) == 0.49
-    assert eta0(1.0) == 1.0
-    assert eta0(7.0) == 1.0
-    t = np.linspace(0.0, 2.0, 201)
-    v = eta0(t)
-    assert np.all(np.diff(v) >= -1e-15)
-    assert np.all(v <= 1.0 + 1e-15)
-    with pytest.raises(GridError):
-        eta0(-0.1)
 
 
 def test_s_class_membership_of_defaults():
