@@ -1,12 +1,20 @@
 """Hot kernels: cube cover queries, partition weights, extension evaluation.
 
-Single source of truth for the lattice-periodic cube geometry, written as
-plain Python over floats, ints and tuples.  All arithmetic is dyadic-exact:
-sides are powers of two, cube corners are integer multiples of the side.
-The extension blend receives its polynomial coefficients (value, gradient
-and Hessian fields from `calculus`) as flat lists and computes no stencils.
-`extend_point` is the one blend, at one point given as a list of floats;
-`extend_many` is the loop of it over the rows of an array.
+Single source of truth for the lattice-periodic cube geometry.  The scalar
+forms (`cover`, `partition_point`, `extend_point`) are plain Python over
+floats, ints and tuples; the batch forms (`partition_batch`,
+`extend_batch`) run the same cover and blend in NumPy over all the rows of
+an (m, d) array at once and equal the scalar forms row by row, bit for bit.
+All arithmetic is dyadic-exact: sides are powers of two, cube corners are
+integer multiples of the side.  The extension blend receives its polynomial
+coefficients (value, gradient and Hessian fields from `calculus`) as flat
+fields and computes no stencils; `_poly_eval` and the weighted sum are the
+same code on one point's floats and on a batch's per-axis arrays.
+`extend_many` is the loop of `extend_point` over the rows of an array.
+
+A batch call costs a fixed amount of NumPy set-up, so batches below
+BATCH_MIN rows stay on the scalar loop (`partition_sums`,
+`whitney.ExtendedFn.values`).
 
 Geometry, in lattice units (spacing 1, lattice = the integer points):
 cell-local cubes of generation k have side 2**-k inside [-1/2, 1/2]^d and a
@@ -197,29 +205,34 @@ def cover(xi, d):
     return found
 
 
+def partition_point(x, d, h):
+    """Raw bump total and normalized weight total at one physical point x
+    (d floats): (-1, -1) within the snap tolerance of a node."""
+    xi = [v / h for v in x]
+    if snapped_node(xi) is not None:
+        return -1.0, -1.0
+    weights = [w for _, _, _, w in cover(xi, d)]
+    raw = 0.0
+    for w in weights:
+        raw += w
+    norm = 0.0
+    if raw > 0.0:
+        for w in weights:
+            norm += w / raw
+    return raw, norm
+
+
 def partition_sums(pts, h, d):
-    """Raw bump total and normalized weight total per point (unit-frame scale h).
+    """`partition_point` at each row of the (m, d) array pts, shape (m, 2).
 
     Column 0 is the sum of bump weights over active cubes (coverage demands
     >= 1); column 1 the sum of normalized partition weights (1 in floats).
-    Points within the snap tolerance of a node get the sentinel (-1, -1).
+    Batches of BATCH_MIN rows or more run `partition_batch`.
     """
-    out = []
-    for row in pts.tolist():
-        xi = [v / h for v in row]
-        if snapped_node(xi) is not None:
-            out.append((-1.0, -1.0))
-            continue
-        weights = [w for _, _, _, w in cover(xi, d)]
-        raw = 0.0
-        for w in weights:
-            raw += w
-        norm = 0.0
-        if raw > 0.0:
-            for w in weights:
-                norm += w / raw
-        out.append((raw, norm))
-    return np.array(out, dtype=float).reshape(-1, 2)
+    if len(pts) >= BATCH_MIN:
+        return partition_batch(pts, h, d)
+    return np.array([partition_point(x, d, h) for x in pts.tolist()],
+                    dtype=float).reshape(-1, 2)
 
 
 def _pos(n_half, z):
@@ -284,3 +297,209 @@ def extend_many(pts, coeffs, n_half, d, h):
     """`extend_point` at each row of the (m, d) array pts."""
     return np.array([extend_point(x, coeffs, n_half, d, h)
                      for x in pts.tolist()], dtype=float)
+
+
+# --- batch forms --------------------------------------------------------------
+
+# Measured crossover: below this many rows the per-point loop beats the
+# fixed NumPy cost of a batch call (CHANGES.md has the timings).
+BATCH_MIN = 64
+# Unit-frame coordinates below 2**25 keep q = v * 2**k (k <= 28 off the snap
+# tolerance) and every index the cover derives from it exact integers in
+# floats; the rare row beyond takes the scalar kernel.
+EXACT_UNIT = 2.0 ** 25
+# Rows per pass through the cover: bounds the batch's working arrays.
+CHUNK_ROWS = 1 << 14
+
+
+@functools.cache
+def _kept_table(d):
+    """`_kept_indices` as a read-only flat boolean table over [-b-1, b]^d
+    (C order, width 2 b + 2), and b."""
+    b = math.isqrt(16 * d - 1)
+    width = 2 * b + 2
+    table = np.zeros(width ** d, dtype=bool)
+    for m in _kept_indices(d):
+        pos = 0
+        for mi in m:
+            pos = pos * width + mi + b + 1
+        table[pos] = True
+    table.setflags(write=False)
+    return table, b
+
+
+def _split(pts, h):
+    """Unit-frame points of the (m, d) array pts, their nearest nodes and the
+    squared distances to them, as `snapped_node` and `cover` compute them."""
+    xi = pts / h
+    z = np.floor(xi + 0.5)
+    r = xi - z
+    d2 = r[:, 0] * r[:, 0]
+    for i in range(1, xi.shape[1]):
+        d2 = d2 + r[:, i] * r[:, i]
+    return xi, z, d2
+
+
+def _cover_slots(xi, d2, d):
+    """`cover` at every row of the unit-frame array xi at once.
+
+    Rows lie off the snap tolerance (d2, their squared lattice distance, is
+    at least SNAP_TOL_UNIT**2) and within EXACT_UNIT.  A slot is one of the
+    window's 3 generations and one of the 2**d combinations of per-axis
+    candidates.  Yields, per generation, (rows, cells, w, cuts): the slots
+    of that generation in `cover`'s order (earlier axes fastest), slot t
+    holding entries cuts[t]:cuts[t + 1].  An entry is a row that holds a
+    kept, positive-weight cube in that slot, its d cell coordinates
+    (integer-valued float arrays) and its weight; a row holds at most one
+    entry per slot.  Generations come in ascending order, so a row's entries
+    come in the order `cover` lists its cubes.
+    """
+    k0 = 0.5 * np.log(d / d2) / math.log(2.0)
+    kmin = np.maximum(np.ceil(k0 - 0.1), 1.0)
+    kmax = np.minimum(np.floor(k0) + 2.0, KMAX)
+    table, b = _kept_table(d)
+    width = 2 * b + 2
+    for j in range(3):
+        sub = np.flatnonzero(kmin + j <= kmax)
+        k = (kmin[sub] + j).astype(np.int64)
+        s = np.ldexp(1.0, -k)
+        pk = np.ldexp(1.0, k)
+        # per axis, two candidate slots: (-1, 0) below the 1/16 gate, (0, 1)
+        # above the 15/16 gate, (0, absent) between
+        axes = []
+        for i in range(d):
+            v = xi[sub, i]
+            q = v / s
+            base = np.floor(q)
+            frac = q - base
+            low = frac < 0.0625
+            high = frac > 0.9375
+            cands = []
+            for off, wall, w in ((np.where(low, -1.0, 0.0), low,
+                                  np.ones(sub.size)),
+                                 (np.where(high, 1.0, 0.0), high,
+                                  (low | high).astype(float))):
+                mg = base + off
+                ci = mg * s + 0.5 * s
+                # the neighbour's weight: the scalar bump, as in `cover`
+                w[wall] = [bump1(t) for t in
+                           ((v[wall] - ci[wall]) / s[wall]).tolist()]
+                zi = np.floor(ci + 0.5)
+                # cell-local index, shifted into the table's range [0, width)
+                ml = mg - zi * pk + (b + 1)
+                cands.append((w, zi, ml, (w > 0.0) & (ml >= 0.0) & (ml < width)))
+            axes.append(cands)
+        parts = []
+        for c in range(1 << d):
+            pick = [axes[i][(c >> i) & 1] for i in range(d)]
+            ok = pick[0][3]
+            for _, _, _, oki in pick[1:]:
+                ok = ok & oki
+            rows = np.flatnonzero(ok)
+            flat = pick[0][2][rows]
+            for _, _, ml, _ in pick[1:]:
+                flat = flat * width + ml[rows]
+            rows = rows[table[flat.astype(np.intp)]]
+            # weights multiply left to right, as in `cover`
+            w = pick[0][0][rows]
+            for wi, _, _, _ in pick[1:]:
+                w = w * wi[rows]
+            parts.append((rows, [zi[rows] for _, zi, _, _ in pick], w))
+        rows = np.concatenate([r for r, _, _ in parts])
+        cells = [np.concatenate([cs[i] for _, cs, _ in parts])
+                 for i in range(d)]
+        cuts = np.cumsum([0] + [r.size for r, _, _ in parts]).tolist()
+        yield sub[rows], cells, np.concatenate([w for _, _, w in parts]), cuts
+
+
+def _pos_many(n_half, cells):
+    """`_pos` of the nodes given by d integer-valued float arrays: int64
+    positions, -1 outside the field."""
+    inside = np.abs(cells[0]) <= n_half
+    for z in cells[1:]:
+        inside &= np.abs(z) <= n_half
+    pos = np.zeros(inside.size, dtype=np.int64)
+    for z in cells:
+        pos = pos * (2 * n_half + 1) + np.where(inside, z, 0.0).astype(np.int64) \
+            + n_half
+    return np.where(inside, pos, -1)
+
+
+def _regular_rows(xi, d2):
+    """Rows off the snap tolerance, split into those within EXACT_UNIT and
+    the others (non-finite ones included, which the scalar kernel refuses)."""
+    off = ~(d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT)
+    near = np.max(np.abs(xi), axis=1) < EXACT_UNIT
+    return np.flatnonzero(off & near), np.flatnonzero(off & ~near)
+
+
+def _partition_rows(xi, d2, d):
+    """(raw, norm) columns at rows off the snap tolerance and within
+    EXACT_UNIT, given in the unit frame."""
+    raw = np.zeros(len(xi))
+    gens = []
+    for r, _, w, cuts in _cover_slots(xi, d2, d):
+        for lo, hi in zip(cuts, cuts[1:]):
+            raw[r[lo:hi]] += w[lo:hi]
+        gens.append((r, w, cuts))
+    norm = np.zeros(len(xi))
+    for r, w, cuts in gens:
+        for lo, hi in zip(cuts, cuts[1:]):
+            norm[r[lo:hi]] += w[lo:hi] / raw[r[lo:hi]]
+    return np.column_stack([raw, norm])
+
+
+def partition_batch(pts, h, d):
+    """`partition_point` at every row of the (m, d) array pts, in NumPy."""
+    xi, _, d2 = _split(pts, h)
+    out = np.full((len(pts), 2), -1.0)
+    rows, far = _regular_rows(xi, d2)
+    for r in far.tolist():
+        out[r] = partition_point(pts[r].tolist(), d, h)
+    for lo in range(0, rows.size, CHUNK_ROWS):
+        part = rows[lo:lo + CHUNK_ROWS]
+        out[part] = _partition_rows(xi[part], d2[part], d)
+    return out
+
+
+def _extend_rows(pts, xi, d2, coeffs, n_half, d, h):
+    """The blend at rows off the snap tolerance and within EXACT_UNIT, given
+    as physical points pts and unit-frame points xi."""
+    x = [pts[:, i] for i in range(d)]
+    num = np.zeros(len(pts))
+    den = np.zeros(len(pts))
+    for r, cells, w, cuts in _cover_slots(xi, d2, d):
+        p = _pos_many(n_half, cells)
+        a = np.flatnonzero(p >= 0)
+        pj = np.zeros(r.size)
+        pj[a] = _poly_eval(coeffs, p[a], d, h, [c[a] for c in cells],
+                           [xk[r[a]] for xk in x])
+        for lo, hi in zip(cuts, cuts[1:]):
+            num[r[lo:hi]] += w[lo:hi] * pj[lo:hi]
+            den[r[lo:hi]] += w[lo:hi]
+    val = np.full(len(pts), math.nan)
+    np.divide(num, den, out=val, where=den > 0.0)
+    return val
+
+
+def extend_batch(pts, coeffs, n_half, d, h):
+    """`extend_point` at every row of the (m, d) array pts, in NumPy.
+
+    coeffs are the flat fields of `extend_point` (arrays, or sequences
+    converted here).  Rows go through the cover CHUNK_ROWS at a time, and
+    num and den accumulate one cover slot at a time.
+    """
+    coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+    xi, z, d2 = _split(pts, h)
+    out = np.empty(len(pts))
+    node = np.flatnonzero(d2 < SNAP_TOL_UNIT * SNAP_TOL_UNIT)
+    p = _pos_many(n_half, [z[node, i] for i in range(d)])
+    out[node] = np.where(p >= 0, coeffs[0][p], 0.0)
+    rows, far = _regular_rows(xi, d2)
+    for r in far.tolist():
+        out[r] = extend_point(pts[r].tolist(), coeffs, n_half, d, h)
+    for lo in range(0, rows.size, CHUNK_ROWS):
+        part = rows[lo:lo + CHUNK_ROWS]
+        out[part] = _extend_rows(pts[part], xi[part], d2[part], coeffs,
+                                 n_half, d, h)
+    return out

@@ -155,9 +155,6 @@ class CourregeDecomposition:
     atom_weights: np.ndarray
     gcp: bool
     delta_floor: float
-    schedule_deltas: np.ndarray
-    schedule_drifts: np.ndarray
-    schedule_diffusions: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -266,12 +263,12 @@ def decompose(row: RowFunctional, tol: float = SCHEDULE_TOL) -> CourregeDecompos
     """Run the shrinking-cutoff schedule and assemble the normal form.
 
     The schedule walks delta = 2**-k from 1/8 down to the floor near twice
-    the kernel pitch, recording the cutoff drift and diffusion at each
-    scale.  The drift must stabilize onto the open-unit-ball indicator sum
-    within tol; the diffusion is reported at the floor, where the origin
-    cutoff still sees the near atoms.  Jumps keep every off-center atom
-    (none: the schedule runs k = 3, 4).  The normal form is returned
-    unchecked; `reconstruct_residual` checks it against the row.
+    the kernel pitch; it needs the cutoff sums at two scales only.  The
+    drift at its last two steps must stabilize onto the open-unit-ball
+    indicator sum within tol; the diffusion is reported at the floor, where
+    the origin cutoff still sees the near atoms.  Jumps keep every
+    off-center atom (none: the schedule runs k = 3, 4).  The normal form is
+    returned unchecked; `reconstruct_residual` checks it against the row.
     """
     offs, wts = row.jump_part()
     # Diffusion floor: delta near twice the pitch, so the origin cutoff is
@@ -291,30 +288,23 @@ def decompose(row: RowFunctional, tol: float = SCHEDULE_TOL) -> CourregeDecompos
 
     # one step past the drift floor, so stabilization shows up as a vanishing
     # successive difference
-    deltas, drifts, diffusions = [], [], []
-    for k in range(SCHEDULE_START, max(k_diffusion, k_drift + 1) + 1):
-        delta = 2.0 ** -k
-        deltas.append(delta)
-        drifts.append(b_of(row, SClassFn.shrunk_unit(delta)))
-        diffusions.append(a_of(row, SClassFn.shrunk_origin(delta)))
-
+    k_last = max(k_diffusion, k_drift + 1)
+    before, last = (b_of(row, SClassFn.shrunk_unit(2.0 ** -k))
+                    for k in (k_last - 1, k_last))
     b_exact = np.asarray((wts * inside) @ offs, dtype=float)
     scale = max(1.0, float(np.abs(wts) @ np.max(np.abs(offs), axis=1)))
-    gap = float(np.max(np.abs(drifts[-1] - b_exact)))
-    step = float(np.max(np.abs(drifts[-1] - drifts[-2])))
+    gap = float(np.max(np.abs(last - b_exact)))
+    step = float(np.max(np.abs(last - before)))
     if not (gap <= tol * scale and step <= tol * scale):
         raise CourregeError(
             "drift schedule did not stabilize onto the unit-ball convention "
             f"(gap {gap:.3e})")
 
-    floor_index = k_diffusion - SCHEDULE_START
+    delta_floor = 2.0 ** -k_diffusion
     return CourregeDecomposition(
         base_point=row.base_point,
-        a_matrix=diffusions[floor_index],
+        a_matrix=a_of(row, SClassFn.shrunk_origin(delta_floor)),
         drift=b_exact,
         zero_order=c_of(row),
         atoms=offs, atom_weights=wts,
-        gcp=is_gcp(row), delta_floor=deltas[floor_index],
-        schedule_deltas=np.array(deltas),
-        schedule_drifts=np.array(drifts),
-        schedule_diffusions=np.array(diffusions))
+        gcp=is_gcp(row), delta_floor=delta_floor)

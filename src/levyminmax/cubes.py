@@ -134,18 +134,40 @@ def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
     return out
 
 
+def _check_query(d: int, spacing) -> float:
+    """The spacing of a cover query in dimension d, as a float.
+
+    Raises CubeError naming the input unless d is 1, 2 or 3 (the cover's
+    generation window is proved for d <= 3) and the spacing is positive and
+    finite.
+    """
+    if d not in (1, 2, 3):
+        raise CubeError(f"dim must be 1, 2 or 3, got {d}")
+    spacing = float(spacing)
+    if not (spacing > 0.0 and math.isfinite(spacing)):
+        raise CubeError(f"spacing must be positive and finite, got {spacing}")
+    return spacing
+
+
+def _not_finite(x: np.ndarray, spacing: float) -> CubeError:
+    return CubeError(f"point {x.tolist()} is not finite in lattice units "
+                     f"of spacing {spacing}")
+
+
 def cubes_at(x, spacing: float = 1.0) -> CubeCover:
     """Every kept cube whose bump is positive at x (any cell, any generation).
 
     Raises CubeError when x sits on a lattice node (tolerance 1e-13) or so
-    close to one that the generation cap cannot resolve the cover.
+    close to one that the generation cap cannot resolve the cover, and, as
+    `partition_raw_sums` does, for a dimension other than 1, 2 or 3, a
+    spacing that is not positive and finite, or a point that is not finite
+    in lattice units.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
-    if d not in (1, 2, 3):
-        raise CubeError(f"dim must be 1, 2 or 3, got {d}")
-    if spacing <= 0.0:
-        raise CubeError("spacing must be positive")
+    spacing = _check_query(d, spacing)
+    if not all(math.isfinite(v / spacing) for v in x.tolist()):
+        raise _not_finite(x, spacing)
     xi = x / spacing
     znear = np.floor(xi + 0.5)
     delta_unit = math.sqrt(float(np.sum((xi - znear) ** 2)))
@@ -167,10 +189,21 @@ def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
 
     Column 0 must be >= 1 for every covered off-lattice point; column 1 is
     the normalized total (1 up to float rounding).  Points snapping to a
-    node carry the sentinel -1 in both columns.
+    node carry the sentinel -1 in both columns.  Raises CubeError naming the
+    input for points that do not form an (n, d) array with d = 1, 2 or 3, a
+    spacing that is not positive and finite, or a point that is not finite
+    in lattice units.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _kernels.partition_sums(pts, float(spacing), pts.shape[1])
+    if pts.ndim != 2:
+        raise CubeError(f"points must form an (n, d) array, got shape "
+                        f"{pts.shape}")
+    spacing = _check_query(pts.shape[1], spacing)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(pts / spacing)
+    if not finite.all():
+        raise _not_finite(pts[int(np.argmin(finite.all(axis=1)))], spacing)
+    return _kernels.partition_sums(pts, spacing, pts.shape[1])
 
 
 def uncovered_volume(dim: int, max_generation: int) -> float:

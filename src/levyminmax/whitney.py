@@ -17,7 +17,9 @@ coincide with classical finite-difference schemes.
 One-point reads skip the batch API: a point becomes d validated Python
 floats once, `value` is one `_kernels.extend_point` call on them, and
 `grad`/`hess` at a node index the fields with plain ints.  `values` loops
-the same kernel over a batch, so both give the same bits.
+the same kernel over a batch below `_kernels.BATCH_MIN` points and runs
+its NumPy batch form `extend_batch` from there on; all three give the same
+bits at a point.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ class ExtendedFn:
         return dhess_padded(self.node_data)
 
     @cached_property
-    def _coeffs(self) -> list:
+    def _fields(self) -> list:
         """Flat value, gradient and Hessian fields, as far as the case blends."""
         case = self.cls.case
         fields = [self.value_field]
@@ -81,7 +83,12 @@ class ExtendedFn:
             fields.append(self.grad_field)
         if case >= 2:
             fields.append(self.hess_field)
-        return [f.ravel().tolist() for f in fields]
+        return [f.ravel() for f in fields]
+
+    @cached_property
+    def _coeffs(self) -> list:
+        """`_fields` as lists of Python floats, for the scalar kernel."""
+        return [f.tolist() for f in self._fields]
 
     def values(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -94,8 +101,12 @@ class ExtendedFn:
         if not finite.all():
             bad = pts[int(np.argmin(finite.all(axis=1)))]
             raise GridError(f"non-finite point {bad.tolist()}")
-        out = _kernels.extend_many(pts, self._coeffs, self.field_half, d,
-                                   self.spacing)
+        if len(pts) < _kernels.BATCH_MIN:
+            out = _kernels.extend_many(pts, self._coeffs, self.field_half, d,
+                                       self.spacing)
+        else:
+            out = _kernels.extend_batch(pts, self._fields, self.field_half, d,
+                                        self.spacing)
         if np.any(np.isnan(out)):
             bad = pts[int(np.argmax(np.isnan(out)))]
             raise GridError(f"no active cube at {bad.tolist()}; cover failed")

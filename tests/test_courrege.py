@@ -155,11 +155,10 @@ class TestDecompose:
         assert dec.zero_order == 0.0
         assert reconstruct_residual(row, dec) < 1e-12
 
-    def test_schedule_is_recorded_and_constant_here(self):
+    def test_floor_diffusion_and_drift_of_a_fine_second_difference(self):
         dec = decompose(second_difference_row(2.0 ** -6, 1))
-        assert dec.schedule_deltas.tolist() == [0.125, 0.0625, 0.03125]
-        assert np.allclose(dec.schedule_diffusions, 1.0)
-        assert np.array_equal(dec.schedule_drifts, np.zeros((3, 1)))
+        assert np.allclose(dec.a_matrix, 1.0)
+        assert np.array_equal(dec.drift, np.zeros(1))
         assert dec.delta_floor == 0.03125
 
     def test_signed_row_decomposes_with_gcp_flag_down(self):
@@ -203,11 +202,10 @@ class TestDecompose:
         dec = decompose(row)
         assert dec.zero_order == -3.0
         assert dec.atoms.shape == (0, 2)
-        # no off-centre atom: the general schedule runs its two steps
+        # no off-centre atom: the general schedule, floor at its first step
         assert np.array_equal(dec.a_matrix, np.zeros((2, 2)))
         assert np.array_equal(dec.drift, np.zeros(2))
         assert dec.delta_floor == 0.125
-        assert dec.schedule_deltas.tolist() == [0.125, 0.0625]
         assert reconstruct_residual(row, dec) < 1e-15
 
     def test_random_signed_rows_reconstruct_exactly(self):

@@ -133,6 +133,28 @@ def test_partition_raw_sums_bulk():
         assert np.allclose(sums[ok, 1], 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("points, spacing, names", [
+    (np.full((2, 4), 0.3), 1.0, "dim must be 1, 2 or 3, got 4"),
+    (np.zeros((3, 0)), 1.0, "dim must be 1, 2 or 3, got 0"),
+    (np.zeros((2, 2, 2)), 1.0, r"\(n, d\) array, got shape \(2, 2, 2\)"),
+    (np.array([[0.3, 0.1]]), -1.0, "spacing must be positive and finite, got -1.0"),
+    (np.array([[0.3, 0.1]]), 0.0, "spacing must be positive and finite, got 0.0"),
+    (np.array([[0.3, 0.1]]), math.inf, "got inf"),
+    (np.array([[0.3, 0.1]]), math.nan, "got nan"),
+    (np.array([[0.3, 0.1], [0.2, math.nan]]), 1.0, r"point \[0.2, nan\] is not finite"),
+    (np.array([[math.inf]]), 0.5, r"point \[inf\] is not finite"),
+    (np.array([[1e300, 0.1]]), 1e-10, r"point \[1e\+300, 0.1\] is not finite in lattice units"),
+], ids=["4-d", "0-d", "3-axis array", "negative spacing", "zero spacing",
+        "infinite spacing", "NaN spacing", "NaN coordinate", "inf coordinate",
+        "overflow in lattice units"])
+def test_partition_raw_sums_refuses_what_cubes_at_refuses(points, spacing, names):
+    with pytest.raises(CubeError, match=names):
+        partition_raw_sums(points, spacing)
+    if points.ndim == 2 and points.shape[0]:
+        with pytest.raises(CubeError, match=names):
+            cubes_at(points[-1], spacing)
+
+
 @st.composite
 def off_lattice_points(draw):
     """(point, spacing): a node plus an offset, some within 2^-20 of it.

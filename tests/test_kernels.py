@@ -3,7 +3,11 @@
 The expected values below were recorded from the kernel as it stood before
 its rewrite to plain Python and are stored as hex floats.
 """
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyminmax import _kernels
 from levyminmax.calculus import (FIELD_MARGIN, dgrad_padded, dhess_padded,
@@ -203,10 +207,13 @@ def test_kernels_match_recorded_values():
         fields = [value_field(u), dgrad_padded(u), dhess_padded(u)]
         for case in (0, 1, 2):
             coeffs = [f.ravel().tolist() for f in fields[:case + 1]]
-            got = _kernels.extend_many(pts, coeffs, n_half + FIELD_MARGIN, d, h)
-            assert _close(got, EXTEND[d][case]), (d, case)
-        got = _kernels.partition_sums(pts, h, d)
-        assert _close(got.ravel(), [v for pair in PSUMS[d] for v in pair]), d
+            for extend in (_kernels.extend_many, _kernels.extend_batch):
+                got = extend(pts, coeffs, n_half + FIELD_MARGIN, d, h)
+                assert _close(got, EXTEND[d][case]), (d, case, extend)
+        for sums in (_kernels.partition_sums, _kernels.partition_batch):
+            got = sums(pts, h, d)
+            assert _close(got.ravel(), [v for pair in PSUMS[d] for v in pair]), \
+                (d, sums)
         for p, want in zip(pts, COVERS[d]):
             got = _kernels.cover((p / h).tolist(), d)
             assert [c[:3] for c in got] == [c[:3] for c in want], (d, p)
@@ -231,3 +238,87 @@ def test_bump_profile():
     assert _kernels.bump1(1.0) == 0.0
     assert 0.0 < _kernels.bump1(0.53) < 1.0
     assert _kernels.ramp(0.5) == 0.5
+
+
+@st.composite
+def batches(draw):
+    """(d, case, h, n, coeffs, pts): random flat fields of half-width n and
+    a batch of physical points of mixed kinds, possibly empty.
+
+    Hypothesis draws the structure (dimension, case, kinds, nodes,
+    generations); the seeded generator draws the continuous offsets."""
+    d = draw(st.integers(1, 3))
+    case = draw(st.integers(0, 2))
+    h = draw(st.sampled_from([1.0, 0.5, 2.0 ** -3]))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    size = (2 * n + 1) ** d
+    coeffs = [rng.standard_normal(size * d ** j) for j in range(case + 1)]
+    node = st.lists(st.integers(-n - 3, n + 3), min_size=d, max_size=d)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["uniform", "outside", "snap", "3e-9", "1e-7", "gate", "corner",
+             "three", "far"]), max_size=24)):
+        z = np.array(draw(node), dtype=float)
+        # offsets from the seeded generator: many distinct bump arguments
+        u = rng.uniform(-1.0, 1.0, size=d)
+        if kind == "uniform":      # anchors inside and beyond the field
+            xi = z + 0.5 * u
+        elif kind == "outside":    # well outside the field
+            xi = z + (n + 6) * np.sign(u + 0.5) + 0.5 * u
+        elif kind == "snap":       # within the snap radius of a node
+            xi = z + 0.4 * _kernels.SNAP_TOL_UNIT * u
+        elif kind in ("3e-9", "1e-7"):   # either side of the snap radius
+            xi = z + float(kind) * np.where(u < 0.0, -1.0, 1.0)
+        elif kind in ("gate", "corner"):
+            # on a 1/16 gate of a generation-k side on one axis, or inside
+            # the gates of every axis, where 2**d cubes overlap
+            k = draw(st.integers(1, 6))
+            side = 2.0 ** -k
+            cell = np.floor(0.5 * u / side)
+            if kind == "corner":
+                f = rng.uniform(0.0, 0.0625, size=d)
+                xi = z + (cell + np.where(u < 0.0, f, 1.0 - f)) * side
+            else:
+                g = draw(st.sampled_from([0.0625, 0.9375]))
+                axis = draw(st.integers(0, d - 1))
+                xi = z + 0.5 * u
+                xi[axis] = z[axis] + (cell[axis] + g) * side
+        elif kind == "three":      # lattice distance with k0 - floor(k0) <= 0.1
+            k0 = draw(st.integers(1, 20)) + draw(st.floats(0.0, 0.1))
+            direction = np.where(u < 0.0, u - 1.0, u + 1.0)
+            xi = z + direction / np.linalg.norm(direction) \
+                * math.sqrt(d) * 2.0 ** -k0
+        else:                      # beyond EXACT_UNIT = 2**25 lattice units
+            xi = z + 0.5 * u
+            xi[0] += draw(st.sampled_from([-2.0 ** 27, 2.0 ** 25, 2.0 ** 53]))
+        rows.append(xi * h)
+    pts = np.array(rows, dtype=float).reshape(len(rows), d)
+    return d, case, h, n, coeffs, pts
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(batches())
+def test_batch_forms_are_the_scalar_kernels_bit_for_bit(data):
+    # the batch forms run at any size here, m = 0 and m = 1 included, so both
+    # sides of BATCH_MIN are checked against the per-row scalar kernels
+    d, case, h, n, coeffs, pts = data
+    xi, _, d2 = _kernels._split(pts, h)
+    rows, _ = _kernels._regular_rows(xi, d2)
+    got = [[] for _ in rows]
+    for r, cells, w, _ in _kernels._cover_slots(xi[rows], d2[rows], d):
+        for t, i in enumerate(r.tolist()):
+            got[i].append(([float(c[t]) for c in cells], w[t].hex()))
+    want = [[([float(c) for c in cell], w.hex())
+             for cell, _, _, w in _kernels.cover(x, d)]
+            for x in xi[rows].tolist()]
+    assert got == want
+    lists = [c.tolist() for c in coeffs]
+    want = np.array([_kernels.extend_point(x, lists, n, d, h)
+                     for x in pts.tolist()], dtype=float)
+    got = _kernels.extend_batch(pts, coeffs, n, d, h)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    want = np.array([_kernels.partition_point(x, d, h) for x in pts.tolist()],
+                    dtype=float).reshape(-1, 2)
+    got = _kernels.partition_batch(pts, h, d)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -221,6 +221,21 @@ def test_one_point_reads_are_the_batch_kernel_bit_for_bit(case):
     assert _same(E.hess(x), want_hess)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_values_are_the_one_point_reads_bit_for_bit(d):
+    # a batch of BATCH_MIN points or more runs the NumPy batch kernel
+    rng = np.random.default_rng(60 + d)
+    for exponent in (0.5, 1.5, 2.5):
+        E = _extension(d, exponent)[0]
+        h, n = E.grid.spacing, E.grid.half_count + FIELD_MARGIN
+        nodes = rng.integers(-n - 2, n + 3, size=(30, d)) * h
+        pts = np.vstack([
+            rng.uniform(-(n + 2) * h, (n + 2) * h, size=(_kernels.BATCH_MIN, d)),
+            nodes, nodes + 0.4 * _kernels.SNAP_TOL_UNIT * h, nodes + 1e-7 * h])
+        want = np.array([E.value(p) for p in pts])
+        assert E.values(pts).tobytes() == want.tobytes()
+
+
 def test_interp_poly_matches_manual_formula():
     # the kernel's polynomial anchored at a node, from the coefficient fields
     g = DyadicGrid(level=2, dim=2, box_radius=1.0)
