@@ -5,6 +5,8 @@ forms (`cover`, `partition_point`, `extend_point`) are plain Python over
 floats, ints and tuples; the batch forms (`partition_batch`,
 `extend_batch`) run the same cover and blend in NumPy over all the rows of
 an (m, d) array at once and equal the scalar forms row by row, bit for bit.
+`partition_batch` is the only partition sum in use; it hands rows beyond
+EXACT_UNIT to `partition_point`.
 All arithmetic is dyadic-exact: sides are powers of two, cube corners are
 integer multiples of the side.  The extension blend receives its polynomial
 coefficients (value, gradient and Hessian fields from `calculus`) as flat
@@ -12,9 +14,9 @@ fields and computes no stencils; `_poly_eval` and the weighted sum are the
 same code on one point's floats and on a batch's per-axis arrays.
 `extend_many` is the loop of `extend_point` over the rows of an array.
 
-A batch call costs a fixed amount of NumPy set-up, so batches below
-BATCH_MIN rows stay on the scalar loop (`partition_sums`,
-`whitney.ExtendedFn.values`).
+A batch call costs a fixed amount of NumPy set-up, so
+`whitney.ExtendedFn.values` keeps batches below BATCH_MIN rows on the
+scalar loop `extend_many`.
 
 Geometry, in lattice units (spacing 1, lattice = the integer points):
 cell-local cubes of generation k have side 2**-k inside [-1/2, 1/2]^d and a
@@ -220,19 +222,6 @@ def partition_point(x, d, h):
         for w in weights:
             norm += w / raw
     return raw, norm
-
-
-def partition_sums(pts, h, d):
-    """`partition_point` at each row of the (m, d) array pts, shape (m, 2).
-
-    Column 0 is the sum of bump weights over active cubes (coverage demands
-    >= 1); column 1 the sum of normalized partition weights (1 in floats).
-    Batches of BATCH_MIN rows or more run `partition_batch`.
-    """
-    if len(pts) >= BATCH_MIN:
-        return partition_batch(pts, h, d)
-    return np.array([partition_point(x, d, h) for x in pts.tolist()],
-                    dtype=float).reshape(-1, 2)
 
 
 def _pos(n_half, z):
@@ -450,7 +439,12 @@ def _partition_rows(xi, d2, d):
 
 
 def partition_batch(pts, h, d):
-    """`partition_point` at every row of the (m, d) array pts, in NumPy."""
+    """`partition_point` at every row of the (m, d) array pts, in NumPy,
+    shape (m, 2).
+
+    Column 0 is the sum of bump weights over active cubes (coverage demands
+    >= 1); column 1 the sum of normalized partition weights (1 in floats).
+    """
     xi, _, d2 = _split(pts, h)
     out = np.full((len(pts), 2), -1.0)
     rows, far = _regular_rows(xi, d2)

@@ -203,7 +203,7 @@ def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
         finite = np.isfinite(pts / spacing)
     if not finite.all():
         raise _not_finite(pts[int(np.argmin(finite.all(axis=1)))], spacing)
-    return _kernels.partition_sums(pts, spacing, pts.shape[1])
+    return _kernels.partition_batch(pts, spacing, pts.shape[1])
 
 
 def uncovered_volume(dim: int, max_generation: int) -> float:

@@ -210,10 +210,8 @@ def test_kernels_match_recorded_values():
             for extend in (_kernels.extend_many, _kernels.extend_batch):
                 got = extend(pts, coeffs, n_half + FIELD_MARGIN, d, h)
                 assert _close(got, EXTEND[d][case]), (d, case, extend)
-        for sums in (_kernels.partition_sums, _kernels.partition_batch):
-            got = sums(pts, h, d)
-            assert _close(got.ravel(), [v for pair in PSUMS[d] for v in pair]), \
-                (d, sums)
+        got = _kernels.partition_batch(pts, h, d)
+        assert _close(got.ravel(), [v for pair in PSUMS[d] for v in pair]), d
         for p, want in zip(pts, COVERS[d]):
             got = _kernels.cover((p / h).tolist(), d)
             assert [c[:3] for c in got] == [c[:3] for c in want], (d, p)
