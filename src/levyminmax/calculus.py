@@ -20,7 +20,8 @@ would corrupt the rate studies.
 The centred Hessian ``hessian_field`` is a separate stencil on purpose: its
 second differences have nonnegative off-centre weights, which the sign test
 for comparison needs (the forward stencil has a negative near weight).
-Pucci and Monge-Ampere operators use it.
+Pucci and Monge-Ampere operators use it, and their exact Jacobians weight
+its stencil row by row.
 
 Off the lattice, ``fd_grad``/``fd_hess`` are the one central finite-difference
 pair; each caller picks its step.

@@ -2,12 +2,16 @@
 
 An operator here is any map on flat node vectors (the lexicographic grid
 ordering).  An operator with an exact `jacobian(v)` supplies its own
-matrix and kink flag: a linear stencil its kernel matrix and no kink, a
-Bellman or Isaacs envelope of stencils and matrices the rows of the terms
-active at v, with a kink where two terms tie to rounding.  An envelope
-with some other term returns None there, and is measured like any other
-operator: by central differences, where near a kink the two half-step
-measurements disagree, which is exactly the detection signal.  Sampling
+matrix and kink flag: a linear stencil its kernel matrix and no kink;
+Pucci and Monge-Ampere the centred Hessian stencil weighted row by row by
+the optimal matrix A*, with a kink where an eigenvalue of a row's Hessian
+lies within rounding of 0; a Bellman or Isaacs envelope of stencils and
+matrices the rows of the terms active at v, with a kink where two terms
+tie to rounding.  An envelope with some other term (Pucci, Monge-Ampere, a
+callable) returns None there; it, and any operator without `jacobian`
+(a wrapped or plain callable), is measured: by central differences, where
+near a kink the two half-step measurements disagree, which is exactly the
+detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
 the generalized differential: enough for mean-value residuals, min-max
 evaluation, and row-by-row coefficient extraction.
@@ -19,8 +23,9 @@ whose multi-index is within r of i's on every axis.  Nodes congruent modulo
 output node reads two nodes of one colour, and one central difference per
 colour gives every row's entry in that colour's column: 2 (2r+1)^d operator
 calls per matrix instead of 2n, and the same entries bit for bit.  A row
-where T is not finite (Monge-Ampere off convexity) is non-finite inside its
-reach box and 0 outside it.  Without a footprint, or when (2r+1)^d >= n,
+where T is not finite (Monge-Ampere off convexity, inside an envelope) is
+non-finite inside its reach box and 0 outside it.  Without a footprint, or
+when (2r+1)^d >= n,
 the matrix is measured one basis column at a time.  Matrices are dense on
 every path.
 
@@ -74,9 +79,11 @@ class JacobianSample:
     matrix by more than KINK_FACTOR * step, which a twice-differentiable
     map cannot do, and also when that drift is not finite (an operator that
     is non-finite near v, such as Monge-Ampere off convexity).  An exact
-    Jacobian carries the operator's own flag: never for a linear stencil,
-    and for an envelope when two terms tie at some row within their
-    rounding bounds (see `operators.BellmanOp`).
+    Jacobian carries the operator's own flag: never for a linear stencil;
+    for Pucci and Monge-Ampere when an eigenvalue of some row's Hessian
+    lies within its rounding bound of 0, and for Monge-Ampere off
+    convexity (see `operators.PucciOp`); for an envelope when two terms tie
+    at some row within their rounding bounds (see `operators.BellmanOp`).
     """
 
     point: np.ndarray
@@ -89,13 +96,14 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
     """Jacobian of op at v: exact when op has one, else measured at s and s/2.
 
     An operator whose `jacobian(v)` returns (matrix, kink) supplies both
-    itself: a linear stencil makes no operator call, an envelope one per
-    term.  When op has no `jacobian`, or it returns None (an envelope with
-    a term that is not affine), the central-difference Jacobian is
-    measured: an operator with a `footprint` (see the module docstring) one
-    colour at a time, 4 (2r+1)^d operator calls; any other operator one
-    basis column at a time, 4n calls.  Both give the same dense matrix
-    wherever T is finite.
+    itself: a linear stencil, Pucci and Monge-Ampere make no operator
+    call, an envelope of affine terms one per term.  When op has no
+    `jacobian` (a wrapped or plain callable), or it returns None (an
+    envelope with a term that is not affine, such as Pucci), the
+    central-difference Jacobian is measured: an operator with a `footprint`
+    (see the module docstring) one colour at a time, 4 (2r+1)^d operator
+    calls; any other operator one basis column at a time, 4n calls.  Both
+    give the same dense matrix wherever T is finite.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)

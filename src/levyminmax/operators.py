@@ -15,12 +15,19 @@ only the nodes whose multi-index differs from i's by at most reach on every
 axis.  `clarke` uses it to measure Jacobians a column group at a time.
 
 Exact Jacobians, which `clarke` takes instead of measuring anything, come
-as `jacobian(v) -> (matrix, kink)`.  A linear stencil returns its kernel
-matrix and no kink.  An affine term (a stencil, or a matrix kept as a
-`MatrixTerm`) can `scatter` chosen rows of its matrix into an output, so a
-Bellman or Isaacs envelope of such terms builds one n x n matrix and writes
-each row from the term active there: no per-term matrix is built or kept.
-An envelope with a plain callable term has no exact Jacobian (None).
+as `jacobian(v) -> (matrix, kink)`:
+  * a linear stencil returns its kernel matrix and no kink;
+  * Pucci and Monge-Ampere are envelopes of the linear maps
+    u -> tr(A D2_h u), so row i is the centred Hessian stencil weighted by
+    the optimal A*_i, from one Hessian field and one batched `eigh`, with a
+    kink where an eigenvalue lies within its rounding bound of 0;
+  * an affine term (a stencil, or a matrix kept as a `MatrixTerm`) can
+    `scatter` chosen rows of its matrix into an output, so a Bellman or
+    Isaacs envelope of such terms builds one n x n matrix and writes each
+    row from the term active there: no per-term matrix is built or kept.
+An envelope with any other term (Pucci, Monge-Ampere, a plain callable) has
+no exact Jacobian (None): its tie test would need a rounding bound on each
+such term's value.
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary, either directly (sparse) or mode by mode in the lateral Fourier
@@ -46,6 +53,24 @@ from .levy import LevyMeasure, LevyOperator
 
 class OperatorError(GridError):
     """Raised for ill-posed operator assembly requests."""
+
+
+def _scatter(out: np.ndarray, shape: tuple, rows: np.ndarray, offs,
+             wts) -> None:
+    """Write out[i, i + off] = weight for every row i in rows and offset.
+
+    offs are distinct integer offsets, so they reach distinct columns and
+    every entry is written once, for all offsets at once; wts holds one
+    weight per offset, shared by all rows, or one row of weights per offset
+    (shape (offsets, rows)).  Reads outside the box are dropped.
+    """
+    offs = np.array(offs, dtype=np.int64).reshape(-1, len(shape)).T[:, :, None]
+    tgt = np.array(np.unravel_index(rows, shape))[:, None, :] + offs
+    size = np.array(shape)[:, None, None]
+    k, r = np.nonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
+    cols = np.ravel_multi_index(tgt[:, k, r], shape)
+    wts = np.asarray(wts, dtype=float)
+    out[rows[r], cols] = wts[k, r] if wts.ndim == 2 else wts[k]
 
 
 @dataclass(frozen=True)
@@ -88,19 +113,9 @@ class StencilOperator:
         return len(self.kernel), float(sum(abs(w) for w in self.kernel.values()))
 
     def scatter(self, out: np.ndarray, rows: np.ndarray) -> None:
-        """Write the given rows of the kernel matrix into out, zero there.
-
-        Reads outside the box are dropped.  Distinct offsets reach distinct
-        columns, so every entry is written once, for all offsets at once.
-        """
-        shape = self.grid.shape
-        offs = np.array(list(self.kernel), dtype=np.int64)
-        offs = offs.reshape(-1, len(shape)).T[:, :, None]
-        tgt = np.array(np.unravel_index(rows, shape))[:, None, :] + offs
-        size = np.array(shape)[:, None, None]
-        k, r = np.nonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
-        cols = np.ravel_multi_index(tgt[:, k, r], shape)
-        out[rows[r], cols] = np.array(list(self.kernel.values()))[k]
+        """Write the given rows of the kernel matrix into out, zero there."""
+        _scatter(out, self.grid.shape, rows, list(self.kernel),
+                 list(self.kernel.values()))
 
     def matrix(self) -> np.ndarray:
         """Dense kernel matrix: the scatter of every row."""
@@ -408,9 +423,86 @@ def pucci_extremal(eigenvalues: np.ndarray, lam: float, big: float,
     raise OperatorError(f"unknown extremal {extremal!r}")
 
 
+def _hessian_eigen(grid: DyadicGrid, v: np.ndarray) -> tuple:
+    """Centred Hessians (n, d, d), their eigenvalues and eigenvectors, and
+    per row the bound of `_eigen_bound` on each eigenvalue's rounding."""
+    d = grid.dim
+    hess = hessian_field(grid, v).reshape(-1, d, d)
+    e, q = np.linalg.eigh(hess)
+    return e, q, _eigen_bound(grid, v, hess)
+
+
+def _eigen_bound(grid: DyadicGrid, v: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """How far each computed eigenvalue of a row's centred Hessian may lie
+    from the matching eigenvalue of the exact centred Hessian of v.
+
+    Entry (k, l) of `hessian_field` sums its reads with two (diagonal) or
+    three (cross) additions and divides by h^2 or 4 h^2, powers of two, so
+    it lies within gamma_3 r_kl |v|_inf of the exact entry, r_kl the
+    absolute sum of its weights: 4/h^2 on the diagonal, 1/h^2 off it.  The
+    error matrix is symmetric, so its 2-norm is at most its largest
+    absolute row sum, gamma_3 rho |v|_inf with rho = (d + 3)/h^2, the
+    centred stencil's absolute row sum over one Hessian row.  `eigh` is
+    backward stable: its eigenvalues are exact for a perturbation of the
+    computed Hessian H of 2-norm at most p(d) u |H|_2 (Golub and Van Loan,
+    Matrix Computations, section 8.3), bounded here by gamma_(4 d^2) |H|_F.
+    Weyl's inequality adds the two.
+    """
+    d = grid.dim
+    peak = float(np.max(np.abs(v), initial=0.0))
+    rho = (d + 3) / grid.spacing ** 2
+    frob = np.sqrt(np.sum(hess * hess, axis=(1, 2)))
+    return _gamma(3) * rho * peak + _gamma(4 * d * d) * frob
+
+
+def _scatter_hessian(out: np.ndarray, grid: DyadicGrid, rows: np.ndarray,
+                     a: np.ndarray) -> None:
+    """Write rows of v -> tr(A_i D2_h v)_i, D2_h the centred Hessian stencil
+    of `hessian_field` and A_i = a[r] the symmetric matrix of row rows[r].
+
+    Weights: a_kk/h^2 on +-e_k; a_kl/(2h^2) on the (+,+) and (-,-) corners
+    of the (k, l) plane and -a_kl/(2h^2) on (+,-) and (-,+), since the cross
+    entry enters the trace twice at 1/(4h^2); the rest, -2 tr(a)/h^2, on
+    the centre.  Reads outside the box are dropped, as the field's zero
+    padding drops them.
+    """
+    d = grid.dim
+    h2 = grid.spacing ** 2
+    eye = np.eye(d, dtype=np.int64)
+    offs = [np.zeros(d, dtype=np.int64)]
+    wts = [-2.0 * np.trace(a, axis1=1, axis2=2) / h2]
+    for k in range(d):
+        offs += [eye[k], -eye[k]]
+        wts += [a[:, k, k] / h2] * 2
+        for l in range(k + 1, d):
+            cross = a[:, k, l] / (2.0 * h2)
+            offs += [eye[k] + eye[l], -eye[k] - eye[l],
+                     eye[k] - eye[l], eye[l] - eye[k]]
+            wts += [cross, cross, -cross, -cross]
+    _scatter(out, grid.shape, rows, offs, np.stack(wts))
+
+
+def _from_eigen(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The matrices Q diag(w) Q^T, row by row."""
+    return (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+
+
 @dataclass(frozen=True)
 class PucciOp:
-    """Extremal second-order operator from the centered Hessian field."""
+    """Extremal second-order operator from the centered Hessian field.
+
+    Pucci is the max (or min) over A with spectrum in [lam, big] of
+    tr(A D2_h u), attained at A* = big P+ + lam P- (the roles swap for
+    "min"), P+ and P- the projections on the eigenvectors of the row's
+    Hessian with positive and with nonpositive eigenvalues.  So
+    `jacobian(v)` is exact: row i is the centred stencil weighted by A*_i,
+    from one Hessian field and one batched `eigh`, with no operator call.
+    A row whose eigenvalues all share a sign takes A* = big I or lam I
+    exactly (P+ + P- = I).  P+ and P- switch where an eigenvalue crosses 0,
+    so a row is a kink when some computed eigenvalue lies within its
+    rounding bound of 0 (`_eigen_bound`); with lam == big nothing switches
+    and no row is a kink.
+    """
 
     grid: DyadicGrid
     lam: float
@@ -432,6 +524,21 @@ class PucciOp:
         hess = hessian_field(self.grid, v)
         e = np.linalg.eigvalsh(hess)
         return pucci_extremal(e, self.lam, self.big, self.extremal).ravel()
+
+    def jacobian(self, v: np.ndarray) -> tuple:
+        """Exact Jacobian and kink flag: the A*-weighted centred stencil."""
+        v = np.asarray(v, dtype=float)
+        e, q, bound = _hessian_eigen(self.grid, v)
+        up, down = ((self.big, self.lam) if self.extremal == "max"
+                    else (self.lam, self.big))
+        w = np.where(e > 0.0, up, down)
+        a = _from_eigen(q, w)
+        same = np.all(w == w[:, :1], axis=1)
+        a[same] = w[same, :1, None] * np.eye(self.grid.dim)
+        out = np.zeros((v.size, v.size))
+        _scatter_hessian(out, self.grid, np.arange(v.size), a)
+        kink = self.lam < self.big and bool(np.any(np.abs(e) <= bound[:, None]))
+        return out, kink
 
 
 def pucci(grid: DyadicGrid, lam: float, big: float,
@@ -478,7 +585,17 @@ def ma_infimum(m, samples: int = 0, seed: int = 0) -> MAReport:
 
 @dataclass(frozen=True)
 class MongeAmpereOp:
-    """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity."""
+    """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity.
+
+    On a convex row this is the infimum of tr(A D2_h u) over det A = 1,
+    attained at A* = det(H)^(1/d) H^(-1) (`ma_infimum`), so `jacobian(v)`
+    is exact there: the centred stencil weighted by A*, from one Hessian
+    field and one batched `eigh`, with no operator call.  A row off
+    convexity, where T is -inf, is NaN inside its reach box and 0 outside
+    it, as a measured Jacobian reads there, and sets the kink flag; so does
+    a row with an eigenvalue within its rounding bound of 0 (`_eigen_bound`),
+    where convexity can switch.
+    """
 
     grid: DyadicGrid
 
@@ -495,6 +612,23 @@ class MongeAmpereOp:
         good = np.prod(e[convex], axis=-1)
         out[convex] = d * good ** (1.0 / d)
         return out.ravel()
+
+    def jacobian(self, v: np.ndarray) -> tuple:
+        """Exact Jacobian on convex rows, NaN rows off convexity, kink flag."""
+        v = np.asarray(v, dtype=float)
+        d = self.grid.dim
+        e, q, bound = _hessian_eigen(self.grid, v)
+        convex = np.all(e > 0.0, axis=-1)
+        good = e[convex]
+        w = np.prod(good, axis=-1, keepdims=True) ** (1.0 / d) / good
+        rows = np.arange(v.size)
+        out = np.zeros((v.size, v.size))
+        _scatter_hessian(out, self.grid, rows[convex], _from_eigen(q[convex], w))
+        box = np.array(list(np.ndindex(*(3,) * d))) - 1
+        _scatter(out, self.grid.shape, rows[~convex], box,
+                 np.full(len(box), np.nan))
+        kink = not convex.all() or bool(np.any(np.abs(e) <= bound[:, None]))
+        return out, kink
 
 
 def monge_ampere(grid: DyadicGrid) -> MongeAmpereOp:

@@ -45,8 +45,8 @@ class ExtendedFn:
     there, so this stays continuous), and grad/hess there read the node's
     derivative fields (fresh copies; zeros beyond the fields' margin).
     Elsewhere grad/hess are central differences of the extension, step
-    spacing/16 and /8 (plumbing only).  A point that is not d finite
-    coordinates raises GridError.
+    spacing/16 and /8 (plumbing only).  A point that is not d coordinates,
+    finite in lattice units, raises GridError.
     """
 
     def __init__(self, u: GridFunction, smoothness: RegularityClass,
@@ -58,6 +58,9 @@ class ExtendedFn:
         self.spacing = u.grid.spacing
         # half-width of the padded fields: node indices run over [-n, n]^d
         self.field_half = u.grid.half_count + FIELD_MARGIN
+        # the spacing is a power of two, so x / spacing is finite exactly
+        # when |x| is at most this (NaN compares false)
+        self._coord_limit = np.finfo(float).max * self.spacing
 
     @cached_property
     def value_field(self) -> np.ndarray:
@@ -97,10 +100,9 @@ class ExtendedFn:
             pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[1] != d:
             raise GridError(f"expected points of shape (m, {d}), got {pts.shape}")
-        finite = np.isfinite(pts)
+        finite = np.abs(pts) <= self._coord_limit
         if not finite.all():
-            bad = pts[int(np.argmin(finite.all(axis=1)))]
-            raise GridError(f"non-finite point {bad.tolist()}")
+            raise self._not_finite(pts[int(np.argmin(finite.all(axis=1)))].tolist())
         if len(pts) < _kernels.BATCH_MIN:
             out = _kernels.extend_many(pts, self._coeffs, self.field_half, d,
                                        self.spacing)
@@ -127,9 +129,13 @@ class ExtendedFn:
                             f"got shape {a.shape}")
         xs = a.ravel().tolist()
         for v in xs:
-            if not math.isfinite(v):
-                raise GridError(f"non-finite point {xs}")
+            if not abs(v) <= self._coord_limit:
+                raise self._not_finite(xs)
         return xs
+
+    def _not_finite(self, xs: list) -> GridError:
+        return GridError(f"non-finite point {xs} in lattice units of spacing "
+                         f"{self.spacing}")
 
     def value(self, x) -> float:
         xs = self._point(x)

@@ -6,12 +6,18 @@ For piecewise linear maps every identity checked here holds exactly, so
 tolerances only absorb the central-difference rounding (about 1e-11 at the
 default step).
 """
+import importlib
+import math
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies
 
+import levyminmax
 from levyminmax import clarke, operators
+from levyminmax.calculus import hessian_field
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
                                minmax_eval, project_simplex,
@@ -697,3 +703,255 @@ class TestClarkeSetNaN:
         for other in (moved, far, minus):
             assert diff.add(clarke.JacobianSample(np.zeros(2), other, 1e-5, True))
         assert len(diff) == 4
+
+
+# --- exact Clarke Jacobians of Pucci and Monge-Ampere -----------------------
+
+
+SECOND_ORDER_GRIDS = [DyadicGrid(4, 1, 1.0), DyadicGrid(2, 2, 1.0),
+                      DyadicGrid(1, 3, 1.5)]
+
+
+def centred_eigenvalues(grid, v):
+    d = grid.dim
+    return np.linalg.eigvalsh(hessian_field(grid, v).reshape(-1, d, d))
+
+
+def convex_data(grid, seed, noise=0.0):
+    """A rotated convex quadratic shifted well below the zero padding, so
+    every centred Hessian, boundary rows included, is positive definite."""
+    rng = np.random.default_rng(seed)
+    x = grid.points()
+    rot, _ = np.linalg.qr(rng.standard_normal((grid.dim, grid.dim)))
+    q = rot @ np.diag(rng.uniform(0.5, 2.0, size=grid.dim)) @ rot.T
+    v = (0.5 * np.einsum("pi,ij,pj->p", x, q, x)
+         + x @ rng.normal(0.0, 0.5, size=grid.dim) - 40.0)
+    return v + noise * grid.spacing ** 2 * rng.standard_normal(v.size)
+
+
+def clear_rows(grid, v, step):
+    """Rows whose eigenvalues stay away from 0 under any probe of size step.
+
+    Moving one node by s moves the centred Hessian by at most s (d + 3)/h^2
+    in 2-norm, and each eigenvalue by no more (Weyl), so a central
+    difference across such a row never meets a switch of P+ and P-.
+    """
+    e = centred_eigenvalues(grid, v)
+    return np.min(np.abs(e), axis=1) > 10.0 * step * (grid.dim + 3) / grid.spacing ** 2
+
+
+class TestExactSecondOrderJacobian:
+    @pytest.mark.parametrize("extremal", ["max", "min"])
+    @pytest.mark.parametrize("grid", SECOND_ORDER_GRIDS, ids=["1-d", "2-d", "3-d"])
+    def test_pucci_is_the_column_loop_off_kinks(self, grid, extremal):
+        v = np.random.default_rng(grid.dim).standard_normal(grid.node_count)
+        op = operators.pucci(grid, 0.5, 2.0, extremal)
+        matrix, kink = op.jacobian(v)
+        loop = jacobian_at(column_by_column(op), v)
+        clear = clear_rows(grid, v, loop.step)
+        assert not kink and np.count_nonzero(clear) >= v.size // 2
+        # Pucci is linear near a clear row, so its central differences are
+        # exact up to the rounding of T(v +- s e_j), about u |T| / s
+        scale = float(np.max(np.abs(matrix)))
+        assert np.max(np.abs(matrix - loop.matrix)[clear]) <= 1e-9 * scale
+        assert np.array_equal(jacobian_at(op, v).matrix, matrix)
+
+    @pytest.mark.parametrize("grid", SECOND_ORDER_GRIDS, ids=["1-d", "2-d", "3-d"])
+    def test_monge_ampere_is_the_column_loop_on_convex_data(self, grid):
+        v = convex_data(grid, seed=grid.dim, noise=0.05)
+        op = operators.monge_ampere(grid)
+        assert np.isfinite(op(v)).all()
+        matrix, kink = op.jacobian(v)
+        # Monge-Ampere is curved: central differences err by O(s^2), so
+        # the loop takes a step below the default's 1e-5 (1 + |v|_inf)
+        loop = jacobian_at(column_by_column(op), v, step=1e-6)
+        assert not kink and not loop.kink
+        scale = float(np.max(np.abs(matrix)))
+        assert np.max(np.abs(matrix - loop.matrix)) <= 1e-7 * scale
+
+    def test_monge_ampere_off_convexity_reads_like_the_measured_path(self):
+        grid = DyadicGrid(2, 2, 1.0)
+        v = np.random.default_rng(9).standard_normal(grid.node_count)
+        op = operators.monge_ampere(grid)
+        bad = ~np.isfinite(op(v))
+        assert bad.any() and not bad.all()
+        matrix, kink = op.jacobian(v)
+        with np.errstate(invalid="ignore"):
+            measured = jacobian_at(Counting(op), v).matrix
+        assert kink
+        assert np.array_equal(np.isnan(matrix), np.isnan(measured))
+        assert np.all(matrix[bad][~np.isnan(matrix[bad])] == 0.0)
+
+    @pytest.mark.parametrize("factory", [
+        lambda g: operators.pucci(g, 0.5, 2.0),
+        lambda g: operators.pucci(g, 0.5, 2.0, "min"),
+        operators.monge_ampere,
+    ], ids=["pucci-max", "pucci-min", "monge-ampere"])
+    def test_jacobian_at_makes_no_operator_call(self, factory, monkeypatch):
+        grid = DyadicGrid(2, 2, 1.0)
+        op = factory(grid)
+        v = convex_data(grid, seed=4)
+        calls = []
+        monkeypatch.setattr(type(op), "__call__", lambda self, w: calls.append(1))
+        sample = jacobian_at(op, v)
+        assert calls == [] and not sample.kink
+        assert np.array_equal(sample.matrix, op.jacobian(v)[0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_kink_and_exact_homogeneity_on_convex_data(self, seed):
+        # the envelope benchmark's Pucci case: n = 729, convex data
+        grid = DyadicGrid(3, 2, 1.625)
+        v = convex_data(grid, seed)
+        op = operators.pucci(grid, 0.5, 2.0)
+        matrix, kink = op.jacobian(v)
+        assert not kink
+        tv = op(v)
+        assert np.max(np.abs(matrix @ v - tv)) <= 1e-10 * np.max(np.abs(tv))
+        measured = jacobian_at(Counting(op), v)
+        scale = float(np.max(np.abs(matrix)))
+        assert np.max(np.abs(matrix - measured.matrix)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 1.0), (1.0, -0.7)])
+    def test_kink_at_a_zero_eigenvalue(self, direction):
+        # u = (a.x)^2 has centred Hessian 2 a a^T: one eigenvalue 0 in exact
+        # arithmetic, and within rounding of 0 as computed
+        grid = DyadicGrid(3, 2, 1.0)
+        v = (grid.points() @ np.array(direction)) ** 2 - 40.0
+        for op in (operators.pucci(grid, 0.5, 2.0),
+                   operators.pucci(grid, 0.5, 2.0, "min"),
+                   operators.monge_ampere(grid)):
+            assert op.jacobian(v)[1]
+        # with lam == big Pucci is linear: nothing switches at 0
+        assert not operators.pucci(grid, 1.5, 1.5).jacobian(v)[1]
+
+    def test_kink_bound_is_the_rounding_of_the_eigenvalues(self):
+        # interior Hessians 2 [[1 + t, 1], [1, 1 + t]] have eigenvalue 2t;
+        # the bound is gamma_3 (d + 3)/h^2 |v|_inf + gamma_(4 d^2) |H|_F
+        grid = DyadicGrid(2, 2, 1.0)
+        x = grid.points()
+        u = 0.5 * np.finfo(float).eps
+
+        def gamma(m):
+            return m * u / (1.0 - m * u)
+
+        def data(t):
+            return (x[:, 0] + x[:, 1]) ** 2 + t * np.sum(x ** 2, axis=1) - 40.0
+        inner = interior(grid, 1)
+        hess = hessian_field(grid, data(0.0)).reshape(-1, 2, 2)[inner]
+        bound = (gamma(3) * 5.0 / grid.spacing ** 2 * np.max(np.abs(data(0.0)))
+                 + gamma(16) * np.max(np.linalg.norm(hess, axis=(1, 2))))
+        op = operators.pucci(grid, 0.5, 2.0)
+        for eig, tie in ((0.0, True), (0.5 * bound, True), (4.0 * bound, False)):
+            assert op.jacobian(data(0.5 * eig))[1] is tie
+
+
+class TestComparisonDefect:
+    """The centred cross stencil carries -A*_kl/(2h^2) on the (+,-) and (-,+)
+    corners, and nothing else touches the corners, so a row whose A* has an
+    off-diagonal entry fails the sign test however dominant its diagonal.
+    These tests state that defect of today's discretisation; they do not
+    repair it."""
+
+    @staticmethod
+    def off_centre_min(matrix, rows):
+        w = matrix[rows].copy()
+        w[np.arange(rows.size), rows] = np.inf
+        return w.min(axis=1)
+
+    @pytest.mark.parametrize("grid", [DyadicGrid(3, 2, 1.0), DyadicGrid(2, 3, 1.0)],
+                             ids=["2-d", "3-d"])
+    def test_pucci_on_a_saddle_fails_the_sign_test(self, grid):
+        x = grid.points()
+        v = x[:, 0] * x[:, 1] + 0.3 * x[:, 0] ** 2
+        op = operators.pucci(grid, 0.5, 2.0)
+        fields = coefficient_fields(op, grid, v)
+        inner = interior(grid, 1)
+        assert not fields.gcp_field[inner].any()
+        # A* = 2 P+ + 0.5 P- of the exact Hessian [[0.6, 1], [1, 0]] in the
+        # (x, y) plane puts -A*_xy/(2h^2) on two corners: -23 at h^-2 = 64
+        e, q = np.linalg.eigh(np.array([[0.6, 1.0], [1.0, 0.0]]))
+        a = q @ np.diag(np.where(e > 0, 2.0, 0.5)) @ q.T
+        want = -a[0, 1] / (2.0 * grid.spacing ** 2)
+        matrix, kink = op.jacobian(v)
+        got = self.off_centre_min(matrix, inner)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        if grid.dim == 2:
+            assert want == pytest.approx(-22.9878, abs=1e-4) and not kink
+        else:
+            assert kink    # the Hessian's z eigenvalue is 0
+
+    def test_monge_ampere_on_skewed_convex_data_fails_the_sign_test(self):
+        grid = DyadicGrid(3, 2, 1.0)
+        x = grid.points()
+        v = x[:, 0] ** 2 + x[:, 1] ** 2 + 1.8 * x[:, 0] * x[:, 1] - 40.0
+        op = operators.monge_ampere(grid)
+        fields = coefficient_fields(op, grid, v)
+        inner = interior(grid, 1)
+        assert not fields.gcp_field[inner].any()
+        # A* = det(H)^(1/2) H^-1 with H = [[2, 1.8], [1.8, 2]]
+        h = np.array([[2.0, 1.8], [1.8, 2.0]])
+        a = math.sqrt(np.linalg.det(h)) * np.linalg.inv(h)
+        want = a[0, 1] / (2.0 * grid.spacing ** 2)
+        got = self.off_centre_min(op.jacobian(v)[0], inner)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("factory", [
+        lambda g: operators.pucci(g, 0.5, 2.0), operators.monge_ampere,
+    ], ids=["pucci", "monge-ampere"])
+    def test_axis_aligned_convex_data_passes_the_sign_test(self, factory):
+        grid = DyadicGrid(3, 2, 1.0)
+        x = grid.points()
+        v = x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2 - 40.0
+        fields = coefficient_fields(factory(grid), grid, v)
+        assert fields.gcp_field[interior(grid, 1)].all()
+
+
+@pytest.mark.parametrize("grid", [DyadicGrid(3, 2, 1.0), DyadicGrid(2, 3, 1.0)],
+                         ids=["2-d", "3-d"])
+def test_pucci_rows_of_a_convex_quadratic_form_one_class_per_box_position(grid):
+    # every A* is exactly 2 I, so rows differ only in the reads the box
+    # drops: one class inside and 3^d in all, where measured rows gave 76
+    # to 316 interior classes
+    op = operators.pucci(grid, 0.5, 2.0)
+    fields = coefficient_fields(op, grid, convex_data(grid, seed=1))
+    assert np.unique(fields.row_class[interior(grid, 1)]).size == 1
+    assert np.unique(fields.row_class).size == 3 ** grid.dim
+
+
+def footprinted_classes():
+    """Every class defined in the package that declares a footprint."""
+    found = set()
+    for info in pkgutil.iter_modules(levyminmax.__path__):
+        mod = importlib.import_module(f"levyminmax.{info.name}")
+        found |= {c for c in vars(mod).values() if isinstance(c, type)
+                  and c.__module__ == mod.__name__ and hasattr(c, "footprint")}
+    return found
+
+
+def test_every_footprinted_grid_operator_has_an_exact_jacobian():
+    # an operator that declares a footprint but no exact `jacobian` would
+    # be measured by finite differences without anyone noticing
+    grid = DyadicGrid(2, 2, 1.0)
+    a = stencil(grid, [[1, 0]], seed=1)
+    b = stencil(grid, [[0, -2]], seed=2)
+    pu = levyminmax.pucci(grid, 0.5, 2.0)
+    built = {
+        "StencilOperator": a,
+        "levy_stencil": levyminmax.levy_stencil(
+            grid, LevyOperator(np.eye(2), np.zeros(2), 0.0, LevyMeasure.empty(2))),
+        "pucci": pu,
+        "monge_ampere": levyminmax.monge_ampere(grid),
+        "bellman": levyminmax.bellman([a, (b, 1.0)]),
+        "isaacs": levyminmax.isaacs([[a], [(b, 1.0)]]),
+    }
+    assert set(built) <= set(levyminmax.__all__)
+    assert {type(op) for op in built.values()} == footprinted_classes()
+    v = convex_data(grid, seed=2)
+    for name, op in built.items():
+        got = op.jacobian(v)
+        assert got is not None, name
+        assert got[0].shape == (v.size, v.size) and np.isfinite(got[0]).all(), name
+    # the one allowed exception
+    allowed = {"envelope with a non-affine term": levyminmax.bellman([a, pu])}
+    for op in allowed.values():
+        assert op.footprint is not None and op.jacobian(v) is None

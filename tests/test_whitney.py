@@ -158,6 +158,20 @@ def test_reads_reject_a_point_of_the_wrong_dimension_or_not_finite(
         getattr(E, read)(np.array(point))
 
 
+@pytest.mark.parametrize("read, point", [
+    ("value", [1e308]),
+    ("values", [[1e308]]),
+    ("values", [[0.3]] * 99 + [[-1e308]]),
+    ("hess", [1e308]),
+], ids=["value", "values-loop", "values-batch", "hess"])
+def test_a_point_that_overflows_in_lattice_units_raises_grid_error(read, point):
+    # 1e308 / h overflows to inf, which no node index can hold
+    g = DyadicGrid(level=3, dim=1, box_radius=1.0)
+    E = extend(GridFunction(g, np.ones(g.node_count).reshape(g.shape)), QUAD)
+    with pytest.raises(GridError, match="in lattice units"):
+        getattr(E, read)(np.array(point))
+
+
 @functools.cache
 def _extension(d, exponent):
     g = DyadicGrid(level=2, dim=d, box_radius=1.0)
