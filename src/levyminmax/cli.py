@@ -255,11 +255,16 @@ def cmd_dtn(args) -> int:
         raise GridError(f"dtn --level {args.level}: the default strip exceeds "
                         f"the strip node budget {_STRIP_NODE_CAP} = nx (ny + 1) "
                         f"above --level {_STRIP_LEVEL_CAP}")
+    loaded = _load_config(args.config, "dtn") if args.config else {}
+    # nx = 2**level and ny = 2**(level - 1) unless the config sets them
+    if args.level < 2 and not {"nx", "ny"} <= loaded.keys():
+        raise GridError(f"dtn --level {args.level}: the default strip "
+                        f"(nx = 2**level, ny = 2**(level - 1)) needs "
+                        f"--level 2 or above")
     cfg = {"width": 2.0 * math.pi, "height": 10.0,
            "nx": 2 ** args.level, "ny": 2 ** (args.level - 1),
            "modes": [1, 2, 4]}
-    if args.config:
-        cfg.update(_load_config(args.config, "dtn"))
+    cfg.update(loaded)
     modes = cfg["modes"]
     if not (isinstance(modes, list) and modes and all(
             type(k) is int and k > 0 for k in modes)):
@@ -277,6 +282,13 @@ def cmd_dtn(args) -> int:
                             f"got {cfg[name]!r}")
     p = StripProblem(width=cfg["width"], height=cfg["height"],
                      nx=cfg["nx"], ny=cfg["ny"])
+    # a mode above nx/2 is aliased by the lattice; Nyquist nx/2 is held
+    where = "config field modes" if "modes" in loaded else f"default modes {modes}"
+    for k in modes:
+        if 2 * k > p.nx:
+            raise GridError(f"dtn {where}: mode {k} is above nx/2 for nx = "
+                            f"{p.nx}; the lattice aliases it to mode "
+                            f"{min(k % p.nx, -k % p.nx)}")
     x = p.x_nodes()
     errors = {}
     for k in modes:

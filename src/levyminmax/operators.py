@@ -30,8 +30,10 @@ no exact Jacobian (None): its tie test would need a rounding bound on each
 such term's value.
 
 The strip map solves the 5-point Laplace system with periodic lateral
-boundary, either directly (sparse) or mode by mode in the lateral Fourier
-basis.  The boundary derivative uses the harmonicity-corrected one-sided
+boundary mode by mode in the lateral Fourier basis.  The direct sparse
+solve of the same system is the reference it is tested against; it
+imports scipy on its first use, so importing this module loads numpy
+alone.  The boundary derivative uses the harmonicity-corrected one-sided
 difference: the naive 3-point reading of the same data is several times
 less accurate at moderate frequencies.
 """
@@ -42,8 +44,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .calculus import hessian_field
 from .courrege import SIGN_TOL, RowFunctional
@@ -739,7 +739,8 @@ def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
     """Harmonic extension of bottom data; rows run bottom to top.
 
     method "modes" solves mode by mode in the lateral Fourier basis;
-    "direct" solves the sparse 5-point system and is the reference.
+    "direct" solves the sparse 5-point system with scipy, imported on its
+    first use, and is the reference.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (p.nx,):
@@ -749,6 +750,8 @@ def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
         prof = _mode_profiles(p, np.arange(p.ny + 1))
         return np.fft.irfft(prof * ghat[None, :], n=p.nx, axis=1)
     if method == "direct":
+        from scipy.sparse.linalg import spsolve
+
         mat, load = strip_system(p)
         out = np.zeros((p.ny + 1, p.nx))
         out[0] = g
@@ -760,11 +763,14 @@ def dtn_solve(p: StripProblem, g, method: str = "modes") -> np.ndarray:
 def strip_system(p: StripProblem):
     """Sparse 5-point system for the interior unknowns, and the rhs map.
 
-    Returns (matrix, load) where load(g) builds the right-hand side from
+    Returns (matrix, load) where matrix is a scipy CSR matrix (scipy is
+    imported on the first call) and load(g) builds the right-hand side from
     bottom data.  The matrix is the negative Laplacian: positive diagonal,
     nonpositive off-diagonal, weakly diagonally dominant (an M-matrix),
     which is the discrete form of the comparison property here.
     """
+    from scipy import sparse
+
     nx, ny = p.nx, p.ny - 1
     ax = 1.0 / p.dx ** 2
     ay = 1.0 / p.dy ** 2

@@ -213,14 +213,51 @@ def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, edit, named):
     ('{"height": null}', "height"),
     ('{"nx": [1]}', "nx"),
     ('{"ny": 2.5}', "ny"),
+    ('{"nx": 8, "ny": 40, "modes": [12]}',
+     "config field modes: mode 12 is above nx/2 for nx = 8"),
+    ('{"modes": [1, 17]}', "config field modes: mode 17 is above nx/2"),
 ], ids=["list", "zero mode", "no modes", "text width", "nan width",
-        "null height", "list nx", "fractional ny"])
+        "null height", "list nx", "fractional ny", "aliased mode",
+        "mode above nyquist"])
 def test_bad_dtn_config_exits_two_naming_the_field(tmp_path, capsys, text, named):
     path = tmp_path / "dtn.json"
     path.write_text(text)
     assert main(["dtn", "--level", "5", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", [-3, 0, 1])
+def test_dtn_below_the_smallest_default_strip_names_the_level(tmp_path, capsys,
+                                                             level):
+    code = main(["dtn", "--level", str(level),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"dtn --level {level}:" in err and "--level 2 or above" in err
+
+
+def test_dtn_low_level_runs_when_the_config_sets_the_strip(tmp_path):
+    path = tmp_path / "dtn.json"
+    path.write_text('{"nx": 8, "ny": 40}')
+    code, rep = run(["dtn", "--level", "0", "--config", str(path),
+                     "--tol", "10"], tmp_path)
+    assert code == 0 and (rep["nx"], rep["ny"]) == (8, 40)
+
+
+def test_dtn_default_modes_above_nyquist_exit_two(tmp_path, capsys):
+    # --level 2 gives nx = 4, which aliases the default mode 4 to mode 0
+    code = main(["dtn", "--level", "2", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "default modes [1, 2, 4]: mode 4 is above nx/2 for nx = 4" in (
+        capsys.readouterr().err)
+
+
+def test_dtn_nyquist_mode_is_held(tmp_path):
+    path = tmp_path / "dtn.json"
+    path.write_text('{"nx": 8, "ny": 40, "modes": [4]}')
+    code, rep = run(["dtn", "--config", str(path), "--tol", "10"], tmp_path)
+    assert code == 0 and list(rep["mode_errors"]) == ["4"]
 
 
 def test_parser_rejects_missing_command():

@@ -1,8 +1,15 @@
 """Operator zoo: stencil assembly, envelopes, fractional kernels, strip map."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import levyminmax
 
 from levyminmax.calculus import hessian_field
 from levyminmax.grid import DyadicGrid
@@ -459,6 +466,41 @@ def test_dtn_solvers_agree():
     assert np.max(np.abs(um - dtn_solve(p, g, "direct"))) < 1e-12
     assert np.max(np.abs(um[-1])) == 0.0
     assert np.max(np.abs(um[0] - g)) < 1e-14
+
+
+COLD_START = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    import levyminmax
+    from levyminmax import cli
+    from levyminmax.operators import StripProblem, dtn_solve
+
+    out = sys.argv[1]
+    for argv in (["decompose", "--operator", "jump", "--level", "3"],
+                 ["minmax", "--level", "3", "--seed", "7"],
+                 ["converge", "--level", "5"],
+                 ["dtn", "--level", "6"]):
+        assert cli.main(argv + ["--out", out]) in (0, 1), argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert loaded == [], loaded
+
+    p = StripProblem(width=4.0, height=2.0, nx=32, ny=16)
+    g = np.random.default_rng(0).standard_normal(p.nx)
+    gap = np.max(np.abs(dtn_solve(p, g, "modes") - dtn_solve(p, g, "direct")))
+    assert gap < 1e-12, gap
+""")
+
+
+def test_cold_start_loads_no_scipy_until_the_direct_solve(tmp_path):
+    # a fresh interpreter: this test process may have imported scipy already
+    src = str(pathlib.Path(levyminmax.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "report.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_strip_system_is_m_matrix():
