@@ -1,33 +1,20 @@
 """Generalized differentials of nonsmooth discrete operators.
 
 An operator here is any map on flat node vectors (the lexicographic grid
-ordering).  An operator with an exact `jacobian(v)` supplies its own
-matrix and kink flag: a linear stencil its kernel matrix and no kink;
-Pucci and Monge-Ampere the centred Hessian stencil weighted row by row by
-the optimal matrix A*, with a kink where an eigenvalue of a row's Hessian
-lies within rounding of 0; a Bellman or Isaacs envelope of stencils and
-matrices the rows of the terms active at v, with a kink where two terms
-tie to rounding.  An envelope with some other term (Pucci, Monge-Ampere, a
-callable) returns None there; it, and any operator without `jacobian`
-(a wrapped or plain callable), is measured: by central differences, where
-near a kink the two half-step measurements disagree, which is exactly the
-detection signal.  Sampling
+ordering).  Every operator of `operators` supplies its own Jacobian and
+kink flag through `jacobian(v)`: a linear stencil its kernel matrix and no
+kink; Pucci and Monge-Ampere the centred Hessian stencil weighted row by
+row by the optimal matrix A*, with a kink where an eigenvalue of a row's
+Hessian lies within rounding of 0; a Bellman or Isaacs envelope the rows
+of the terms active at v, with a kink where two terms tie to rounding or
+where the active term's row is a kink.  An envelope with a plain callable
+term returns None there; it, and any operator without `jacobian` (a
+wrapped or plain callable, a surrogate), is measured one basis column at
+a time by central differences, where near a kink the two half-step
+measurements disagree, which is exactly the detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
 the generalized differential: enough for mean-value residuals, min-max
-evaluation, and row-by-row coefficient extraction.
-
-Measured columns are grouped when the operator is local.  An operator may
-declare `footprint = (grid shape, reach r)`: output node i reads only nodes
-whose multi-index is within r of i's on every axis.  Nodes congruent modulo
-2r+1 on every axis then share a colour (Curtis, Powell and Reid, 1974), no
-output node reads two nodes of one colour, and one central difference per
-colour gives every row's entry in that colour's column: 2 (2r+1)^d operator
-calls per matrix instead of 2n, and the same entries bit for bit.  A row
-where T is not finite (Monge-Ampere off convexity, inside an envelope) is
-non-finite inside its reach box and 0 outside it.  Without a footprint, or
-when (2r+1)^d >= n,
-the matrix is measured one basis column at a time.  Matrices are dense on
-every path.
+evaluation, and row-by-row coefficient extraction.  Matrices are dense.
 
 Coefficient fields decompose each distinct row once.  A row's key is the
 bytes of its offsets relative to its node and of its weights, read off the
@@ -78,12 +65,12 @@ class JacobianSample:
     For a measured matrix, kink is set when halving the step moves the
     matrix by more than KINK_FACTOR * step, which a twice-differentiable
     map cannot do, and also when that drift is not finite (an operator that
-    is non-finite near v, such as Monge-Ampere off convexity).  An exact
-    Jacobian carries the operator's own flag: never for a linear stencil;
-    for Pucci and Monge-Ampere when an eigenvalue of some row's Hessian
-    lies within its rounding bound of 0, and for Monge-Ampere off
-    convexity (see `operators.PucciOp`); for an envelope when two terms tie
-    at some row within their rounding bounds (see `operators.BellmanOp`).
+    is non-finite near v).  An exact Jacobian carries the operator's own
+    flag: never for a linear stencil; for Pucci and Monge-Ampere when an
+    eigenvalue of some row's Hessian lies within its rounding bound of 0,
+    and for Monge-Ampere off convexity (see `operators.PucciOp`); for an
+    envelope when two terms tie at some row within their rounding bounds,
+    or the active term's row is a kink (see `operators.BellmanOp`).
     """
 
     point: np.ndarray
@@ -97,13 +84,10 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
 
     An operator whose `jacobian(v)` returns (matrix, kink) supplies both
     itself: a linear stencil, Pucci and Monge-Ampere make no operator
-    call, an envelope of affine terms one per term.  When op has no
-    `jacobian` (a wrapped or plain callable), or it returns None (an
-    envelope with a term that is not affine, such as Pucci), the
-    central-difference Jacobian is measured: an operator with a `footprint`
-    (see the module docstring) one colour at a time, 4 (2r+1)^d operator
-    calls; any other operator one basis column at a time, 4n calls.  Both
-    give the same dense matrix wherever T is finite.
+    call, an envelope one per term.  When op has no `jacobian` (a wrapped
+    or plain callable), or it returns None (an envelope with a plain
+    callable term), the central-difference Jacobian is measured one basis
+    column at a time: 4n operator calls.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
@@ -118,59 +102,21 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
             raise ClarkeError(f"operator Jacobian has shape {m.shape}, "
                               f"expected {(v.size, v.size)}")
         return JacobianSample(point=v, matrix=m, step=s, kink=bool(kink))
-    groups = _column_groups(op, v.size)
-    full = _matrix(op, v, s, groups)
-    half = _matrix(op, v, 0.5 * s, groups)
+    full = _matrix(op, v, s)
+    half = _matrix(op, v, 0.5 * s)
     drift = float(np.max(np.abs(full - half)))
     return JacobianSample(point=v, matrix=half, step=s,
                           kink=not drift <= KINK_FACTOR * s)
 
 
-def _column_groups(op, n: int) -> list:
-    """(perturbed nodes, rows, columns) of each central difference.
-
-    One colour per group when the operator's footprint allows it, else one
-    basis column per group (every row, one column).
-    """
-    fp = getattr(op, "footprint", None)
-    if fp is not None:
-        shape, reach = tuple(fp[0]), int(fp[1])
-        if math.prod(shape) == n and (2 * reach + 1) ** len(shape) < n:
-            return _colours(shape, reach)
-    return [(j, slice(None), j) for j in range(n)]
-
-
-def _colours(shape: tuple, reach: int) -> list:
-    """Groups of the nodes congruent modulo 2*reach+1 on every axis.
-
-    For colour c and row i, the column is the node of colour c inside i's
-    reach box; rows whose box holds no such node get no entry.
-    """
-    width = 2 * reach + 1
-    idx = np.indices(shape).reshape(len(shape), -1)
-    lo = idx - reach
-    size = np.array(shape)[:, None]
-    groups = []
-    for colour in np.ndindex(*(width,) * len(shape)):
-        c = np.array(colour)[:, None]
-        nodes = np.flatnonzero(np.all(idx % width == c, axis=0))
-        if not nodes.size:
-            continue
-        near = lo + (c - lo) % width
-        rows = np.flatnonzero(np.all((near >= 0) & (near < size), axis=0))
-        groups.append((nodes, rows, np.ravel_multi_index(near[:, rows], shape)))
-    return groups
-
-
-def _matrix(op, v: np.ndarray, s: float, groups: list) -> np.ndarray:
+def _matrix(op, v: np.ndarray, s: float) -> np.ndarray:
     n = v.size
     out = np.zeros((n, n))
     e = np.zeros(n)
-    for nodes, rows, cols in groups:
-        e[nodes] = s
-        diff = (_apply(op, v + e) - _apply(op, v - e)) / (2.0 * s)
-        e[nodes] = 0.0
-        out[rows, cols] = diff[rows]
+    for j in range(n):
+        e[j] = s
+        out[:, j] = (_apply(op, v + e) - _apply(op, v - e)) / (2.0 * s)
+        e[j] = 0.0
     return out
 
 

@@ -250,20 +250,22 @@ def cmd_converge(args) -> int:
 
 
 def cmd_dtn(args) -> int:
-    # the default strip grows fourfold per level: refuse before forming 2**level
-    if args.level > _STRIP_LEVEL_CAP:
+    loaded = _load_config(args.config, "dtn") if args.config else {}
+    # nx = 2**level and ny = 2**(level - 1) unless the config sets them; the
+    # default strip grows fourfold per level: refuse before forming 2**level
+    defaults = {k: power for k, power in (("nx", args.level),
+                                          ("ny", args.level - 1))
+                if k not in loaded}
+    if defaults and args.level > _STRIP_LEVEL_CAP:
         raise GridError(f"dtn --level {args.level}: the default strip exceeds "
                         f"the strip node budget {_STRIP_NODE_CAP} = nx (ny + 1) "
                         f"above --level {_STRIP_LEVEL_CAP}")
-    loaded = _load_config(args.config, "dtn") if args.config else {}
-    # nx = 2**level and ny = 2**(level - 1) unless the config sets them
-    if args.level < 2 and not {"nx", "ny"} <= loaded.keys():
+    if defaults and args.level < 2:
         raise GridError(f"dtn --level {args.level}: the default strip "
                         f"(nx = 2**level, ny = 2**(level - 1)) needs "
                         f"--level 2 or above")
-    cfg = {"width": 2.0 * math.pi, "height": 10.0,
-           "nx": 2 ** args.level, "ny": 2 ** (args.level - 1),
-           "modes": [1, 2, 4]}
+    cfg = {"width": 2.0 * math.pi, "height": 10.0, "modes": [1, 2, 4],
+           **{k: 2 ** power for k, power in defaults.items()}}
     cfg.update(loaded)
     modes = cfg["modes"]
     if not (isinstance(modes, list) and modes and all(

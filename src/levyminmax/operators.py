@@ -10,24 +10,22 @@ Discretization conventions chosen for sign correctness:
     compensation is folded into the drift, so the assembled kernel applies
     the operator exactly on lattice data.
 
-Grid operators declare a footprint (grid shape, reach): output node i reads
-only the nodes whose multi-index differs from i's by at most reach on every
-axis.  `clarke` uses it to measure Jacobians a column group at a time.
-
-Exact Jacobians, which `clarke` takes instead of measuring anything, come
-as `jacobian(v) -> (matrix, kink)`:
-  * a linear stencil returns its kernel matrix and no kink;
-  * Pucci and Monge-Ampere are envelopes of the linear maps
-    u -> tr(A D2_h u), so row i is the centred Hessian stencil weighted by
-    the optimal A*_i, from one Hessian field and one batched `eigh`, with a
-    kink where an eigenvalue lies within its rounding bound of 0;
-  * an affine term (a stencil, or a matrix kept as a `MatrixTerm`) can
-    `scatter` chosen rows of its matrix into an output, so a Bellman or
-    Isaacs envelope of such terms builds one n x n matrix and writes each
-    row from the term active there: no per-term matrix is built or kept.
-An envelope with any other term (Pucci, Monge-Ampere, a plain callable) has
-no exact Jacobian (None): its tie test would need a rounding bound on each
-such term's value.
+Every operator here has an exact Clarke Jacobian under one term protocol,
+which `clarke` takes instead of measuring anything:
+  * `scatter(out, rows, v)` writes the Jacobian rows at v of the nodes in
+    rows into out, zero there, and returns which of those rows are kinks;
+  * `bound(v, shift)` bounds, row by row, how far the computed value of
+    f(v) + shift may lie from the exact one;
+  * `jacobian(v) -> (matrix, kink)` scatters every row (`_Term`).
+A linear stencil or a `MatrixTerm` scatters its own rows and is never a
+kink.  Pucci and Monge-Ampere are envelopes of the linear maps
+u -> tr(A D2_h u), so row i is the centred Hessian stencil weighted by the
+optimal A*_i, from one Hessian field and one batched `eigh`, and a kink
+where an eigenvalue lies within its rounding bound of 0.  A Bellman or
+Isaacs envelope writes each row from the term active there, and that row
+is a kink where two terms tie within their bounds or where the active
+term's own row is a kink.  An envelope with a plain callable term has no
+exact Jacobian (None).
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary mode by mode in the lateral Fourier basis.  The direct sparse
@@ -73,8 +71,29 @@ def _scatter(out: np.ndarray, shape: tuple, rows: np.ndarray, offs,
     out[rows[r], cols] = wts[k, r] if wts.ndim == 2 else wts[k]
 
 
+class _Term:
+    """Exact Jacobian of an operator that can `scatter` its rows."""
+
+    def jacobian(self, v: np.ndarray) -> tuple | None:
+        """Every row scattered, and whether one is a kink; None for an
+        envelope with a term that cannot scatter (a plain callable)."""
+        if not all(hasattr(f, "scatter") for f in _leaves(self)):
+            return None
+        v = np.asarray(v, dtype=float)
+        out = np.zeros((v.size, v.size))
+        kink = self.scatter(out, np.arange(v.size), v)
+        return out, bool(np.any(kink))
+
+
+def _affine_bound(m: int, rho: float, v: np.ndarray, shift) -> np.ndarray:
+    """Rounding of a row that sums m products and the shift, rho bounding
+    the absolute sum of the row's weights: gamma_(m+1) (rho |v|_inf + |shift|)."""
+    peak = float(np.max(np.abs(v), initial=0.0))
+    return _gamma(m + 1) * (rho * peak + np.abs(shift))
+
+
 @dataclass(frozen=True)
-class StencilOperator:
+class StencilOperator(_Term):
     """Constant-coefficient kernel acting on node data with zero padding."""
 
     grid: DyadicGrid
@@ -90,11 +109,6 @@ class StencilOperator:
                 clean[off] = clean.get(off, 0.0) + float(w)
         object.__setattr__(self, "kernel", clean)
 
-    @property
-    def footprint(self) -> tuple:
-        reach = max((abs(o) for off in self.kernel for o in off), default=0)
-        return self.grid.shape, reach
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         vals = v.reshape(self.grid.shape)
@@ -107,26 +121,19 @@ class StencilOperator:
         return all(w >= -tol for off, w in self.kernel.items()
                    if any(o != 0 for o in off))
 
-    @property
-    def rounding(self) -> tuple:
-        """(m, rho): a row of self(v) sums m products, absolute row sum <= rho."""
-        return len(self.kernel), float(sum(abs(w) for w in self.kernel.values()))
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        return _affine_bound(len(self.kernel), float(sum(
+            abs(w) for w in self.kernel.values())), v, shift)
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray) -> None:
-        """Write the given rows of the kernel matrix into out, zero there."""
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """Write the given rows of the kernel matrix, the same at every v."""
         _scatter(out, self.grid.shape, rows, list(self.kernel),
                  list(self.kernel.values()))
+        return np.zeros(len(rows), dtype=bool)
 
     def matrix(self) -> np.ndarray:
         """Dense kernel matrix: the scatter of every row."""
-        n = self.grid.node_count
-        m = np.zeros((n, n))
-        self.scatter(m, np.arange(n))
-        return m
-
-    def jacobian(self, v: np.ndarray) -> tuple:
-        """Exact Jacobian and kink flag: the kernel matrix, the same at every v."""
-        return self.matrix(), False
+        return self.jacobian(np.zeros(self.grid.node_count))[0]
 
     def row(self, index) -> RowFunctional:
         """The exact functional applied at a node (outside reads dropped)."""
@@ -258,39 +265,36 @@ def _select(vals: np.ndarray, err: np.ndarray, pick) -> _Pick:
     """First maximiser or minimiser (pick = np.argmax, np.argmin) per row.
 
     A row ties when another entry lies within the sum of its rounding bound
-    and the picked entry's: the computed values cannot order the two.
+    and the picked entry's: the computed values cannot order the two.  Two
+    values at -inf (Monge-Ampere off convexity) do not tie here; the
+    active term flags its own row.
     """
     node = np.arange(vals.shape[1])
     index = pick(vals, axis=0)
     best, best_err = vals[index, node], err[index, node]
-    tie = np.abs(vals - best) <= err + best_err
+    with np.errstate(invalid="ignore"):
+        tie = np.abs(vals - best) <= err + best_err
     tie[index, node] = False
     return _Pick(index, best, best_err, tie.any(axis=0))
 
 
 @dataclass(frozen=True)
-class BellmanOp:
-    """Componentwise upper envelope of affine operator terms.
+class BellmanOp(_Term):
+    """Componentwise upper envelope of operator terms.
 
-    When every term is affine with a row scatter (a `StencilOperator` or a
-    matrix), `jacobian(v)` is exact: the envelope's Clarke Jacobian at v is
-    the hull of the active terms' rows (Clarke 1983, section 2.6), and row
-    i takes the row of the first maximiser of f(v)_i + s_i.  Computing term
-    k's row i sums m_k products and the shift, so it rounds by at most
-    gamma_(m_k+1) (rho_k |v|_inf + |s_i|), with rho_k the term's largest
-    absolute row sum.  A row where another term comes within the sum of the
-    two bounds is a tie: it keeps the first maximiser and sets the kink flag.
+    The envelope's Clarke Jacobian at v is the hull of the active terms'
+    rows (Clarke 1983, section 2.6): row i takes the row of the first
+    maximiser of f(v)_i + s_i.  Each term bounds the rounding of its own
+    value (`bound`); a row where another term comes within the sum of the
+    two bounds is a tie, which keeps the first maximiser and is a kink, as
+    is a row where the active term's own row is one.  Terms on grids of
+    different shapes are refused.
     """
 
     terms: tuple
 
-    @property
-    def footprint(self) -> tuple | None:
-        return _joint_footprint(f for f, _ in self.terms)
-
-    @property
-    def affine(self) -> bool:
-        return all(hasattr(f, "scatter") for f, _ in self.terms)
+    def __post_init__(self):
+        _one_grid(self)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -299,89 +303,104 @@ class BellmanOp:
 
     def _active(self, v: np.ndarray) -> _Pick:
         """The first maximising term at each row."""
-        peak = float(np.max(np.abs(v), initial=0.0))
         vals = np.stack([np.asarray(f(v), dtype=float) + s for f, s in self.terms])
         err = np.empty_like(vals)
         for k, (f, s) in enumerate(self.terms):
-            m, rho = f.rounding
-            err[k] = _gamma(m + 1) * (rho * peak + np.abs(s))
+            err[k] = f.bound(v, s)
         return _select(vals, err, np.argmax)
 
-    def jacobian(self, v: np.ndarray) -> tuple | None:
-        """Active rows and kink flag: the one-team `IsaacsOp` case."""
-        return IsaacsOp((self,)).jacobian(v)
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        """The one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).bound(v, shift)
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """The one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).scatter(out, rows, v)
 
 
 @dataclass(frozen=True)
-class IsaacsOp:
+class IsaacsOp(_Term):
     """Lower envelope of upper envelopes: min over teams, max within.
 
-    With affine terms, `jacobian(v)` takes row i from the active term of
-    the first minimising team; a tie between teams, or inside the team
-    picked at i, sets the kink flag, with the bounds of `BellmanOp`.
+    Row i comes from the active term of the first minimising team; a tie
+    between teams, or inside the team picked at i, is a kink, with the
+    bounds of `BellmanOp`, and so is a kink of the active term's row.
     """
 
     teams: tuple
 
-    @property
-    def footprint(self) -> tuple | None:
-        return _joint_footprint(self.teams)
+    def __post_init__(self):
+        _one_grid(self)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         vals = [team(v) for team in self.teams]
         return np.min(np.stack(vals), axis=0)
 
-    def jacobian(self, v: np.ndarray) -> tuple | None:
-        """Active rows and kink flag, or None when some term is not affine."""
-        if not all(getattr(team, "affine", False) for team in self.teams):
-            return None
-        v = np.asarray(v, dtype=float)
+    def _picks(self, v: np.ndarray) -> tuple:
+        """The active term of each team, and the first minimising team."""
         inner = [team._active(v) for team in self.teams]
-        outer = _select(np.stack([p.value for p in inner]),
-                        np.stack([p.err for p in inner]), np.argmin)
+        return inner, _select(np.stack([p.value for p in inner]),
+                              np.stack([p.err for p in inner]), np.argmin)
+
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        """The active term's bound, which holds off ties (where the row is
+        a kink), and the rounding of adding the shift."""
+        outer = self._picks(np.asarray(v, dtype=float))[1]
+        return outer.err + _gamma(1) * np.abs(outer.value + shift)
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """Write each row from its active term; a kink at ties and at the
+        active term's kinks."""
+        v = np.asarray(v, dtype=float)
+        inner, outer = self._picks(v)
         tied = np.stack([p.tie for p in inner])[outer.index, np.arange(v.size)]
-        out = np.zeros((v.size, v.size))
+        kink = (outer.tie | tied)[rows]
         for t, (team, p) in enumerate(zip(self.teams, inner)):
-            rows = np.flatnonzero(outer.index == t)
             for k, (f, _) in enumerate(team.terms):
-                f.scatter(out, rows[p.index[rows] == k])
-        return out, bool(np.any(outer.tie | tied))
+                mine = (outer.index[rows] == t) & (p.index[rows] == k)
+                if mine.any():
+                    kink[mine] |= f.scatter(out, rows[mine], v)
+        return kink
 
 
-def _joint_footprint(parts) -> tuple | None:
-    """Common grid shape and largest reach of the parts, or None.
+def _leaves(op):
+    """The terms inside an envelope, nested envelopes opened; else op."""
+    if isinstance(op, IsaacsOp):
+        for team in op.teams:
+            yield from _leaves(team)
+    elif isinstance(op, BellmanOp):
+        for f, _ in op.terms:
+            yield from _leaves(f)
+    else:
+        yield op
 
-    None when some part declares no footprint (a matrix term, a plain
-    callable) or the parts live on grids of different shapes.
-    """
-    prints = [getattr(p, "footprint", None) for p in parts]
-    if not prints or any(fp is None for fp in prints):
-        return None
-    if len({shape for shape, _ in prints}) != 1:
-        return None
-    return prints[0][0], max(reach for _, reach in prints)
+
+def _one_grid(op) -> None:
+    """Refuse an envelope whose terms live on grids of different shapes."""
+    shapes = list(dict.fromkeys(f.grid.shape for f in _leaves(op)
+                                if hasattr(f, "grid")))
+    if len(shapes) > 1:
+        raise OperatorError(f"envelope terms live on grids of shapes "
+                            f"{shapes[0]} and {shapes[1]}")
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixTerm:
-    """A dense matrix as an affine envelope term: v -> M v."""
+class MatrixTerm(_Term):
+    """A dense matrix as an envelope term: v -> M v."""
 
     matrix: np.ndarray
-
-    @property
-    def rounding(self) -> tuple:
-        """(m, rho): a row of M v sums m products, absolute row sum <= rho."""
-        return self.matrix.shape[1], float(np.linalg.norm(self.matrix, np.inf))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray) -> None:
-        """Write the given rows of M into out."""
-        out[rows] = self.matrix[rows]
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        return _affine_bound(self.matrix.shape[1], float(np.linalg.norm(
+            self.matrix, np.inf)), v, shift)
 
-    def jacobian(self, v: np.ndarray) -> tuple:
-        return self.matrix.copy(), False
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """Write the given rows of M, the same at every v."""
+        out[rows] = self.matrix[rows]
+        return np.zeros(len(rows), dtype=bool)
 
 
 def _as_term(term):
@@ -423,11 +442,12 @@ def pucci_extremal(eigenvalues: np.ndarray, lam: float, big: float,
     raise OperatorError(f"unknown extremal {extremal!r}")
 
 
-def _hessian_eigen(grid: DyadicGrid, v: np.ndarray) -> tuple:
-    """Centred Hessians (n, d, d), their eigenvalues and eigenvectors, and
-    per row the bound of `_eigen_bound` on each eigenvalue's rounding."""
+def _hessian_eigen(grid: DyadicGrid, v: np.ndarray, rows=slice(None)) -> tuple:
+    """Eigenvalues and eigenvectors of the centred Hessians (d, d) of the
+    given rows, and per row the bound of `_eigen_bound` on each
+    eigenvalue's rounding."""
     d = grid.dim
-    hess = hessian_field(grid, v).reshape(-1, d, d)
+    hess = hessian_field(grid, v).reshape(-1, d, d)[rows]
     e, q = np.linalg.eigh(hess)
     return e, q, _eigen_bound(grid, v, hess)
 
@@ -488,20 +508,22 @@ def _from_eigen(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PucciOp:
+class PucciOp(_Term):
     """Extremal second-order operator from the centered Hessian field.
 
     Pucci is the max (or min) over A with spectrum in [lam, big] of
     tr(A D2_h u), attained at A* = big P+ + lam P- (the roles swap for
     "min"), P+ and P- the projections on the eigenvectors of the row's
-    Hessian with positive and with nonpositive eigenvalues.  So
-    `jacobian(v)` is exact: row i is the centred stencil weighted by A*_i,
-    from one Hessian field and one batched `eigh`, with no operator call.
+    Hessian with positive and with nonpositive eigenvalues.  So row i of
+    the Jacobian is the centred stencil weighted by A*_i, from one Hessian
+    field and one batched `eigh`, with no operator call.
     A row whose eigenvalues all share a sign takes A* = big I or lam I
     exactly (P+ + P- = I).  P+ and P- switch where an eigenvalue crosses 0,
     so a row is a kink when some computed eigenvalue lies within its
     rounding bound of 0 (`_eigen_bound`); with lam == big nothing switches
-    and no row is a kink.
+    and no row is a kink.  The value is big-Lipschitz in each eigenvalue,
+    so it rounds by at most big d times the eigenvalues' bound, plus the
+    rounding of the weighted sum and the shift.
     """
 
     grid: DyadicGrid
@@ -516,29 +538,28 @@ class PucciOp:
         if self.extremal not in ("max", "min"):
             raise OperatorError(f"unknown extremal {self.extremal!r}")
 
-    @property
-    def footprint(self) -> tuple:
-        return self.grid.shape, 1
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         hess = hessian_field(self.grid, v)
         e = np.linalg.eigvalsh(hess)
         return pucci_extremal(e, self.lam, self.big, self.extremal).ravel()
 
-    def jacobian(self, v: np.ndarray) -> tuple:
-        """Exact Jacobian and kink flag: the A*-weighted centred stencil."""
-        v = np.asarray(v, dtype=float)
-        e, q, bound = _hessian_eigen(self.grid, v)
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        d = self.grid.dim
+        e, _, eig = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
+        return (self.big * d * eig + _gamma(d + 2) * (
+            self.big * np.sum(np.abs(e), axis=1) + np.abs(shift)))
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """Write the A*-weighted centred stencil of the given rows."""
+        e, q, bound = _hessian_eigen(self.grid, np.asarray(v, dtype=float), rows)
         up, down = ((self.big, self.lam) if self.extremal == "max"
                     else (self.lam, self.big))
         w = np.where(e > 0.0, up, down)
         a = _from_eigen(q, w)
         same = np.all(w == w[:, :1], axis=1)
         a[same] = w[same, :1, None] * np.eye(self.grid.dim)
-        out = np.zeros((v.size, v.size))
-        _scatter_hessian(out, self.grid, np.arange(v.size), a)
-        kink = self.lam < self.big and bool(np.any(np.abs(e) <= bound[:, None]))
-        return out, kink
+        _scatter_hessian(out, self.grid, rows, a)
+        return np.any(np.abs(e) <= bound[:, None], axis=1) & (self.lam < self.big)
 
 
 def pucci(grid: DyadicGrid, lam: float, big: float,
@@ -583,52 +604,68 @@ def ma_infimum(m, samples: int = 0, seed: int = 0) -> MAReport:
     return MAReport(value=value, a_star=a_star, sampled=sampled)
 
 
+def _ma_value(e: np.ndarray, d: int) -> np.ndarray:
+    """d (prod e)^(1/d) over the last axis; -inf where some e <= 0."""
+    convex = np.all(e > 0.0, axis=-1)
+    out = np.full(e.shape[:-1], -math.inf)
+    good = np.prod(e[convex], axis=-1)
+    out[convex] = d * good ** (1.0 / d)
+    return out
+
+
 @dataclass(frozen=True)
-class MongeAmpereOp:
+class MongeAmpereOp(_Term):
     """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity.
 
     On a convex row this is the infimum of tr(A D2_h u) over det A = 1,
-    attained at A* = det(H)^(1/d) H^(-1) (`ma_infimum`), so `jacobian(v)`
-    is exact there: the centred stencil weighted by A*, from one Hessian
-    field and one batched `eigh`, with no operator call.  A row off
-    convexity, where T is -inf, is NaN inside its reach box and 0 outside
-    it, as a measured Jacobian reads there, and sets the kink flag; so does
-    a row with an eigenvalue within its rounding bound of 0 (`_eigen_bound`),
-    where convexity can switch.
+    attained at A* = det(H)^(1/d) H^(-1) (`ma_infimum`), so its Jacobian
+    row is the centred stencil weighted by A*, from one Hessian field and
+    one batched `eigh`, with no operator call.  A row off convexity, where
+    T is -inf, is NaN inside its reach box and 0 outside it, and is a kink;
+    so is a row with an eigenvalue within its rounding bound of 0
+    (`_eigen_bound`), where convexity can switch.
     """
 
     grid: DyadicGrid
 
-    @property
-    def footprint(self) -> tuple:
-        return self.grid.shape, 1
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         hess = hessian_field(self.grid, v)
-        e = np.linalg.eigvalsh(hess)
-        d = self.grid.dim
-        convex = np.all(e > 0.0, axis=-1)
-        out = np.full(e.shape[:-1], -math.inf)
-        good = np.prod(e[convex], axis=-1)
-        out[convex] = d * good ** (1.0 / d)
-        return out.ravel()
+        return _ma_value(np.linalg.eigvalsh(hess), self.grid.dim).ravel()
 
-    def jacobian(self, v: np.ndarray) -> tuple:
-        """Exact Jacobian on convex rows, NaN rows off convexity, kink flag."""
-        v = np.asarray(v, dtype=float)
+    def bound(self, v: np.ndarray, shift) -> np.ndarray:
+        """The spread of the value over eigenvalues within `_eigen_bound`
+        of the computed ones, plus the rounding of the value and shift.
+
+        The value is increasing and concave in the eigenvalues, so the
+        spread is value(e) - value(e - bound) where every e - bound > 0.  A
+        row with an eigenvalue at most -bound is -inf exactly (bound 0);
+        any other row may be -inf or finite (bound inf).  The value rounds
+        by gamma_(d+2) relatively, plus u |ln prod e| / d from the rounded
+        power 1/d.
+        """
         d = self.grid.dim
-        e, q, bound = _hessian_eigen(self.grid, v)
+        e, _, eig = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
+        eig = eig[:, None]
+        value, low = _ma_value(e, d), _ma_value(e - eig, d)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            power = 1.0 + np.abs(np.sum(np.log(e), axis=1)) / d
+            spread = value - low + _gamma(d + 2) * (power * value + np.abs(shift))
+        off = np.any(e + eig <= 0.0, axis=1)
+        return np.where(np.isfinite(low), spread, np.where(off, 0.0, math.inf))
+
+    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+        """Write the A*-weighted centred stencil of the given convex rows
+        and NaN reach boxes of the others."""
+        d = self.grid.dim
+        e, q, bound = _hessian_eigen(self.grid, np.asarray(v, dtype=float), rows)
         convex = np.all(e > 0.0, axis=-1)
         good = e[convex]
         w = np.prod(good, axis=-1, keepdims=True) ** (1.0 / d) / good
-        rows = np.arange(v.size)
-        out = np.zeros((v.size, v.size))
         _scatter_hessian(out, self.grid, rows[convex], _from_eigen(q[convex], w))
         box = np.array(list(np.ndindex(*(3,) * d))) - 1
         _scatter(out, self.grid.shape, rows[~convex], box,
                  np.full(len(box), np.nan))
-        kink = not convex.all() or bool(np.any(np.abs(e) <= bound[:, None]))
-        return out, kink
+        return ~convex | np.any(np.abs(e) <= bound[:, None], axis=1)
 
 
 def monge_ampere(grid: DyadicGrid) -> MongeAmpereOp:

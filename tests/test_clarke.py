@@ -6,9 +6,8 @@ For piecewise linear maps every identity checked here holds exactly, so
 tolerances only absorb the central-difference rounding (about 1e-11 at the
 default step).
 """
-import importlib
 import math
-import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +58,12 @@ class TestJacobian:
         sample = jacobian_at(linear_op(m), rng.standard_normal(5))
         assert np.max(np.abs(sample.matrix - m)) < 1e-9
         assert not sample.kink
+
+    def test_plain_callable_takes_column_loop(self):
+        m = np.random.default_rng(7).standard_normal((6, 6))
+        op = Counting(linear_op(m))
+        jacobian_at(op, np.ones(6))
+        assert op.calls == 4 * 6
 
     def test_kink_flag_near_tie(self):
         s = 1e-5
@@ -249,32 +254,23 @@ class TestCoefficientFields:
         assert len(calls) == classes.size
 
 
-# --- coloured (column-grouped) Jacobians of local grid operators -----------
+# --- the measured (column-loop) Jacobian ----------------------------------
 
 
 class Counting:
-    """Forwards to op and counts the calls, keeping op's footprint only.
+    """Forwards to op and counts the calls.
 
     A stencil or envelope wrapped this way hides its exact `jacobian`, so
-    jacobian_at measures it by finite differences.
+    jacobian_at measures it by central differences, column by column.
     """
 
     def __init__(self, op):
         self.op = op
         self.calls = 0
 
-    @property
-    def footprint(self):
-        return getattr(self.op, "footprint", None)
-
     def __call__(self, v):
         self.calls += 1
         return self.op(v)
-
-
-def column_by_column(op):
-    """The same map without a footprint: jacobian_at loops over columns."""
-    return lambda v: op(v)
 
 
 def stencil(grid, atoms, seed=0):
@@ -294,109 +290,6 @@ def envelope_terms(grid, count, seed=0):
     terms = [stencil(grid, [[k + 1, 0]], seed=seed + k) for k in range(count)]
     shifts = [10.0 * rng.standard_normal(grid.node_count) for _ in range(count)]
     return list(zip(terms, shifts))
-
-
-def assert_coloured_equals_dense(op, v, reach):
-    n = v.size
-    counted = Counting(op)
-    coloured = jacobian_at(counted, v)
-    dense = jacobian_at(column_by_column(op), v)
-    assert counted.calls == 4 * (2 * reach + 1) ** len(op.footprint[0]) < 4 * n
-    assert np.array_equal(coloured.matrix, dense.matrix, equal_nan=True)
-    assert coloured.kink == dense.kink
-
-
-class TestColouredJacobian:
-    def test_stencil_1d(self):
-        grid = DyadicGrid(4, 1, 1.0)
-        op = stencil(grid, [[3], [-2]])
-        assert op.footprint == ((33,), 3)
-        v = np.random.default_rng(1).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(op, v, 3)
-
-    def test_stencil_2d_reach_three_jump(self):
-        grid = DyadicGrid(3, 2, 1.0)
-        op = stencil(grid, [[3, 0], [-1, 2]])
-        assert op.footprint == ((17, 17), 3)
-        v = np.random.default_rng(2).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(op, v, 3)
-
-    def test_stencil_3d(self):
-        grid = DyadicGrid(1, 3, 1.5)
-        op = stencil(grid, [[1, 1, 0]])
-        v = np.random.default_rng(3).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(op, v, 1)
-
-    def test_pucci(self):
-        grid = DyadicGrid(2, 2, 2.0)
-        v = np.random.default_rng(4).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(operators.pucci(grid, 0.5, 2.0), v, 1)
-
-    def test_bellman(self):
-        grid = DyadicGrid(3, 2, 1.0)
-        op = operators.bellman(envelope_terms(grid, 3, seed=5))
-        assert op.footprint == ((17, 17), 3)
-        v = np.random.default_rng(5).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(op, v, 3)
-
-    def test_isaacs(self):
-        grid = DyadicGrid(3, 2, 1.0)
-        terms = envelope_terms(grid, 4, seed=6)
-        op = operators.isaacs([terms[2:], terms[:2]])
-        assert op.footprint == ((17, 17), 4)
-        v = np.random.default_rng(6).standard_normal(grid.node_count)
-        assert_coloured_equals_dense(op, v, 4)
-
-    def test_stencil_calls_per_jacobian(self):
-        grid = DyadicGrid(3, 2, 1.0)
-        op = Counting(stencil(grid, [[2, -1]]))
-        jacobian_at(op, np.ones(grid.node_count))
-        # two matrices (step and half step) of two calls per colour
-        assert op.calls == 2 * 2 * 5 ** 2
-
-    def test_plain_callable_takes_column_loop(self):
-        m = np.random.default_rng(7).standard_normal((6, 6))
-        op = Counting(linear_op(m))
-        jacobian_at(op, np.ones(6))
-        assert op.calls == 4 * 6
-
-    def test_matrix_term_takes_column_loop(self):
-        grid = DyadicGrid(2, 1, 1.0)
-        st = stencil(grid, [])
-        op = operators.bellman([st.matrix(), (st, 1.0)])
-        assert op.footprint is None
-        counted = Counting(op)
-        jacobian_at(counted, np.ones(grid.node_count))
-        assert counted.calls == 4 * grid.node_count
-
-    def test_wide_reach_takes_column_loop(self):
-        grid = DyadicGrid(1, 1, 1.0)
-        op = Counting(stencil(grid, [[2]]))
-        assert (2 * op.footprint[1] + 1) ** grid.dim >= grid.node_count
-        jacobian_at(op, np.ones(grid.node_count))
-        assert op.calls == 4 * grid.node_count
-
-    def test_monge_ampere_off_convexity_is_coloured(self):
-        grid = DyadicGrid(2, 1, 1.0)
-        op = operators.monge_ampere(grid)
-        reach = op.footprint[1]
-        v = np.sin(3.0 * grid.points()[:, 0])
-        finite = np.isfinite(op(v))
-        assert not finite.all() and finite.any()
-        counted = Counting(op)
-        with np.errstate(invalid="ignore"):
-            got = jacobian_at(counted, v).matrix
-            want = jacobian_at(column_by_column(op), v).matrix
-        assert counted.calls == 4 * (2 * reach + 1)
-        assert np.array_equal(got[finite], want[finite])
-        # a row where T is not finite is non-finite inside its reach box
-        # and 0 outside it, where the column loop reads inf - inf
-        idx = np.arange(v.size)
-        near = np.abs(idx[:, None] - idx[None, :]) <= reach
-        bad = ~finite
-        assert not np.isfinite(got[bad][near[bad]]).all()
-        assert np.all(got[bad][~near[bad]] == 0.0)
-        assert np.isnan(want[bad][~near[bad]]).all()
 
 
 # --- exact stencil Jacobians and shared rows (translation invariance) -------
@@ -456,7 +349,8 @@ class TestTranslationInvariance:
     def test_interior_rows_share_the_kernel_decomposition(self, shift_case):
         grid, st, v = shift_case
         fields = coefficient_fields(st, grid, v)
-        inner = interior(grid, st.footprint[1])
+        reach = max(abs(o) for off in st.kernel for o in off)
+        inner = interior(grid, reach)
         assert inner.size and np.unique(fields.row_class[inner]).size == 1
         want = decompose(st.row(grid.indices()[inner[0]]))
         scale = float(sum(abs(w) for w in st.kernel.values()))
@@ -587,7 +481,7 @@ class TestExactEnvelopeJacobian:
 
     @ENVELOPE_SETTINGS
     @given(envelopes())
-    def test_rows_agree_with_coloured_differences(self, case):
+    def test_rows_agree_with_the_column_loop(self, case):
         grid, teams, v, _ = case
         op = envelope_op(teams)
         exact = jacobian_at(op, v)
@@ -632,7 +526,7 @@ class TestExactEnvelopeJacobian:
         grid = DyadicGrid(3, 1, 1.0)
         a = stencil(grid, [[2]], seed=1)
         v = np.random.default_rng(0).standard_normal(grid.node_count)
-        m, rho = a.rounding
+        m, rho = len(a.kernel), sum(abs(w) for w in a.kernel.values())
         u = 0.5 * np.finfo(float).eps
         bound = (m + 1) * u / (1.0 - (m + 1) * u) * rho * np.max(np.abs(v))
         for d, tie in ((0.5 * bound, True), (4.0 * bound, False)):
@@ -747,7 +641,7 @@ class TestExactSecondOrderJacobian:
         v = np.random.default_rng(grid.dim).standard_normal(grid.node_count)
         op = operators.pucci(grid, 0.5, 2.0, extremal)
         matrix, kink = op.jacobian(v)
-        loop = jacobian_at(column_by_column(op), v)
+        loop = jacobian_at(Counting(op), v)
         clear = clear_rows(grid, v, loop.step)
         assert not kink and np.count_nonzero(clear) >= v.size // 2
         # Pucci is linear near a clear row, so its central differences are
@@ -764,12 +658,15 @@ class TestExactSecondOrderJacobian:
         matrix, kink = op.jacobian(v)
         # Monge-Ampere is curved: central differences err by O(s^2), so
         # the loop takes a step below the default's 1e-5 (1 + |v|_inf)
-        loop = jacobian_at(column_by_column(op), v, step=1e-6)
+        loop = jacobian_at(Counting(op), v, step=1e-6)
         assert not kink and not loop.kink
         scale = float(np.max(np.abs(matrix)))
         assert np.max(np.abs(matrix - loop.matrix)) <= 1e-7 * scale
 
     def test_monge_ampere_off_convexity_reads_like_the_measured_path(self):
+        # a row where T is -inf is NaN inside its reach box and 0 outside
+        # it; the column loop reads inf - inf = NaN across the whole row,
+        # and every other row is finite on both paths
         grid = DyadicGrid(2, 2, 1.0)
         v = np.random.default_rng(9).standard_normal(grid.node_count)
         op = operators.monge_ampere(grid)
@@ -777,10 +674,15 @@ class TestExactSecondOrderJacobian:
         assert bad.any() and not bad.all()
         matrix, kink = op.jacobian(v)
         with np.errstate(invalid="ignore"):
-            measured = jacobian_at(Counting(op), v).matrix
-        assert kink
-        assert np.array_equal(np.isnan(matrix), np.isnan(measured))
-        assert np.all(matrix[bad][~np.isnan(matrix[bad])] == 0.0)
+            loop = jacobian_at(Counting(op), v)
+        assert kink and loop.kink
+        idx = grid.indices()
+        box = np.all(np.abs(idx[:, None] - idx[None, :]) <= 1, axis=2)
+        assert np.isnan(matrix[bad][box[bad]]).all()
+        assert np.all(matrix[bad][~box[bad]] == 0.0)
+        assert np.isnan(loop.matrix[bad][~box[bad]]).all()
+        assert not np.isfinite(loop.matrix[bad]).any()
+        assert np.isfinite(matrix[~bad]).all()
 
     @pytest.mark.parametrize("factory", [
         lambda g: operators.pucci(g, 0.5, 2.0),
@@ -843,6 +745,203 @@ class TestExactSecondOrderJacobian:
         op = operators.pucci(grid, 0.5, 2.0)
         for eig, tie in ((0.0, True), (0.5 * bound, True), (4.0 * bound, False)):
             assert op.jacobian(data(0.5 * eig))[1] is tie
+
+
+# --- exact Jacobians of envelopes with Pucci and Monge-Ampere terms --------
+
+
+MIXED_GRIDS = {1: DyadicGrid(3, 1, 1.0), 2: DyadicGrid(2, 2, 1.0),
+               3: DyadicGrid(1, 3, 1.0)}
+MIXED_KINDS = ["stencil", "pucci max", "pucci min", "monge-ampere"]
+
+
+def mixed_term(rng, grid, kind, v):
+    """A term and a shift that centres its finite values at 0 (so every
+    kind of term is active somewhere), plus noise."""
+    if kind == "stencil":
+        f = operators.StencilOperator(grid, monotone_kernel(rng, grid.dim, 1,
+                                                            grid.spacing))
+    elif kind == "monge-ampere":
+        f = operators.monge_ampere(grid)
+    else:
+        lam = float(rng.uniform(0.3, 1.0))
+        f = operators.pucci(grid, lam, lam * float(rng.uniform(1.0, 4.0)),
+                            kind.split()[1])
+    value = f(v)
+    centre = float(np.median(value[np.isfinite(value)]))
+    return f, 20.0 * rng.standard_normal(grid.node_count) - centre
+
+
+@strategies.composite
+def mixed_envelopes(draw):
+    """A Bellman or Isaacs family of stencil, Pucci and Monge-Ampere terms
+    on convex or on random data; each team's first term is finite."""
+    grid = MIXED_GRIDS[draw(strategies.sampled_from([1, 2, 3]))]
+    seed = draw(strategies.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    sizes = draw(strategies.lists(strategies.integers(1, 3), min_size=1,
+                                  max_size=3))
+    v = (convex_data(grid, seed % 1000, noise=0.05) if draw(strategies.booleans())
+         else rng.standard_normal(grid.node_count))
+    teams = [[mixed_term(rng, grid, draw(strategies.sampled_from(
+        MIXED_KINDS[:3] if k == 0 else MIXED_KINDS)), v) for k in range(size)]
+        for size in sizes]
+    return grid, teams, v
+
+
+def mixed_reference(grid, teams, v, step):
+    """Active rows read off each term's own Jacobian, each row's largest
+    absolute row sum over the terms, and the rows clear of ties and of
+    every term's kinks for probes of size step.
+
+    A Pucci row is clear when its eigenvalues stay away from 0 (see
+    `clear_rows`).  A Monge-Ampere row is clear when it stays off
+    convexity, or its least eigenvalue e is so far above 0 that central
+    differences of its curved value err by (s (d + 3)/(h^2 e))^2 / 6 <
+    1e-7 relatively.
+    """
+    node = np.arange(v.size)
+    s = step * (grid.dim + 3) / grid.spacing ** 2
+    e = centred_eigenvalues(grid, v)
+    own = {operators.PucciOp: np.min(np.abs(e), axis=1) > 10.0 * s,
+           operators.MongeAmpereOp: (e[:, 0] > 1e3 * s) | (e[:, 0] < -10.0 * s)}
+    clear = np.ones(v.size, dtype=bool)
+    scale = np.zeros(v.size)
+    vals, mats, margin = [], [], np.full(v.size, np.inf)
+    with np.errstate(invalid="ignore"):
+        for team in teams:
+            t = np.stack([f(v) + sh for f, sh in team])
+            jac = np.stack([f.jacobian(v)[0] for f, _ in team])
+            vals.append(t)
+            mats.append(jac)
+            for f, _ in team:
+                clear &= own.get(type(f), True)
+            sums = np.abs(jac).sum(axis=2)
+            scale = np.maximum(scale, np.where(np.isfinite(sums), sums, 0.0).max(axis=0))
+            if len(team) > 1:
+                top2 = np.sort(t, axis=0)[-2:]
+                margin = np.fmin(margin, top2[1] - top2[0])
+        inner = [np.argmax(t, axis=0) for t in vals]
+        team_val = np.stack([t[k, node] for t, k in zip(vals, inner)])
+        if len(teams) > 1:
+            low2 = np.sort(team_val, axis=0)[:2]
+            margin = np.fmin(margin, low2[1] - low2[0])
+        # a NaN margin is two values at -inf: not clear
+        clear &= (margin > 10.0 * scale * step) & np.isfinite(team_val.min(axis=0))
+    outer = np.argmin(team_val, axis=0)
+    rows = np.stack([mats[t][inner[t][i], i] for i, t in enumerate(outer)])
+    return rows, scale, clear
+
+
+class TestMixedEnvelopeJacobian:
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mixed_envelopes())
+    def test_rows_are_the_active_terms_rows_and_the_column_loop(self, case):
+        grid, teams, v = case
+        op = envelope_op(teams)
+        matrix, kink = op.jacobian(v)
+        # the loop's step is small enough for the curved Monge-Ampere value
+        step = 1e-8 * (1.0 + float(np.max(np.abs(v))))
+        want, scale, clear = mixed_reference(grid, teams, v, step)
+        assert matrix.tobytes() == want.tobytes()
+        assert np.count_nonzero(clear) >= v.size // 2
+        loop = jacobian_at(Counting(op), v, step=step)
+        dev = np.abs(matrix - loop.matrix)[clear].max(axis=1)
+        assert np.all(dev <= 1e-6 * scale[clear])
+        if np.all(clear):
+            assert not kink
+
+    @pytest.mark.parametrize("factory", [
+        lambda g: operators.pucci(g, 0.5, 2.0),
+        lambda g: operators.pucci(g, 0.5, 2.0, "min"),
+        operators.monge_ampere,
+    ], ids=["pucci-max", "pucci-min", "monge-ampere"])
+    def test_tie_bound_is_the_rounding_of_the_two_terms(self, factory):
+        # the same term twice, shifted apart by t: the two computed values
+        # differ by t to rounding, and each rounds by at most its bound:
+        # Pucci big d b + gamma_(d+2) big sum|e|, Monge-Ampere
+        # M(e) - M(e - b) + gamma_(d+2) (1 + |sum ln e| / d) M(e), with b
+        # the eigenvalues' bound and M(e) = d (prod e)^(1/d)
+        grid = DyadicGrid(2, 2, 1.0)
+        d, h = grid.dim, grid.spacing
+        f = factory(grid)
+        v = convex_data(grid, seed=3)
+        u = 0.5 * np.finfo(float).eps
+
+        def gamma(m):
+            return m * u / (1.0 - m * u)
+        hess = hessian_field(grid, v).reshape(-1, d, d)
+        e = np.linalg.eigvalsh(hess)
+        b = (gamma(3) * (d + 3) / h ** 2 * np.max(np.abs(v))
+             + gamma(4 * d * d) * np.linalg.norm(hess, axis=(1, 2)))
+        if isinstance(f, operators.PucciOp):
+            bound = f.big * d * b + gamma(d + 2) * f.big * np.abs(e).sum(axis=1)
+        else:
+            def ma(x):
+                return d * np.prod(x, axis=1) ** (1.0 / d)
+            power = 1.0 + np.abs(np.log(e).sum(axis=1)) / d
+            bound = ma(e) - ma(e - b[:, None]) + gamma(d + 2) * power * ma(e)
+        top = float(np.max(bound))
+        assert not f.jacobian(v)[1]
+        for t, tie in ((0.5 * top, True), (4.0 * top, False)):
+            matrix, kink = operators.bellman([(f, 0.0), (f, t)]).jacobian(v)
+            assert kink is tie and np.array_equal(matrix, f.jacobian(v)[0])
+
+    def test_kink_of_the_active_term_is_the_envelope_kink(self):
+        # u = x^2 + 0 y^2 has a zero eigenvalue on every row: a Pucci or
+        # Monge-Ampere kink, which the envelope keeps only where that term
+        # is active
+        grid = DyadicGrid(2, 2, 1.0)
+        v = grid.points()[:, 0] ** 2 - 40.0
+        a = stencil(grid, [[1, 0]], seed=1)
+        pu, ma = operators.pucci(grid, 0.5, 2.0), operators.monge_ampere(grid)
+        for f in (pu, ma):
+            assert f.jacobian(v)[1]
+            assert operators.bellman([f, (a, -1e6)]).jacobian(v)[1]
+            assert operators.isaacs([[(a, 1e6)], [f, (a, -1e6)]]).jacobian(v)[1]
+            # in a losing team
+            assert not operators.isaacs([[(a, -1e6)], [f, (a, 1e6)]]).jacobian(v)[1]
+        assert not operators.bellman([pu, (a, 1e6)]).jacobian(v)[1]
+        # at the edge of convexity Monge-Ampere may be -inf or finite: its
+        # bound is inf, so its rows tie with every other term
+        assert np.isinf(ma.bound(v, 0.0)).any()
+        assert operators.bellman([ma, (a, 1e6)]).jacobian(v)[1]
+
+    def test_monge_ampere_bound_is_never_nan(self):
+        # rows off convexity are -inf exactly (bound 0), rows at the edge
+        # of convexity may be -inf or finite (bound inf)
+        grid = DyadicGrid(2, 2, 1.0)
+        f = operators.monge_ampere(grid)
+        x = grid.points()
+        for v in (np.random.default_rng(9).standard_normal(grid.node_count),
+                  x[:, 0] ** 2 - 40.0, np.zeros(grid.node_count)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bound = f.bound(v, 1.0)
+            off = ~np.isfinite(f(v))
+            assert not np.isnan(bound).any() and np.all(bound >= 0.0)
+            assert off.any()
+            edge = np.min(np.abs(centred_eigenvalues(grid, v)), axis=1) <= bound
+            assert np.all(bound[off & ~edge] == 0.0)
+            assert np.all(np.isfinite(bound[~off & ~edge]))
+
+    def test_jacobian_at_makes_no_column_loop_call(self, monkeypatch):
+        grid = DyadicGrid(2, 2, 1.0)
+        a = stencil(grid, [[1, 0]], seed=1)
+        pu = operators.pucci(grid, 0.5, 2.0)
+        pm = operators.pucci(grid, 0.5, 2.0, "min")
+        ma = operators.monge_ampere(grid)
+        v = np.random.default_rng(5).standard_normal(grid.node_count)
+
+        def measured(*args):
+            raise AssertionError("measured a Jacobian")
+        monkeypatch.setattr(clarke, "_matrix", measured)
+        for op in (operators.bellman([a, (pu, 1.0), ma]),
+                   operators.isaacs([[a, ma], [pm], [(pu, -3.0), a]])):
+            sample = jacobian_at(op, v)
+            assert np.array_equal(sample.matrix, op.jacobian(v)[0],
+                                  equal_nan=True)
 
 
 class TestComparisonDefect:
@@ -918,40 +1017,52 @@ def test_pucci_rows_of_a_convex_quadratic_form_one_class_per_box_position(grid):
     assert np.unique(fields.row_class).size == 3 ** grid.dim
 
 
-def footprinted_classes():
-    """Every class defined in the package that declares a footprint."""
-    found = set()
-    for info in pkgutil.iter_modules(levyminmax.__path__):
-        mod = importlib.import_module(f"levyminmax.{info.name}")
-        found |= {c for c in vars(mod).values() if isinstance(c, type)
-                  and c.__module__ == mod.__name__ and hasattr(c, "footprint")}
-    return found
+def operator_classes():
+    """Every class of `operators` whose instances are operators (callable)."""
+    return {c for c in vars(operators).values() if isinstance(c, type)
+            and c.__module__ == operators.__name__ and "__call__" in vars(c)}
 
 
-def test_every_footprinted_grid_operator_has_an_exact_jacobian():
-    # an operator that declares a footprint but no exact `jacobian` would
-    # be measured by finite differences without anyone noticing
+def test_every_exported_operator_and_envelope_has_an_exact_jacobian(
+        monkeypatch):
+    # an operator, or an envelope of operators, without an exact `jacobian`
+    # would be measured by finite differences without anyone noticing
     grid = DyadicGrid(2, 2, 1.0)
     a = stencil(grid, [[1, 0]], seed=1)
     b = stencil(grid, [[0, -2]], seed=2)
     pu = levyminmax.pucci(grid, 0.5, 2.0)
+    ma = levyminmax.monge_ampere(grid)
     built = {
         "StencilOperator": a,
         "levy_stencil": levyminmax.levy_stencil(
             grid, LevyOperator(np.eye(2), np.zeros(2), 0.0, LevyMeasure.empty(2))),
         "pucci": pu,
-        "monge_ampere": levyminmax.monge_ampere(grid),
-        "bellman": levyminmax.bellman([a, (b, 1.0)]),
-        "isaacs": levyminmax.isaacs([[a], [(b, 1.0)]]),
+        "pucci min": levyminmax.pucci(grid, 0.5, 2.0, "min"),
+        "monge_ampere": ma,
+        "bellman": levyminmax.bellman([a, (b, 1.0), b.matrix(), pu, ma]),
+        "isaacs": levyminmax.isaacs([[a, pu], [(b, 1.0), ma], [b.matrix()]]),
     }
-    assert set(built) <= set(levyminmax.__all__)
-    assert {type(op) for op in built.values()} == footprinted_classes()
+    built["bellman of envelopes"] = levyminmax.bellman(
+        [built["bellman"], (built["isaacs"], 2.0), a])
+    built["isaacs of envelopes"] = levyminmax.isaacs(
+        [[built["bellman"]], [built["isaacs"], pu]])
+    exported = {name.split()[0] for name in built} - {"StencilOperator"}
+    assert exported <= set(levyminmax.__all__)
+    # matrix terms enter through bellman and isaacs
+    assert ({type(op) for op in built.values()} | {operators.MatrixTerm}
+            == operator_classes())
+
+    def measured(*args):
+        raise AssertionError("measured a Jacobian")
+    monkeypatch.setattr(clarke, "_matrix", measured)
     v = convex_data(grid, seed=2)
     for name, op in built.items():
         got = op.jacobian(v)
         assert got is not None, name
         assert got[0].shape == (v.size, v.size) and np.isfinite(got[0]).all(), name
-    # the one allowed exception
-    allowed = {"envelope with a non-affine term": levyminmax.bellman([a, pu])}
-    for op in allowed.values():
-        assert op.footprint is not None and op.jacobian(v) is None
+        assert np.array_equal(jacobian_at(op, v).matrix, got[0]), name
+    # only a plain callable term leaves an envelope without one
+    for op in (levyminmax.bellman([a, lambda w: a(w)]),
+               levyminmax.isaacs([[a], [built["bellman"], lambda w: a(w)]]),
+               levyminmax.bellman([levyminmax.bellman([lambda w: a(w)]), a])):
+        assert op.jacobian(v) is None

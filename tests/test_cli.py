@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from levyminmax import approx
+from levyminmax import approx, clarke
 from levyminmax.cli import build_parser, main
 
 
@@ -245,6 +245,20 @@ def test_dtn_low_level_runs_when_the_config_sets_the_strip(tmp_path):
     assert code == 0 and (rep["nx"], rep["ny"]) == (8, 40)
 
 
+def test_dtn_high_level_runs_when_the_config_sets_the_strip(tmp_path, capsys):
+    # the level forms no default strip once the config sets nx and ny
+    path = tmp_path / "dtn.json"
+    path.write_text('{"nx": 8, "ny": 40}')
+    code, rep = run(["dtn", "--level", "14", "--config", str(path),
+                     "--tol", "10"], tmp_path)
+    assert code == 0 and (rep["nx"], rep["ny"]) == (8, 40)
+    # with ny unset the default ny = 2**13 is still refused before forming it
+    path.write_text('{"nx": 8}')
+    code = main(["dtn", "--level", "14", "--config", str(path),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2 and "strip node budget" in capsys.readouterr().err
+
+
 def test_dtn_default_modes_above_nyquist_exit_two(tmp_path, capsys):
     # --level 2 gives nx = 4, which aliases the default mode 4 to mode 0
     code = main(["dtn", "--level", "2", "--out", str(tmp_path / "r.json")])
@@ -454,3 +468,24 @@ def test_report_bytes_off_the_seed_zero_grid_path_are_recorded(tmp_path):
         text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
                       out.read_text())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["minmax", "--level", "4", "--seed", "7"],
+    ["minmax", "--level", "4", "--seed", "27"],
+    ["decompose", "--operator", "jump", "--level", "4", "--dim", "2"],
+    ["converge", "--operator", "trace", "--level", "5"],
+    ["converge", "--operator", "jump", "--dim", "2", "--level", "5"],
+    ["dtn", "--level", "8"],
+], ids=["minmax", "minmax failing seed", "decompose", "converge trace",
+        "converge jump", "dtn"])
+def test_no_subcommand_measures_a_jacobian(tmp_path, monkeypatch, argv):
+    # every Jacobian a subcommand takes is exact: with the column loop
+    # made to raise, each exit code is the one of a plain run
+    out = ["--out", str(tmp_path / "report.json")]
+    want = main(argv + out)
+
+    def measured(*args):
+        raise AssertionError("measured a Jacobian")
+    monkeypatch.setattr(clarke, "_matrix", measured)
+    assert main(argv + out) == want

@@ -236,22 +236,20 @@ def test_isaacs_is_min_of_maxes():
     assert np.array_equal(op(v), expected)
 
 
-def test_footprints_name_grid_shape_and_reach():
+def test_envelopes_refuse_terms_on_grids_of_different_shapes():
+    # such terms cannot be read node by node; the refusal names both shapes
     g = DyadicGrid(level=3, dim=2, box_radius=1.0)
-    wide = StencilOperator(g, {(0, 0): -2.0, (3, -1): 1.0, (0, 2): 1.0})
     near = StencilOperator(g, {(0, 0): -1.0, (1, 0): 1.0})
-    assert wide.footprint == ((17, 17), 3)
-    assert StencilOperator(g, {(0, 0): 1.0}).footprint == ((17, 17), 0)
-    assert pucci(g, 0.5, 2.0).footprint == ((17, 17), 1)
-    assert monge_ampere(g).footprint == ((17, 17), 1)
-    assert bellman([near, (wide, 1.0)]).footprint == ((17, 17), 3)
-    assert isaacs([[near], [near, pucci(g, 1.0, 1.0)]]).footprint == ((17, 17), 1)
-    # a matrix term, a plain callable or a second grid hides the footprint
-    assert bellman([near, np.eye(g.node_count)]).footprint is None
-    assert bellman([near, lambda v: v]).footprint is None
     other = StencilOperator(DyadicGrid(level=2, dim=2, box_radius=1.0), near.kernel)
-    assert bellman([near, other]).footprint is None
-    assert isaacs([[near], [other]]).footprint is None
+    for build in (lambda: bellman([near, (other, 1.0)]),
+                  lambda: bellman([near, pucci(other.grid, 0.5, 2.0)]),
+                  lambda: isaacs([[near], [monge_ampere(other.grid)]]),
+                  lambda: bellman([bellman([near]), other])):
+        with pytest.raises(OperatorError, match=r"\(17, 17\) and \(9, 9\)"):
+            build()
+    # one grid, a matrix term or a plain callable is fine
+    bellman([near, pucci(g, 1.0, 1.0), np.eye(g.node_count), lambda v: v])
+    isaacs([[near], [monge_ampere(g)]])
 
 
 def test_envelope_of_monotone_stencils_keeps_comparison():
