@@ -317,9 +317,6 @@ class CoefficientFields:
     def gcp(self) -> bool:
         return bool(np.all(self.gcp_field))
 
-    def measure_at(self, i: int):
-        return self.decompositions[i].levy_measure()
-
 
 def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
     """Linearize at v and split every row into local plus jump parts.

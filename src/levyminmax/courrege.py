@@ -87,17 +87,9 @@ class RowFunctional:
     def dim(self) -> int:
         return self.base_point.size
 
-    def _center_mask(self) -> np.ndarray:
-        return np.max(np.abs(self.offsets), axis=1) < OFFSET_TOL
-
-    @property
-    def center_weight(self) -> float:
-        mask = self._center_mask()
-        return float(self.weights[mask].sum())
-
     def jump_part(self):
         """Off-center offsets and weights, in canonical order."""
-        keep = ~self._center_mask()
+        keep = np.max(np.abs(self.offsets), axis=1) >= OFFSET_TOL
         return self.offsets[keep], self.weights[keep]
 
     @property

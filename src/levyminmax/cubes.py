@@ -6,7 +6,10 @@ satisfy 1 <= dist(Q, lattice)/diam(Q) < 4 exactly.  Cube supports are the
 9/8-inflated boxes; the smooth bump of each cube is 1 on the cube itself, so
 the raw weight sum at any off-lattice point is at least 1 by construction.
 All geometry predicates live in _kernels and run in exact dyadic/integer
-arithmetic; this module is the object layer above them.
+arithmetic; this module is the object layer above them.  Both queries
+refuse a point where the extension snaps to a node, closer than
+SNAP_TOL_UNIT lattice units to it: `cubes_at` raises CubeError exactly
+where `partition_raw_sums` returns the sentinel -1.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KMAX
-from .grid import ON_LATTICE_TOL, GridError
+from .grid import GridError
 
 
 class CubeError(GridError):
@@ -105,14 +108,6 @@ class CubeCover:
     cubes: tuple
     weights: tuple
 
-    @property
-    def raw_sum(self) -> float:
-        return float(sum(self.weights))
-
-    def partition_weights(self) -> np.ndarray:
-        w = np.array(self.weights, dtype=float)
-        return w / w.sum()
-
 
 def base_family(dim: int, max_generation: int) -> list[WhitneyCube]:
     """All kept cubes of the origin cell up to the given generation.
@@ -149,38 +144,33 @@ def _check_query(d: int, spacing) -> float:
     return spacing
 
 
-def _not_finite(x: np.ndarray, spacing: float) -> CubeError:
-    return CubeError(f"point {x.tolist()} is not finite in lattice units "
+def _not_finite(x: list, spacing: float) -> CubeError:
+    return CubeError(f"point {x} is not finite in lattice units "
                      f"of spacing {spacing}")
 
 
 def cubes_at(x, spacing: float = 1.0) -> CubeCover:
     """Every kept cube whose bump is positive at x (any cell, any generation).
 
-    Raises CubeError when x sits on a lattice node (tolerance 1e-13) or so
-    close to one that the generation cap cannot resolve the cover, and, as
-    `partition_raw_sums` does, for a dimension other than 1, 2 or 3, a
-    spacing that is not positive and finite, or a point that is not finite
-    in lattice units.
+    Raises CubeError where the extension snaps to a node: when x lies
+    closer than SNAP_TOL_UNIT lattice units to one (`_kernels.snapped_node`),
+    exactly the points that `partition_raw_sums` marks -1.  Like it, raises
+    for a dimension other than 1, 2 or 3, a spacing that is not positive and
+    finite, or a point that is not finite in lattice units.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
+    pt = np.asarray(x, dtype=float).ravel().tolist()
+    d = len(pt)
     spacing = _check_query(d, spacing)
-    if not all(math.isfinite(v / spacing) for v in x.tolist()):
-        raise _not_finite(x, spacing)
-    xi = x / spacing
-    znear = np.floor(xi + 0.5)
-    delta_unit = math.sqrt(float(np.sum((xi - znear) ** 2)))
-    if delta_unit * spacing <= ON_LATTICE_TOL * max(1.0, float(np.max(np.abs(x)))):
-        raise CubeError(f"point {x.tolist()} lies on a lattice node")
-    if delta_unit < _kernels.SNAP_TOL_UNIT:
-        raise CubeError(
-            f"point {x.tolist()} is closer to a node than generation "
-            f"{KMAX} resolves")
-    found = _kernels.cover(xi.tolist(), d)
+    xi = [v / spacing for v in pt]
+    if not all(map(math.isfinite, xi)):
+        raise _not_finite(pt, spacing)
+    if _kernels.snapped_node(xi) is not None:
+        raise CubeError(f"point {pt} lies within {_kernels.SNAP_TOL_UNIT} "
+                        f"lattice units of a node")
+    found = _kernels.cover(xi, d)
     cubes = tuple(WhitneyCube(dim=d, generation=k, index=m, cell=z, spacing=spacing)
                   for z, k, m, _ in found)
-    return CubeCover(point=tuple(float(v) for v in x), spacing=spacing,
+    return CubeCover(point=tuple(pt), spacing=spacing,
                      cubes=cubes, weights=tuple(w for *_, w in found))
 
 
@@ -202,7 +192,8 @@ def partition_raw_sums(points, spacing: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):
         finite = np.isfinite(pts / spacing)
     if not finite.all():
-        raise _not_finite(pts[int(np.argmin(finite.all(axis=1)))], spacing)
+        raise _not_finite(pts[int(np.argmin(finite.all(axis=1)))].tolist(),
+                          spacing)
     return _kernels.partition_batch(pts, spacing, pts.shape[1])
 
 

@@ -5,11 +5,12 @@ values on the nodes of a centered box.  Node coordinates are stored as exact
 integer multi-indices scaled by the spacing, so translation, nesting and
 restriction tests are free of float drift.  Reads outside the box return 0,
 matching the convention that grid functions vanish outside their box;
-``_shifted`` is the one zero-padded lattice shift of whole arrays.
+``_shifted`` is the one zero-padded lattice shift of whole arrays.  A grid
+function is a read-only array with no algebra or serialization of its own:
+callers combine ``values`` and write the reports they need.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,8 +26,6 @@ _NODE_CAPS = {1: 2 * 4096 + 1, 2: 513 ** 2, 3: 129 ** 3}
 # strip node budget nx (ny + 1): the default `levymm dtn` strip at level 13
 _STRIP_LEVEL_CAP = 13
 _STRIP_NODE_CAP = 2 ** _STRIP_LEVEL_CAP * (2 ** (_STRIP_LEVEL_CAP - 1) + 1)
-
-ON_LATTICE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -166,14 +165,6 @@ class DyadicGrid:
     def point_of(self, index) -> np.ndarray:
         return np.asarray(index, dtype=float) * self.spacing
 
-    def index_of(self, point, tol: float = 1e-9) -> np.ndarray:
-        """Exact lattice index of a point; error if the point is off-lattice."""
-        q = np.asarray(point, dtype=float) / self.spacing
-        idx = np.rint(q)
-        if np.max(np.abs(q - idx)) > tol:
-            raise GridError(f"point {point} is not on the level-{self.level} lattice")
-        return idx.astype(np.int64)
-
     def contains_index(self, index) -> bool:
         return bool(np.all(np.abs(np.asarray(index)) <= self.half_count))
 
@@ -238,53 +229,6 @@ class GridFunction:
 
     def flat(self) -> np.ndarray:
         return self._values.ravel()
-
-    # --- algebra ---
-
-    def _binary(self, other, op) -> "GridFunction":
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise GridError("grid mismatch")
-            return GridFunction(self.grid, op(self._values, other._values))
-        return GridFunction(self.grid, op(self._values, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self._values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self._values)))
-
-    # --- serialization ---
-
-    def to_json(self) -> str:
-        idx = self.grid.indices()
-        vals = self._values.ravel()
-        payload = {
-            "dim": self.grid.dim,
-            "level": self.grid.level,
-            "box_radius": self.grid.box_radius,
-            "values": [[[int(i) for i in row], float(v)] for row, v in zip(idx, vals)],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GridFunction":
-        payload = json.loads(text)
-        g = DyadicGrid(payload["level"], payload["dim"], float(payload["box_radius"]))
-        values = np.zeros(g.shape)
-        n = g.half_count
-        for row, v in payload["values"]:
-            pos = tuple(int(i) + n for i in row)
-            values[pos] = float(v)
-        return GridFunction(g, values)
 
 
 def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:

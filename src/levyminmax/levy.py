@@ -5,11 +5,12 @@ sum of mass * (u(x+y) - u(x) - 1_{|y|<1} grad u(x).y) over finitely many
 atoms y with nonnegative mass.  The gradient compensation uses the open
 Euclidean unit ball: atoms with |y| >= 1 enter uncompensated.  A must be
 symmetric positive semidefinite; together with mass >= 0 this is exactly
-what degenerate ellipticity / the comparison property requires.
+what degenerate ellipticity / the comparison property requires.  A measure
+keeps its atoms sorted and merged; what the pipeline reads of it is the
+atoms and masses themselves, `moment` and `tv_distance`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,14 +88,6 @@ class LevyMeasure:
     def __len__(self) -> int:
         return self.atoms.shape[0]
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def support_radius(self) -> float:
-        if not len(self):
-            return 0.0
-        return float(np.max(np.linalg.norm(self.atoms, axis=1)))
-
     def moment(self, power: float = 2.0, radius: float = 1.0) -> float:
         """Levy-type moment: |y|^power inside the radius, constant 1 outside."""
         if not len(self):
@@ -102,29 +95,6 @@ class LevyMeasure:
         r = np.linalg.norm(self.atoms, axis=1)
         integrand = np.where(r < radius, r ** power, 1.0)
         return float(np.dot(self.masses, integrand))
-
-    def restricted(self, rmin: float, rmax: float) -> "LevyMeasure":
-        """Atoms with rmin <= |y| < rmax (Euclidean)."""
-        if not len(self):
-            return self
-        r = np.linalg.norm(self.atoms, axis=1)
-        keep = (r >= rmin) & (r < rmax)
-        return LevyMeasure(self.atoms[keep], self.masses[keep])
-
-    def to_json(self) -> str:
-        payload = [{"mass": float(m), "y": [float(c) for c in y]}
-                   for y, m in zip(self.atoms, self.masses)]
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "LevyMeasure":
-        payload = json.loads(text)
-        if not payload:
-            raise LevyError("empty measure JSON needs an explicit dimension; "
-                            "use LevyMeasure.empty")
-        atoms = np.array([rec["y"] for rec in payload], dtype=float)
-        masses = np.array([rec["mass"] for rec in payload], dtype=float)
-        return LevyMeasure(atoms, masses)
 
 
 def tv_distance(m1: LevyMeasure, m2: LevyMeasure,

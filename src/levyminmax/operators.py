@@ -21,11 +21,12 @@ A linear stencil or a `MatrixTerm` scatters its own rows and is never a
 kink.  Pucci and Monge-Ampere are envelopes of the linear maps
 u -> tr(A D2_h u), so row i is the centred Hessian stencil weighted by the
 optimal A*_i, from one Hessian field and one batched `eigh`, and a kink
-where an eigenvalue lies within its rounding bound of 0.  A Bellman or
-Isaacs envelope writes each row from the term active there, and that row
-is a kink where two terms tie within their bounds or where the active
-term's own row is a kink.  An envelope with a plain callable term has no
-exact Jacobian (None).
+where an eigenvalue lies within its rounding bound of 0; a Monge-Ampere
+row off convexity, where the value is -inf, is NaN across the row, as the
+column loop reads it, and a kink.  A Bellman or Isaacs envelope writes each
+row from the term active there, and that row is a kink where two terms tie
+within their bounds or where the active term's own row is a kink.  An
+envelope with a plain callable term has no exact Jacobian (None).
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary mode by mode in the lateral Fourier basis.  The direct sparse
@@ -621,9 +622,9 @@ class MongeAmpereOp(_Term):
     attained at A* = det(H)^(1/d) H^(-1) (`ma_infimum`), so its Jacobian
     row is the centred stencil weighted by A*, from one Hessian field and
     one batched `eigh`, with no operator call.  A row off convexity, where
-    T is -inf, is NaN inside its reach box and 0 outside it, and is a kink;
-    so is a row with an eigenvalue within its rounding bound of 0
-    (`_eigen_bound`), where convexity can switch.
+    T is -inf, is NaN across the row, as the column loop reads it
+    (-inf - -inf), and is a kink; so is a row with an eigenvalue within its
+    rounding bound of 0 (`_eigen_bound`), where convexity can switch.
     """
 
     grid: DyadicGrid
@@ -655,16 +656,14 @@ class MongeAmpereOp(_Term):
 
     def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
         """Write the A*-weighted centred stencil of the given convex rows
-        and NaN reach boxes of the others."""
+        and NaN across the others."""
         d = self.grid.dim
         e, q, bound = _hessian_eigen(self.grid, np.asarray(v, dtype=float), rows)
         convex = np.all(e > 0.0, axis=-1)
         good = e[convex]
         w = np.prod(good, axis=-1, keepdims=True) ** (1.0 / d) / good
         _scatter_hessian(out, self.grid, rows[convex], _from_eigen(q[convex], w))
-        box = np.array(list(np.ndindex(*(3,) * d))) - 1
-        _scatter(out, self.grid.shape, rows[~convex], box,
-                 np.full(len(box), np.nan))
+        out[rows[~convex]] = np.nan
         return ~convex | np.any(np.abs(e) <= bound[:, None], axis=1)
 
 

@@ -116,11 +116,6 @@ class CutoffPair:
     phi: SClassFn
     eta: SClassFn
 
-    def validated(self) -> "CutoffPair":
-        validate_s_member(self.phi)
-        validate_s_member(self.eta)
-        return self
-
 
 DEFAULT_PAIR = CutoffPair(DEFAULT_PHI, DEFAULT_PHI)
 

@@ -91,14 +91,15 @@ def test_cover_contains_point_in_exactly_one_cube():
             inside = [q for q in cov.cubes if q.contains(x)]
             assert len(inside) == 1
             assert inside[0].weight(x) == 1.0
-            assert cov.raw_sum >= 1.0
+            assert sum(cov.weights) >= 1.0
 
 
 def test_cover_weights_match_cube_weights():
     cov = cubes_at(np.array([0.3, 0.1]))
     for q, w in zip(cov.cubes, cov.weights):
         assert q.weight(np.array([0.3, 0.1])) == pytest.approx(w, abs=1e-15)
-    assert cov.partition_weights().sum() == pytest.approx(1.0, abs=1e-12)
+    total = partition_raw_sums(np.array([[0.3, 0.1]]))[0, 1]
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cover_agrees_with_base_family_in_origin_cell():
@@ -191,6 +192,41 @@ def test_cover_properties_hold_off_lattice(case):
     cubes = cubes_at(x, spacing=h).cubes
     assert all(1.0 <= q.ratio < 4.0 for q in cubes)
     assert max(q.generation for q in cubes) <= KMAX - 1
+
+
+@st.composite
+def near_node_points(draw):
+    """(point, spacing): a node of magnitude up to 1e12 plus an offset of
+    2**-32 to 2**-1 lattice units, so the point lies on either side of the
+    snap radius 2**-26, or on the node itself."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1.0, 0.25, 2.0 ** -6, 0.3]))
+    step = math.floor(10.0 ** draw(st.integers(0, 12)) / h / 10)
+    node = np.array([draw(st.integers(-10, 10)) * step for _ in range(d)],
+                    dtype=float)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    off = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    size = max(float(np.linalg.norm(off)), 1e-300)
+    off *= 2.0 ** draw(st.floats(-32.0, -1.0)) / size
+    return (node + off) * h, h
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(near_node_points())
+def test_cubes_at_refuses_exactly_where_partition_raw_sums_snaps(case):
+    # one snap rule for the whole geometry layer: the cover is refused
+    # where the batch sentinel reads -1, and otherwise its weights add, left
+    # to right, to the raw total bit for bit
+    x, h = case
+    raw = partition_raw_sums(x[None, :], h)[0, 0]
+    if raw == -1.0:
+        with pytest.raises(CubeError):
+            cubes_at(x, h)
+        return
+    total = 0.0
+    for w in cubes_at(x, h).weights:
+        total += w
+    assert total == raw
 
 
 def _selected_by_ancestors(k, m):

@@ -1,8 +1,40 @@
-"""The package's public names all resolve, and its modules import only what they use."""
+"""The package's public names all resolve and are all read, and its modules
+import only what they use."""
 import ast
 import pathlib
 
 import levyminmax
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# public names that no module, no benchmark file and no acceptance criterion
+# reads, each with the reason it stays
+KEPT = {
+    "clarke.sample_differential":
+        "the sampled Clarke Jacobian at a point, the paper's differential",
+    "clarke.mean_value_residual":
+        "the mean-value inclusion of the Clarke Jacobians (Lebourg)",
+    "courrege.CourregeDecomposition.levy_measure":
+        "the Levy measure of a row's Courrege normal form",
+    "cubes.uncovered_volume": "the coverage identity of the Whitney cover",
+    "levy.tv_distance":
+        "the distance the paper states spatial regularity of measures in",
+    "special.taylor_cutoff":
+        "the paper's cutoff-compensated Taylor data of smooth functions",
+    "special.validate_s_member": "membership in the admissible cutoff class",
+    "grid.RegularityClass.derivative_order":
+        "the order m of the paper's class C^{m,s}",
+    "grid.RegularityClass.holder_exponent":
+        "the exponent s of the paper's class C^{m,s}",
+    "cubes.base_family": "the kept-cube table by generation, a test reference",
+    "cubes.WhitneyCube.contains":
+        "one cube's closed box, the tests' reference for the cover",
+    "cubes.WhitneyCube.support_contains":
+        "one cube's inflated support, the tests' reference for the bump",
+    "cubes.WhitneyCube.weight":
+        "one cube's bump, the tests' reference for the batch weights",
+    "operators.monge_ampere": "the reference Monge-Ampere operator",
+}
 
 
 def test_every_exported_name_resolves():
@@ -56,3 +88,46 @@ def test_frozen_objects_are_written_only_in_post_init():
                     and id(node) not in allowed):
                 writes.append(f"{path.name}:{node.lineno}")
     assert writes == []
+
+
+def _public_definitions(package: pathlib.Path) -> list:
+    """(key, name) of each public top-level function and class of the
+    package's modules other than __init__, and of each public method of
+    those classes."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            key = f"{path.stem}.{node.name}"
+            out.append((key, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{key}.{sub.name}", sub.name) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")]
+    return out
+
+
+def test_every_public_name_is_read_or_kept():
+    # a name is read where it appears as a Name or an Attribute in the
+    # package, the benchmark or the acceptance criteria; definitions and
+    # the re-exports of __init__ are not reads
+    package = ROOT / "src" / "levyminmax"
+    readers = (sorted(package.glob("*.py"))
+               + sorted((ROOT / "perfbench").rglob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {key for key, name in _public_definitions(package)
+              if name not in read}
+    assert sorted(unread - KEPT.keys()) == []
+    # a kept name that has gained a reader leaves the list
+    assert sorted(KEPT.keys() - unread) == []

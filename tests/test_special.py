@@ -100,7 +100,6 @@ def test_eta_delta_bands_and_monotonicity():
 def test_s_class_membership_of_defaults():
     validate_s_member(DEFAULT_PAIR.phi)
     validate_s_member(DEFAULT_PAIR.eta)
-    DEFAULT_PAIR.validated()
 
 
 def test_s_class_rejects_oversized_support():
