@@ -163,30 +163,57 @@ def probe_lipschitz(op, size: int, samples: int = 20, seed: int = 0,
 
 @dataclass(frozen=True)
 class TightnessProbe:
-    """Envelope gap of the min-max form as the probe set grows."""
+    """Envelope gap of the min-max form as the probe set grows, and the
+    rows no probe certified (`probe_tightness`)."""
 
     gaps: np.ndarray
     omega: float
     seed: int
+    kink_rows: np.ndarray
 
 
 def probe_tightness(op, u, count: int = 6, seed: int = 0) -> TightnessProbe:
     """Min-max gap at u using only perturbed probes, one added at a time.
 
-    Probe k is u plus PROBE_SCALE 2^-k times unit normal noise; one
-    `minmax_eval` over all of them records the gap after each probe.  The
-    gap sequence is nonincreasing up to rounding and omega is its final
-    value.  A zero omega means the sampled linearizations already reproduce
-    the operator at u.
+    Probe k is u plus PROBE_SCALE 2^-k times unit normal noise, drawn from
+    one seeded stream; one `minmax_eval` over all of them records the gap
+    after each probe.  The gap sequence is nonincreasing up to rounding and
+    omega is its final value.  A zero omega means the linearizations
+    already reproduce the operator at u.
+
+    The gap at a row closes once some probe keeps u's active term there:
+    on a Bellman envelope of stencil and matrix terms the segment then
+    carries that term alone.  So for an operator with `active_terms` (an
+    envelope), halved probes are drawn past count until every row has a
+    probe whose active term is u's, with neither end tied within rounding,
+    or until the next perturbation is below the float resolution of u.
+    The rows tied at u, and those still uncovered when drawing stops, are
+    the kink rows; they stay in omega.  An operator without active terms
+    (a plain callable) takes count probes and names no kink rows.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if count < 1:
         raise ApproxError("need at least one probe")
+    active_terms = getattr(op, "active_terms", None)
+    kink = uncovered = np.zeros(u.size, dtype=bool)
+    if active_terms is not None:
+        want, kink = active_terms(u)
+        uncovered = ~kink
+    resolution = np.finfo(float).eps * max(float(np.max(np.abs(u))),
+                                           np.finfo(float).tiny)
     rng = np.random.default_rng(seed)
-    probes = [u + PROBE_SCALE * 0.5 ** k * rng.standard_normal(u.size)
-              for k in range(count)]
+    probes = []
+    while len(probes) < count or (
+            uncovered.any()
+            and PROBE_SCALE * 0.5 ** len(probes) >= resolution):
+        v = u + PROBE_SCALE * 0.5 ** len(probes) * rng.standard_normal(u.size)
+        probes.append(v)
+        if active_terms is not None:
+            got, tie = active_terms(v)
+            uncovered &= (got != want) | tie
     gaps = minmax_eval(op, u, probes).gaps
-    return TightnessProbe(gaps=gaps, omega=float(gaps[-1]), seed=seed)
+    return TightnessProbe(gaps=gaps, omega=float(gaps[-1]), seed=seed,
+                          kink_rows=np.flatnonzero(kink | uncovered))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,16 @@ wrapped or plain callable, a surrogate), is measured one basis column at
 a time by central differences, where near a kink the two half-step
 measurements disagree, which is exactly the detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
-the generalized differential: enough for mean-value residuals, min-max
-evaluation, and row-by-row coefficient extraction.  Matrices are dense.
+the generalized differential: enough for mean-value residuals and
+row-by-row coefficient extraction.  Matrices are dense.
+
+Min-max evaluation needs, per probe v, the max of J (u - v) over the Clarke
+Jacobians on the segment [v, u] (Clarke 1983, section 2.6; Lebourg 1975).
+An envelope of stencil and matrix terms supplies it exactly, with no
+matrix, from the lines its terms trace along the segment
+(`operators.IsaacsOp.segment_max`); any other operator takes the max over
+Jacobians sampled along the segment, which can miss a term active only
+between two samples.
 
 Coefficient fields decompose each distinct row once.  A row's key is the
 bytes of its offsets relative to its node and of its weights, read off the
@@ -265,23 +273,31 @@ def minmax_eval(op, u, probes, count: int = 9) -> MinMaxReport:
     """Evaluate the min-max form of the operator at u.
 
     For each probe v the inner layer is T(v) plus the componentwise max of
-    J (u - v) over Jacobians sampled along the segment from v to u; the
+    J (u - v) over the Clarke Jacobians on the segment from v to u; the
     outer layer is the componentwise min over probes, kept as a running
-    minimum whose gap is recorded after each probe.  With u among the
-    probes the result reproduces T(u) up to the sampling defect, reported
-    as the max-norm gap.
+    minimum whose gap is recorded after each probe.  An operator whose
+    `segment_max(v, u)` returns that max (an envelope of stencil and matrix
+    terms) supplies it exactly, with no Jacobian; otherwise (it returns
+    None, or op has no such method) the max runs over count Jacobians
+    sampled along the segment, both ends included.  With u among the probes
+    the result reproduces T(u) up to rounding and the sampling defect,
+    reported as the max-norm gap.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not probes:
         raise ClarkeError("need at least one probe")
     direct = _apply(op, u)
+    segment_max = getattr(op, "segment_max", None)
     best = None
     argmin = None
     gaps = []
     for p, v in enumerate(probes):
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        diff = segment_differential(op, v, u, count=count)
-        inner = _apply(op, v) + np.max(diff.stacked() @ (u - v), axis=0)
+        layer = segment_max(v, u) if segment_max is not None else None
+        if layer is None:
+            diff = segment_differential(op, v, u, count=count)
+            layer = np.max(diff.stacked() @ (u - v), axis=0)
+        inner = _apply(op, v) + layer
         if best is None:
             best = inner
             argmin = np.full(u.size, p)
@@ -373,7 +389,8 @@ def representation_residual(op, grid: DyadicGrid, v,
     if fields is None:
         fields = coefficient_fields(op, grid, v)
     worst = 0.0
-    for i in np.unique(fields.row_class):
+    reps = np.flatnonzero(fields.row_class == np.arange(fields.row_class.size))
+    for i in reps:
         dec = fields.decompositions[i]
         center = dec.zero_order - float(dec.atom_weights.sum())
         offs = np.vstack([np.zeros((1, dec.dim)), dec.atoms])

@@ -182,11 +182,14 @@ def cmd_minmax(args) -> int:
         "seed": args.seed,
         "gaps": [float(g) for g in tight.gaps],
         "omega": float(tight.omega),
+        "kink_rows": tight.kink_rows.tolist(),
         "rho_hat": float(rho.rho_hat),
     }
     ok = tight.omega <= args.tol
     _emit(report, f"minmax level={args.level} seed={args.seed}: gap "
-                  f"{tight.omega:.3e} {'PASS' if ok else 'FAIL'}", args.out)
+                  f"{tight.omega:.3e} over {len(tight.gaps)} probes, "
+                  f"{len(tight.kink_rows)} kink rows "
+                  f"{'PASS' if ok else 'FAIL'}", args.out)
     return 0 if ok else 1
 
 

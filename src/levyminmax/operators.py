@@ -28,6 +28,11 @@ row from the term active there, and that row is a kink where two terms tie
 within their bounds or where the active term's own row is a kink.  An
 envelope with a plain callable term has no exact Jacobian (None).
 
+An envelope also names each row's active term at v (`active_terms`), and
+one of stencil and matrix terms, whose rows are lines along a segment,
+gives with no matrix the max of J (u - v) over the Clarke Jacobians on the
+segment [v, u] (`segment_max`), the inner layer of `clarke.minmax_eval`.
+
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary mode by mode in the lateral Fourier basis.  The direct sparse
 solve of the same system is the reference it is tested against; it
@@ -254,29 +259,43 @@ def _gamma(m: int) -> float:
 
 
 class _Pick(NamedTuple):
-    """Row-wise choice among stacked values, with its rounding bound."""
+    """Row-wise choice among stacked values, with its rounding bound, and
+    the entries that the computed values cannot order from it (it among
+    them)."""
 
     index: np.ndarray
     value: np.ndarray
     err: np.ndarray
-    tie: np.ndarray
+    near: np.ndarray
+
+    @property
+    def tie(self) -> np.ndarray:
+        """The rows where another entry is near the picked one."""
+        return np.count_nonzero(self.near, axis=0) > 1
 
 
 def _select(vals: np.ndarray, err: np.ndarray, pick) -> _Pick:
     """First maximiser or minimiser (pick = np.argmax, np.argmin) per row.
 
-    A row ties when another entry lies within the sum of its rounding bound
-    and the picked entry's: the computed values cannot order the two.  Two
-    values at -inf (Monge-Ampere off convexity) do not tie here; the
-    active term flags its own row.
+    An entry is near the picked one when it lies within the sum of its
+    rounding bound and the picked entry's: the computed values cannot order
+    the two, and a row with another near entry ties.  Two values at -inf
+    (Monge-Ampere off convexity) are not near here; the active term flags
+    its own row.
     """
     node = np.arange(vals.shape[1])
     index = pick(vals, axis=0)
     best, best_err = vals[index, node], err[index, node]
     with np.errstate(invalid="ignore"):
-        tie = np.abs(vals - best) <= err + best_err
-    tie[index, node] = False
-    return _Pick(index, best, best_err, tie.any(axis=0))
+        near = np.abs(vals - best) <= err + best_err
+    near[index, node] = True
+    return _Pick(index, best, best_err, near)
+
+
+def _lowest(inner: list) -> _Pick:
+    """The first minimising team, from each team's pick."""
+    return _select(np.stack([p.value for p in inner]),
+                   np.stack([p.err for p in inner]), np.argmin)
 
 
 @dataclass(frozen=True)
@@ -302,13 +321,17 @@ class BellmanOp(_Term):
         vals = [np.asarray(f(v), dtype=float) + s for f, s in self.terms]
         return np.max(np.stack(vals), axis=0)
 
-    def _active(self, v: np.ndarray) -> _Pick:
-        """The first maximising term at each row."""
+    def _stacked(self, v: np.ndarray) -> tuple:
+        """Each term's value f(v) + s, and its rounding bound."""
         vals = np.stack([np.asarray(f(v), dtype=float) + s for f, s in self.terms])
         err = np.empty_like(vals)
         for k, (f, s) in enumerate(self.terms):
             err[k] = f.bound(v, s)
-        return _select(vals, err, np.argmax)
+        return vals, err
+
+    def _active(self, v: np.ndarray) -> _Pick:
+        """The first maximising term at each row."""
+        return _select(*self._stacked(v), np.argmax)
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         """The one-team `IsaacsOp` case."""
@@ -317,6 +340,14 @@ class BellmanOp(_Term):
     def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
         """The one-team `IsaacsOp` case."""
         return IsaacsOp((self,)).scatter(out, rows, v)
+
+    def active_terms(self, v: np.ndarray) -> tuple:
+        """The one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).active_terms(v)
+
+    def segment_max(self, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+        """The one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).segment_max(v, u)
 
 
 @dataclass(frozen=True)
@@ -337,11 +368,15 @@ class IsaacsOp(_Term):
         vals = [team(v) for team in self.teams]
         return np.min(np.stack(vals), axis=0)
 
+    def _terms(self) -> list:
+        """Every team's terms (f, s), team by team: the numbering of
+        `active_terms`."""
+        return [term for team in self.teams for term in team.terms]
+
     def _picks(self, v: np.ndarray) -> tuple:
         """The active term of each team, and the first minimising team."""
         inner = [team._active(v) for team in self.teams]
-        return inner, _select(np.stack([p.value for p in inner]),
-                              np.stack([p.err for p in inner]), np.argmin)
+        return inner, _lowest(inner)
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         """The active term's bound, which holds off ties (where the row is
@@ -349,19 +384,80 @@ class IsaacsOp(_Term):
         outer = self._picks(np.asarray(v, dtype=float))[1]
         return outer.err + _gamma(1) * np.abs(outer.value + shift)
 
+    def active_terms(self, v: np.ndarray) -> tuple:
+        """Per row, the active term, numbered over all terms team by team,
+        and whether the row ties: between teams, or inside the team picked."""
+        v = np.asarray(v, dtype=float)
+        inner, outer = self._picks(v)
+        node = np.arange(v.size)
+        first = np.cumsum([0] + [len(team.terms) for team in self.teams])
+        index = np.stack([p.index for p in inner])[outer.index, node]
+        term = first[outer.index] + index
+        tied = np.stack([p.tie for p in inner])[outer.index, node]
+        return term, outer.tie | tied
+
     def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
         """Write each row from its active term; a kink at ties and at the
         active term's kinks."""
         v = np.asarray(v, dtype=float)
-        inner, outer = self._picks(v)
-        tied = np.stack([p.tie for p in inner])[outer.index, np.arange(v.size)]
-        kink = (outer.tie | tied)[rows]
-        for t, (team, p) in enumerate(zip(self.teams, inner)):
-            for k, (f, _) in enumerate(team.terms):
-                mine = (outer.index[rows] == t) & (p.index[rows] == k)
-                if mine.any():
-                    kink[mine] |= f.scatter(out, rows[mine], v)
+        term, kink = self.active_terms(v)
+        term, kink = term[rows], kink[rows]
+        for k, (f, _) in enumerate(self._terms()):
+            mine = term == k
+            if mine.any():
+                kink[mine] |= f.scatter(out, rows[mine], v)
         return kink
+
+    def _near(self, stacks: list) -> np.ndarray:
+        """(terms, rows) mask of the terms that the envelope's selection
+        cannot order from its pick, from each team's stacked values and
+        rounding bounds: near the first minimising team, and inside a near
+        team near its first maximiser."""
+        inner = [_select(vals, err, np.argmax) for vals, err in stacks]
+        outer = _lowest(inner)
+        return np.vstack([p.near & o for p, o in zip(inner, outer.near)])
+
+    def segment_max(self, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+        """Row by row, the max of J (u - v) over the Clarke Jacobians on the
+        segment [v, u], with no matrix; None unless every term is affine (a
+        stencil or a `MatrixTerm`).
+
+        Along v + t (u - v), row i of term k is the line a_k + t e_k, with
+        a_k = f_k(v) + s_k and e_k = f_k(u) + s_k - a_k, and J (u - v) is
+        e_k on a row where k is active.  In exact arithmetic e_k is
+        f_k(u - v); taken from the two computed values, the line meets both,
+        so a row whose segment carries one term gives back T(u) to the
+        rounding of one subtraction and one addition.  The active terms of
+        a row are those on its min-of-max envelope at some t in [0, 1]:
+        every term near the pick at v and at u within the rounding bounds of
+        `_select`, and the pick at every pairwise crossing of the lines in
+        (0, 1) and at the midpoints between consecutive crossings, where the
+        active set is constant.  Two values per term, no matrix, and
+        O(terms^2 n) work.
+        """
+        terms = self._terms()
+        if not all(isinstance(f, (StencilOperator, MatrixTerm))
+                   for f, _ in terms):
+            return None
+        v = np.asarray(v, dtype=float)
+        u = np.asarray(u, dtype=float)
+        ends = [[team._stacked(x) for team in self.teams] for x in (v, u)]
+        a = np.vstack([vals for vals, _ in ends[0]])
+        e = np.vstack([vals for vals, _ in ends[1]]) - a
+        active = self._near(ends[0]) | self._near(ends[1])
+        j, k = np.triu_indices(len(terms), 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (a[j] - a[k]) / (e[k] - e[j])
+        cross = np.where((cross > 0.0) & (cross < 1.0), cross, 0.0)
+        ts = np.sort(np.vstack([np.zeros(v.size), cross, np.ones(v.size)]),
+                     axis=0)
+        t = np.vstack([ts[1:-1], 0.5 * (ts[1:] + ts[:-1])])
+        lines = (a[:, None, :] + t * e[:, None, :]).reshape(len(terms), -1)
+        cut = np.cumsum([len(team.terms) for team in self.teams])[:-1]
+        near = self._near([(part, np.zeros_like(part))
+                           for part in np.split(lines, cut)])
+        active |= near.reshape(len(terms), len(t), v.size).any(axis=1)
+        return np.max(np.where(active, e, -np.inf), axis=0)
 
 
 def _leaves(op):

@@ -18,13 +18,12 @@ from levyminmax.approx import (ApproxError, DiscreteSurrogate, LipschitzProbe,
                                probe_lipschitz, probe_shift_regularity,
                                probe_tightness)
 from levyminmax import clarke
-from levyminmax.clarke import (coefficient_fields, jacobian_at, minmax_eval,
-                               segment_differential)
+from levyminmax.clarke import coefficient_fields, jacobian_at, minmax_eval
 from levyminmax.grid import (DyadicGrid, GridError, GridFunction,
                              RegularityClass, SmoothFn, restrict)
 from levyminmax.cli import _named_source
 from levyminmax.levy import LevyMeasure, LevyOperator, evaluate
-from levyminmax.operators import bellman, levy_stencil
+from levyminmax.operators import BellmanOp, bellman, levy_stencil
 from levyminmax.whitney import ExtendedFn
 
 CLS = RegularityClass(2.0)
@@ -319,20 +318,65 @@ class TestTightnessProbe:
         op = bellman([left, (right, 0.3 * np.sin(5.0 * x))])
         u = np.exp(-4.0 * x ** 2)
         segments = []
+        layer = BellmanOp.segment_max
 
-        def counted(*args, **kwargs):
+        def counted(self, v, w):
             segments.append(1)
-            return segment_differential(*args, **kwargs)
-        monkeypatch.setattr(clarke, "segment_differential", counted)
+            return layer(self, v, w)
+
+        def measured(*args, **kwargs):
+            raise AssertionError("took a Jacobian")
+        monkeypatch.setattr(BellmanOp, "segment_max", counted)
+        monkeypatch.setattr(clarke, "jacobian_at", measured)
         probe = probe_tightness(op, u, count=6, seed=3)
-        assert len(segments) == 6
-        # the same probes, one prefix at a time
+        # one exact segment layer per probe, and no Jacobian
+        assert len(segments) == len(probe.gaps) >= 6
+        monkeypatch.undo()
+        # the first six probes, one prefix at a time
         rng = np.random.default_rng(3)
         probes = [u + 0.5 * 0.5 ** k * rng.standard_normal(u.size)
                   for k in range(6)]
         want = [minmax_eval(op, u, probes[:k]).gap for k in range(1, 7)]
-        assert probe.gaps.tobytes() == np.array(want).tobytes()
-        assert probe.omega == want[-1]
+        assert probe.gaps[:6].tobytes() == np.array(want).tobytes()
+        assert probe.omega == probe.gaps[-1]
+
+    def test_row_tied_at_u_is_a_kink_row_and_stays_in_omega(self):
+        # max(x, 2x) with u at the kink on row 1: every probe off u leaves
+        # a gap |v_1 - u_1| there, and the other rows close
+        op = bellman([np.eye(3), 2.0 * np.eye(3)])
+        u = np.array([0.7, 0.0, -0.4])
+        probe = probe_tightness(op, u, count=6, seed=1)
+        assert probe.kink_rows.tolist() == [1]
+        assert len(probe.gaps) == 6
+        rng = np.random.default_rng(1)
+        off = [0.5 * 0.5 ** k * rng.standard_normal(3)[1] for k in range(6)]
+        assert probe.omega == pytest.approx(min(abs(d) for d in off), rel=1e-12)
+
+    def test_drawing_stops_below_the_resolution_of_u(self):
+        class NeverCovered:
+            """A linear map whose active term changes at every call."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, v):
+                return 2.0 * v
+
+            def active_terms(self, v):
+                self.calls += 1
+                return np.full(v.size, self.calls), np.zeros(v.size, dtype=bool)
+
+        u = np.array([1.0, -0.5])
+        probe = probe_tightness(NeverCovered(), u, count=6, seed=0)
+        # probe k is drawn while 0.5 * 2^-k >= eps * max|u| = 2^-52
+        assert len(probe.gaps) == 52
+        assert probe.kink_rows.tolist() == [0, 1]
+        assert probe.omega <= 1e-8
+
+    def test_plain_callable_takes_count_probes_and_names_no_kink_rows(self):
+        probe = probe_tightness(lambda v: np.maximum(v, 2.0 * v),
+                                np.array([0.7, 0.0]), count=3, seed=0)
+        assert len(probe.gaps) == 3 and probe.kink_rows.size == 0
 
 
 class TestShiftProbe:

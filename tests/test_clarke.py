@@ -576,6 +576,83 @@ class TestExactEnvelopeJacobian:
         assert np.array_equal(matrix, m) and not kink
 
 
+def sampled_layer(op, v, u, count):
+    """The max of J (u - v) over count Jacobians sampled along [v, u]."""
+    diff = segment_differential(op, v, u, count=count)
+    return np.max(diff.stacked() @ (u - v), axis=0)
+
+
+def layer_tolerance(teams, v, u):
+    peak = max(np.abs(v).max(), np.abs(u).max())
+    scale = max(np.abs(term_matrix(f)).sum(axis=1).max() * peak + np.abs(s).max()
+                for team in teams for f, s in team)
+    return 64 * np.finfo(float).eps * scale
+
+
+class TestExactSegmentLayer:
+    @ENVELOPE_SETTINGS
+    @given(envelopes(), strategies.sampled_from([0.01, 1.0, 10.0]))
+    def test_never_below_the_dense_reference(self, case, size):
+        grid, teams, v, rng = case
+        u = v + size * rng.standard_normal(v.size)
+        op = envelope_op(teams)
+        exact = op.segment_max(v, u)
+        assert np.all(exact >= sampled_layer(op, v, u, 65)
+                      - layer_tolerance(teams, v, u))
+        # two lines cross at most once, so 65 samples see both pieces
+        pair = [term for team in teams for term in team][:2]
+        if len(pair) == 2:
+            op = operators.bellman(pair)
+            dev = np.abs(op.segment_max(v, u) - sampled_layer(op, v, u, 65))
+            assert np.all(dev <= layer_tolerance([pair], v, u))
+
+    def test_term_active_between_two_samples_is_caught(self):
+        # row t -> min(max(0, 50 t - 15), 1): the middle term is active on
+        # (0.30, 0.32) only, between the samples at 1/4 and 3/8, and it has
+        # the largest slope.  (In a Bellman row alone the slope at u is the
+        # largest, so a missed middle term cannot change its max.)
+        flat, steep, cap = np.zeros((1, 1)), np.array([[50.0]]), np.zeros((1, 1))
+        op = operators.isaacs([[(flat, 0.0), (steep, -15.0)], [(cap, 1.0)]])
+        v, u = np.zeros(1), np.ones(1)
+        assert op.segment_max(v, u) == pytest.approx([50.0])
+        assert sampled_layer(op, v, u, 9) == pytest.approx([0.0])
+        # the sampled inner layer undercuts T(u), the exact one does not
+        assert minmax_eval(op, u, [v]).values == pytest.approx([50.0])
+        assert op(u) == pytest.approx([1.0])
+
+    def test_a_tie_at_u_counts_as_active(self):
+        # max(x, 2x): row 0 runs from 1 to the kink 0, where x joins 2x, so
+        # its slope -1 counts beside -2; row 1 stays on 2x
+        op = operators.bellman([np.eye(2), 2.0 * np.eye(2)])
+        v, u = np.array([1.0, 1.0]), np.array([0.0, 2.0])
+        assert np.array_equal(op.segment_max(v, u), [-1.0, 2.0])
+        assert np.array_equal(op.segment_max(v, u + [0.25, 0.0]), [-1.5, 2.0])
+
+    def test_non_affine_terms_have_no_exact_layer(self):
+        grid = DyadicGrid(2, 2, 1.0)
+        a = stencil(grid, [[1, 0]])
+        v = np.zeros(grid.node_count)
+        for op in (operators.bellman([a, operators.pucci(grid, 0.5, 2.0)]),
+                   operators.bellman([a, lambda w: a(w) - 1.0]),
+                   operators.isaacs([[a], [operators.monge_ampere(grid)]]),
+                   operators.bellman([operators.bellman([a]), a])):
+            assert op.segment_max(v, v + 1.0) is None
+
+    def test_minmax_of_an_affine_envelope_takes_no_jacobian(self, monkeypatch):
+        grid = DyadicGrid(3, 2, 1.0)
+        terms = envelope_terms(grid, 4, seed=6)
+        u = np.random.default_rng(6).standard_normal(grid.node_count)
+        probes = [u + 0.1 * np.random.default_rng(k).standard_normal(u.size)
+                  for k in range(3)]
+
+        def measured(*args):
+            raise AssertionError("took a Jacobian")
+        monkeypatch.setattr(clarke, "jacobian_at", measured)
+        for op in (operators.bellman(terms), operators.isaacs([terms[:2], terms[2:]])):
+            rep = minmax_eval(op, u, probes)
+            assert np.all(rep.values >= rep.direct - 1e-9 * np.abs(rep.direct).max())
+
+
 class TestClarkeSetNaN:
     def test_equal_nan_samples_count_once(self):
         m = np.array([[1.0, np.nan], [np.inf, 2.0]])
