@@ -24,21 +24,30 @@ matrix, from the lines its terms trace along the segment
 Jacobians sampled along the segment, which can miss a term active only
 between two samples.
 
-Coefficient fields decompose each distinct row once.  A row's key is the
-bytes of its offsets relative to its node and of its weights, read off the
-Jacobian row, so the rows of an operator that commutes with lattice shifts
-share one decomposition away from the boundary, as the paper's
-translation-invariant min-max formula predicts.
+Coefficient fields are array passes over the Jacobian's kept entries.  A
+row's class is the first row with the same count, offset bits (relative
+to its node) and weight bits, found by one stable sort, so the rows of an
+operator that commutes with lattice shifts share one class away from the
+boundary, as the paper's translation-invariant min-max formula predicts.
+The first rows of the classes go through the schedule in one
+`courrege.normal_forms` call, and `representation_residual` checks the
+identity on every row, one pass over all rows per probe.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .courrege import RowFunctional, decompose, reconstruct_residual
+from .courrege import (CourregeError, RowFunctional, decompose, normal_forms,
+                       probe_battery, reconstruct_residual)
 from .grid import DyadicGrid, GridError
+from .levy import OFFSET_TOL
+from .special import reverse_ramp
 
 DEDUP_TOL = 1e-10
 KINK_FACTOR = 10.0
@@ -310,14 +319,44 @@ def minmax_eval(op, u, probes, count: int = 9) -> MinMaxReport:
                         argmin=argmin, gaps=np.array(gaps))
 
 
+class _Decompositions(Sequence):
+    """decompositions[i] of a CoefficientFields, built when read.
+
+    Each class's first row is decomposed once, on first read; the other
+    rows of the class get that decomposition rebased to their own node.
+    """
+
+    def __init__(self, fields: "CoefficientFields"):
+        self._fields = fields
+        self._first: dict = {}
+
+    def __len__(self) -> int:
+        return self._fields.row_class.size
+
+    def __getitem__(self, i):
+        f = self._fields
+        i = range(len(self))[operator.index(i)]
+        j = int(f.row_class[i])
+        if j not in self._first:
+            self._first[j] = decompose(f.row(j))
+        dec = self._first[j]
+        return dec if i == j else replace(dec, base_point=f.points[i])
+
+
 @dataclass(frozen=True)
 class CoefficientFields:
     """Row-by-row normal form of a linearization over the grid.
 
     Rows with the same offsets relative to their node and the same weights
-    form one class.  row_class[i] is the first row of row i's class; only
-    that row is decomposed, and decompositions[i] is its decomposition
-    rebased to node i.  The fields at i repeat the class values.
+    form one class; row_class[i] is the first row of row i's class.  Only
+    the classes' first rows are put through the schedule, in one
+    `courrege.normal_forms` call, and the fields at i repeat the class
+    values: A, B, C, the sign test and the schedule floor delta_field.  The
+    rows themselves are kept as their entries: entry e of row owner[e] has
+    offset offsets[e] and weight weights[e], in the lexicographic order of
+    the grid.  decompositions[i] is row i's normal form as a
+    `CourregeDecomposition`, its class's decomposition rebased to node i,
+    built when read.
     """
 
     grid: DyadicGrid
@@ -326,23 +365,81 @@ class CoefficientFields:
     b_field: np.ndarray
     c_field: np.ndarray
     gcp_field: np.ndarray
-    decompositions: list
+    delta_field: np.ndarray
     row_class: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
+    owner: np.ndarray
 
     @property
     def gcp(self) -> bool:
         return bool(np.all(self.gcp_field))
+
+    @cached_property
+    def decompositions(self) -> Sequence:
+        return _Decompositions(self)
+
+    def row(self, i: int) -> RowFunctional:
+        """Row i as read off the Jacobian: its kept entries at node i."""
+        lo, hi = np.searchsorted(self.owner, [i, i + 1])
+        return RowFunctional(self.points[i], self.offsets[lo:hi],
+                             self.weights[lo:hi])
+
+
+def _kept_entries(matrix: np.ndarray) -> tuple:
+    """(rows, columns) of the entries above DROP_TOL times their row's
+    largest, and of every diagonal entry, row by row.
+
+    A row with a NaN or an infinite entry keeps its diagonal alone, as its
+    threshold is not finite.  |w| > t is read as w > t or w < -t, so no
+    n x n array of magnitudes is made.
+    """
+    top = np.maximum(np.max(matrix, axis=1), -np.min(matrix, axis=1))
+    cut = (DROP_TOL * np.maximum(top, 1e-300))[:, None]
+    keep = matrix > cut
+    keep |= matrix < -cut
+    np.fill_diagonal(keep, True)
+    return np.nonzero(keep)
+
+
+def _row_classes(offsets: np.ndarray, weights: np.ndarray, owner: np.ndarray,
+                 n: int) -> np.ndarray:
+    """First row with the same entry count, offset bits and weight bits.
+
+    Each row's key is its count followed by its entries' bits, zero padded
+    to the longest row; one stable sort of the keys puts equal rows next to
+    each other in row order.
+    """
+    counts = np.bincount(owner, minlength=n)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    bits = np.column_stack([offsets, weights]).view(np.int64)
+    width = bits.shape[1]
+    keys = np.zeros((n, 1 + width * int(counts.max())), dtype=np.int64)
+    keys[:, 0] = counts
+    slot = np.arange(owner.size) - starts[owner]
+    cols = 1 + width * slot[:, None] + np.arange(width)
+    keys[owner[:, None], cols] = bits
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel(),
+                       kind="stable")
+    ranked = keys[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    row_class = np.empty(n, dtype=np.int64)
+    row_class[order] = order[new][np.cumsum(new) - 1]
+    return row_class
 
 
 def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
     """Linearize at v and split every row into local plus jump parts.
 
     A row keeps its entries above DROP_TOL times its largest, and always
-    its diagonal so the zero-order part survives.  Each distinct row (same
-    relative offsets and weights, bit for bit) is decomposed once; the
-    other rows of its class share that decomposition, rebased to their own
-    node.  The decompositions are not checked here; `representation_residual`
-    checks each class once.
+    its diagonal so the zero-order part survives.  Rows with the same
+    relative offsets and weights, bit for bit, form a class, found by one
+    sort; the first row of each class goes through the schedule, all of
+    them in one `courrege.normal_forms` call, and the fields repeat its
+    values across the class.  A row with a non-finite kept weight is
+    refused.  Nothing is checked here; `representation_residual` checks
+    every row.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     matrix = jacobian_at(op, v).matrix
@@ -352,27 +449,25 @@ def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
     if matrix.shape != (n, n):
         raise ClarkeError(f"matrix shape {matrix.shape} does not match "
                           f"the {n}-node grid")
-    first: dict = {}
-    row_class = np.empty(n, dtype=np.int64)
-    decs = []
-    for i, w in enumerate(matrix):
-        keep = np.abs(w) > DROP_TOL * max(float(np.max(np.abs(w))), 1e-300)
-        keep[i] = True
-        # grid points run in lexicographic order, so these offsets are
-        # already the sorted offsets a RowFunctional stores
-        offs, wts = pts[keep] - pts[i], w[keep]
-        j = first.setdefault((offs.tobytes(), wts.tobytes()), i)
-        row_class[i] = j
-        decs.append(decompose(RowFunctional(pts[i], offs, wts)) if j == i
-                    else replace(decs[j], base_point=pts[i]))
-    d = grid.dim
-    a = np.stack([dec.a_matrix for dec in decs]) if n else np.zeros((0, d, d))
-    b = np.stack([dec.drift for dec in decs]) if n else np.zeros((0, d))
-    c = np.array([dec.zero_order for dec in decs])
-    g = np.array([dec.gcp for dec in decs], dtype=bool)
-    return CoefficientFields(grid=grid, points=grid.points(), a_field=a,
-                             b_field=b, c_field=c, gcp_field=g,
-                             decompositions=decs, row_class=row_class)
+    rows, cols = _kept_entries(matrix)
+    wts = matrix[rows, cols]
+    bad = np.flatnonzero(~np.isfinite(wts))
+    if bad.size:
+        raise CourregeError(f"row weights must be finite (node {rows[bad[0]]})")
+    # grid points run in lexicographic order, so each row's offsets are
+    # already the sorted offsets a RowFunctional stores
+    offs = pts[cols] - pts[rows]
+    row_class = _row_classes(offs, wts, rows, n)
+    firsts = np.flatnonzero(row_class == np.arange(n))
+    mine = row_class[rows] == rows
+    a, b, c, gcp, floor = normal_forms(offs[mine], wts[mine],
+                                       np.searchsorted(firsts, rows[mine]),
+                                       firsts.size)
+    cls = np.searchsorted(firsts, row_class)
+    return CoefficientFields(grid=grid, points=pts, a_field=a[cls],
+                             b_field=b[cls], c_field=c[cls], gcp_field=gcp[cls],
+                             delta_field=floor[cls], row_class=row_class,
+                             offsets=offs, weights=wts, owner=rows)
 
 
 def representation_residual(op, grid: DyadicGrid, v,
@@ -380,21 +475,44 @@ def representation_residual(op, grid: DyadicGrid, v,
                             seed: int = 0) -> float:
     """Worst row defect of the exact normal-form reconstruction identity.
 
-    Each distinct row is verified once, at the first node of its class
-    (the other rows of the class differ from it only by a lattice shift).
-    Rows are rebuilt from the stored decompositions (center weight is the
-    zero-order coefficient minus the jump mass), so no re-linearization
-    happens when fields are supplied.
+    Every row is checked against its fields.  Per battery probe u, one pass
+    over all rows sets the row, as its kept entries, applied to u against
+    C u + B.grad u + tr(A D2u) plus the compensated jump sum at each node:
+    one `values` call at all entries, one batch of gradients and Hessians
+    at the nodes, sums per row by `bincount`.  The compensation's weights
+    on grad u and D2u (the jumps' cutoff moments) are summed per row once
+    for all probes.  The worst row is then checked once more on its own
+    (`reconstruct_residual`), against the decomposition `decompositions`
+    serves for it.  No re-linearization happens when fields are supplied.
     """
     if fields is None:
         fields = coefficient_fields(op, grid, v)
-    worst = 0.0
-    reps = np.flatnonzero(fields.row_class == np.arange(fields.row_class.size))
-    for i in reps:
-        dec = fields.decompositions[i]
-        center = dec.zero_order - float(dec.atom_weights.sum())
-        offs = np.vstack([np.zeros((1, dec.dim)), dec.atoms])
-        wts = np.concatenate([[center], dec.atom_weights])
-        row = RowFunctional(dec.base_point, offs, wts)
-        worst = max(worst, reconstruct_residual(row, dec, seed=seed))
-    return worst
+    pts, owner, offs, wts = fields.points, fields.owner, fields.offsets, fields.weights
+    n, d = pts.shape
+    jump = np.max(np.abs(offs), axis=1) >= OFFSET_TOL
+    y, w, who = offs[jump], wts[jump], owner[jump]
+    r = np.linalg.norm(y, axis=1)
+    delta = fields.delta_field[who]
+    eta = reverse_ramp(r, delta, delta)
+    # B and A less the compensation's moments: what grad u and D2u meet
+    drift = fields.b_field.copy()
+    np.subtract.at(drift, who, (w * (r < 1.0))[:, None] * y)
+    diffusion = fields.a_field.copy()
+    np.subtract.at(diffusion, who,
+                   (0.5 * w * eta)[:, None, None] * y[:, :, None] * y[:, None, :])
+    mass = np.bincount(who, w, minlength=n)
+    at = pts[owner] + offs
+    probes = probe_battery(d, seed)
+    worst = np.zeros(n)
+    for u in probes:
+        vals = u.values(at)
+        u0 = u.values(pts)
+        lhs = np.bincount(owner, wts * vals, minlength=n)
+        rhs = ((fields.c_field - mass) * u0
+               + np.einsum("ij,ij->i", drift, u.grads(pts))
+               + np.einsum("ijk,ikj->i", diffusion, u.hessians(pts))
+               + np.bincount(who, w * vals[jump], minlength=n))
+        worst = np.maximum(worst, np.abs(lhs - rhs))
+    i = int(np.argmax(worst))
+    return max(float(worst[i]), reconstruct_residual(
+        fields.row(i), fields.decompositions[i], probes=probes))

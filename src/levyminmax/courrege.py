@@ -22,9 +22,13 @@ once per decomposition, however many probes it is checked against.  A
 decomposition's `report()` hands its normal form to the command line as
 plain floats and lists, read off the arrays in one pass each.
 
-`decompose` returns the normal form alone; only the callers that gate on a
-check run one: `reconstruct_residual` per row, `representation_residual`
-(in `clarke`) per row class of a coefficient field.
+`normal_forms` runs the schedule for many rows given as flat entry arrays:
+the parts that act entry by entry (norms, pitch, schedule, cutoffs) run
+once over all rows, the sums per row in the one-row form, and `decompose`
+is its one-row call, so there is one schedule.  Both return normal forms
+alone; only the callers that gate on a check run one:
+`reconstruct_residual` per row, `representation_residual` (in `clarke`)
+on every row of a coefficient field.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from .grid import GridError, RegularityClass, SmoothFn
 from .levy import OFFSET_TOL, LevyMeasure, _point_values
-from .special import SClassFn
+from .special import SClassFn, reverse_ramp
 
 SCHEDULE_START = 3          # delta = 2**-k; 1/4 is outside the admissible window
 SCHEDULE_TOL = 1e-10
@@ -193,7 +197,11 @@ class CourregeDecomposition:
 
 
 def probe_battery(dim: int, seed: int = 0):
-    """Smooth functions with exact derivatives for reconstruction checks."""
+    """Smooth functions with exact derivatives for reconstruction checks.
+
+    Each probe evaluates values, gradients and Hessians point by point and,
+    for many points, in one batch call each.
+    """
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((dim, dim))
     p = 0.5 * (p + p.T)
@@ -205,33 +213,51 @@ def probe_battery(dim: int, seed: int = 0):
     def quad(x):
         return 0.5 * float(x @ p @ x) + float(q @ x) + 0.7
 
+    ww = np.outer(w, w)
+
+    def zero_h(pts):
+        return np.zeros((len(pts), dim, dim))
+
+    def bell(pts):
+        return np.exp(-0.5 * np.sum((pts - a) ** 2, axis=1))
+
     probes = [
         SmoothFn(lambda x: 1.0, grad=lambda x: np.zeros(dim),
                  hess=lambda x: np.zeros((dim, dim)), cls=cls, name="one",
-                 values=lambda pts: np.ones(len(pts))),
+                 values=lambda pts: np.ones(len(pts)),
+                 grads=lambda pts: np.zeros((len(pts), dim)), hessians=zero_h),
         SmoothFn(lambda x: float(q @ x) - 0.25, grad=lambda x: q,
                  hess=lambda x: np.zeros((dim, dim)), cls=cls, name="affine",
-                 values=lambda pts: pts @ q - 0.25),
+                 values=lambda pts: pts @ q - 0.25,
+                 grads=lambda pts: np.tile(q, (len(pts), 1)), hessians=zero_h),
         SmoothFn(quad, grad=lambda x: p @ x + q, hess=lambda x: p,
                  cls=cls, name="quad",
                  values=lambda pts: 0.5 * np.einsum("ij,jk,ik->i", pts, p, pts)
-                 + pts @ q + 0.7),
+                 + pts @ q + 0.7,
+                 grads=lambda pts: pts @ p + q,
+                 hessians=lambda pts: np.broadcast_to(p, (len(pts), dim, dim))),
         SmoothFn(lambda x: math.sin(float(w @ x) + 0.3),
                  grad=lambda x: math.cos(float(w @ x) + 0.3) * w,
                  hess=lambda x: -math.sin(float(w @ x) + 0.3) * np.outer(w, w),
                  cls=cls, name="wave",
-                 values=lambda pts: np.sin(pts @ w + 0.3)),
+                 values=lambda pts: np.sin(pts @ w + 0.3),
+                 grads=lambda pts: np.cos(pts @ w + 0.3)[:, None] * w,
+                 hessians=lambda pts: -np.sin(pts @ w + 0.3)[:, None, None] * ww),
         SmoothFn(lambda x: math.exp(-0.5 * float(np.sum((x - a) ** 2))),
                  grad=lambda x: -(x - a) * math.exp(-0.5 * float(np.sum((x - a) ** 2))),
                  hess=lambda x: (np.outer(x - a, x - a) - np.eye(dim))
                  * math.exp(-0.5 * float(np.sum((x - a) ** 2))),
-                 cls=cls, name="bell",
-                 values=lambda pts: np.exp(-0.5 * np.sum((pts - a) ** 2, axis=1))),
+                 cls=cls, name="bell", values=bell,
+                 grads=lambda pts: -(pts - a) * bell(pts)[:, None],
+                 hessians=lambda pts: (np.einsum("ij,ik->ijk", pts - a, pts - a)
+                                       - np.eye(dim)) * bell(pts)[:, None, None]),
         SmoothFn(lambda x: float(w @ x) ** 3,
                  grad=lambda x: 3.0 * float(w @ x) ** 2 * w,
                  hess=lambda x: 6.0 * float(w @ x) * np.outer(w, w),
                  cls=cls, name="cubic",
-                 values=lambda pts: (pts @ w) ** 3),
+                 values=lambda pts: (pts @ w) ** 3,
+                 grads=lambda pts: 3.0 * (pts @ w)[:, None] ** 2 * w,
+                 hessians=lambda pts: 6.0 * (pts @ w)[:, None, None] * ww),
     ]
     return probes
 
@@ -251,6 +277,86 @@ def reconstruct_residual(row: RowFunctional, dec: CourregeDecomposition,
     return worst
 
 
+def normal_forms(offsets, weights, owner, count: int,
+                 tol: float = SCHEDULE_TOL) -> tuple:
+    """Normal forms of count rows at once: (A, B, C, gcp, delta_floor).
+
+    Entry e belongs to row owner[e] (nondecreasing) with offset offsets[e]
+    and weight weights[e]; each row's entries come in the canonical order
+    a RowFunctional stores.  The parts that act entry by entry run once
+    over all rows: max norms, radii, pitch, the schedule and the three
+    cutoffs, each entry at its own row's scales.  The sums stay per row,
+    the one-row expressions of `decompose`, so a row's normal form does not
+    depend on the rows it is computed with.  Returns arrays of shapes
+    (count, d, d), (count, d), (count,), (count,) and (count,).
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    owner = np.asarray(owner)
+    d = offsets.shape[1]
+    rows = np.arange(count + 1)
+    starts = np.searchsorted(owner, rows)
+    peak = np.max(np.abs(offsets), axis=1)
+    jump = peak >= OFFSET_TOL
+    offs, wts, who, peak = offsets[jump], weights[jump], owner[jump], peak[jump]
+    cuts = np.searchsorted(who, rows)
+    r = np.linalg.norm(offs, axis=1)
+    inside = r < 1.0
+
+    # Diffusion floor: delta near twice the pitch, so the origin cutoff is
+    # still 1 on the nearest atoms.  Drift floor: delta small enough that the
+    # shrinking cutoff has left the collar around the unit sphere.  Min and
+    # max are exact in any order; the logarithms are math's, as for one row.
+    pitch = np.full(count, math.inf)
+    np.minimum.at(pitch, who, peak)
+    closest = np.full(count, -math.inf)
+    np.maximum.at(closest, who[inside], r[inside])
+    k_diffusion = np.array(
+        [max(SCHEDULE_START, math.ceil(math.log2(1.0 / p)) - 1) if p < 1.0
+         else SCHEDULE_START for p in pitch.tolist()], dtype=np.int64)
+    # floats below 1 are spaced 2^-53, so this never exceeds 54
+    k_drift = np.array(
+        [SCHEDULE_START if c < 0.0 else
+         max(SCHEDULE_START, min(56, math.ceil(math.log2(2.0 / (1.0 - c)))))
+         for c in closest.tolist()], dtype=np.int64)
+    # one step past the drift floor, so stabilization shows up as a vanishing
+    # successive difference
+    k_last = np.maximum(k_diffusion, k_drift + 1)
+    delta_floor = np.ldexp(1.0, -k_diffusion)
+    unit = [reverse_ramp(r, 1.0 - 2.0 * delta, delta)
+            for delta in (np.ldexp(1.0, 1 - k_last[who]),
+                          np.ldexp(1.0, -k_last[who]))]
+    origin = reverse_ramp(r, delta_floor[who], delta_floor[who])
+
+    a = np.zeros((count, d, d))
+    b = np.zeros((count, d))
+    c = np.empty(count)
+    gcp = np.ones(count, dtype=bool)
+    drifts = np.zeros((2, count, d))
+    scale = np.ones(count)
+    for i in range(count):
+        c[i] = weights[starts[i]:starts[i + 1]].sum()
+        lo, hi = cuts[i], cuts[i + 1]
+        if lo == hi:
+            continue
+        y, w = offs[lo:hi], wts[lo:hi]
+        b[i] = (w * inside[lo:hi]) @ y
+        for k, cut in enumerate(unit):
+            drifts[k, i] = (w * cut[lo:hi]) @ y
+        scale[i] = max(1.0, float(np.abs(w) @ peak[lo:hi]))
+        a[i] = 0.5 * np.einsum("i,ij,ik->jk", w * origin[lo:hi], y, y)
+        gcp[i] = np.min(w) >= -SIGN_TOL
+    # the drift at the last two steps must stabilize onto the unit-ball sum
+    gap = np.max(np.abs(drifts[1] - b), axis=1)
+    step = np.max(np.abs(drifts[1] - drifts[0]), axis=1)
+    bad = np.flatnonzero(~((gap <= tol * scale) & (step <= tol * scale)))
+    if bad.size:
+        raise CourregeError(
+            "drift schedule did not stabilize onto the unit-ball convention "
+            f"(gap {gap[bad[0]]:.3e})")
+    return a, b, c, gcp, delta_floor
+
+
 def decompose(row: RowFunctional, tol: float = SCHEDULE_TOL) -> CourregeDecomposition:
     """Run the shrinking-cutoff schedule and assemble the normal form.
 
@@ -259,44 +365,15 @@ def decompose(row: RowFunctional, tol: float = SCHEDULE_TOL) -> CourregeDecompos
     drift at its last two steps must stabilize onto the open-unit-ball
     indicator sum within tol; the diffusion is reported at the floor, where
     the origin cutoff still sees the near atoms.  Jumps keep every
-    off-center atom (none: the schedule runs k = 3, 4).  The normal form is
-    returned unchecked; `reconstruct_residual` checks it against the row.
+    off-center atom (none: the schedule runs k = 3, 4).  This is the
+    one-row call of `normal_forms`.  The normal form is returned unchecked;
+    `reconstruct_residual` checks it against the row.
     """
+    a, b, c, gcp, delta_floor = normal_forms(
+        row.offsets, row.weights, np.zeros(row.weights.size, dtype=np.int64),
+        1, tol)
     offs, wts = row.jump_part()
-    # Diffusion floor: delta near twice the pitch, so the origin cutoff is
-    # still 1 on the nearest atoms.  Drift floor: delta small enough that the
-    # shrinking cutoff has left the collar around the unit sphere.
-    pitch = row.pitch
-    k_diffusion = max(SCHEDULE_START, math.ceil(math.log2(1.0 / pitch)) - 1) \
-        if pitch < 1.0 else SCHEDULE_START
-    r = np.linalg.norm(offs, axis=1)
-    inside = r < 1.0
-    k_drift = SCHEDULE_START
-    if np.any(inside):
-        closest = float(np.max(r[inside]))
-        # floats below 1 are spaced 2^-53, so this never exceeds 54
-        k_drift = max(k_drift,
-                      min(56, math.ceil(math.log2(2.0 / (1.0 - closest)))))
-
-    # one step past the drift floor, so stabilization shows up as a vanishing
-    # successive difference
-    k_last = max(k_diffusion, k_drift + 1)
-    before, last = (b_of(row, SClassFn.shrunk_unit(2.0 ** -k))
-                    for k in (k_last - 1, k_last))
-    b_exact = np.asarray((wts * inside) @ offs, dtype=float)
-    scale = max(1.0, float(np.abs(wts) @ np.max(np.abs(offs), axis=1)))
-    gap = float(np.max(np.abs(last - b_exact)))
-    step = float(np.max(np.abs(last - before)))
-    if not (gap <= tol * scale and step <= tol * scale):
-        raise CourregeError(
-            "drift schedule did not stabilize onto the unit-ball convention "
-            f"(gap {gap:.3e})")
-
-    delta_floor = 2.0 ** -k_diffusion
     return CourregeDecomposition(
-        base_point=row.base_point,
-        a_matrix=a_of(row, SClassFn.shrunk_origin(delta_floor)),
-        drift=b_exact,
-        zero_order=c_of(row),
-        atoms=offs, atom_weights=wts,
-        gcp=is_gcp(row), delta_floor=delta_floor)
+        base_point=row.base_point, a_matrix=a[0], drift=b[0],
+        zero_order=float(c[0]), atoms=offs, atom_weights=wts,
+        gcp=bool(gcp[0]), delta_floor=float(delta_floor[0]))

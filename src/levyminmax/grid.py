@@ -82,15 +82,21 @@ class SmoothFn:
         x -> ndarray (d,d).  Required when cls.case >= 2.
     cls : RegularityClass
         Declared smoothness of the data.
+    values, grads, hessians : callable or None
+        Batch forms of value, grad and hess: (m, d) points -> arrays of
+        shape (m,), (m, d) and (m, d, d).  Without one, the batch method
+        calls the pointwise evaluator once per point.
     """
 
     def __init__(self, value, grad=None, hess=None,
                  cls: RegularityClass = RegularityClass(2.0),
-                 name: str = "", values=None):
+                 name: str = "", values=None, grads=None, hessians=None):
         self._value = value
         self._grad = grad
         self._hess = hess
         self._values = values
+        self._grads = grads
+        self._hessians = hessians
         self.cls = cls
         self.name = name
 
@@ -113,6 +119,20 @@ class SmoothFn:
         if self._hess is None:
             raise GridError(f"function {self.name!r} carries no Hessian data")
         return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
+
+    def grads(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        if self._grads is not None:
+            return np.asarray(self._grads(pts), dtype=float)
+        return np.array([self.grad(p) for p in pts], dtype=float).reshape(pts.shape)
+
+    def hessians(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        if self._hessians is not None:
+            return np.asarray(self._hessians(pts), dtype=float)
+        d = pts.shape[1]
+        return np.array([self.hess(p) for p in pts],
+                        dtype=float).reshape(pts.shape[0], d, d)
 
 
 @dataclass(frozen=True)

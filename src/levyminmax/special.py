@@ -4,12 +4,13 @@ The base profile ``phi0`` is the classic exponential ramp
 q(t)/(q(t)+q(1-t)) with q(t)=exp(-1/t): smooth, nondecreasing, 0 below 0 and
 1 above 1.  It is ``_kernels.ramp`` on arrays, so the cube partition and
 the cutoffs share one ramp, bit for bit.  Everything else is built from
-it: the admissible cutoff class ``SClassFn`` (values in [0,1], equal to 1
-near 0, supported in the ball of radius 2) with its reverse radial ramps
-``from_psi`` and the shrinking pair members ``shrunk_unit`` and
-``shrunk_origin``, with which ``courrege`` splits a row into local and jump
-parts, and ``taylor_cutoff``, the cutoff-compensated Taylor polynomial of
-smooth data at a point.
+it: the reverse radial ramp ``reverse_ramp``; the admissible cutoff class
+``SClassFn`` (values in [0,1], equal to 1 near 0, supported in the ball of
+radius 2) with its reverse radial ramps ``from_psi`` and the shrinking pair
+members ``shrunk_unit`` and ``shrunk_origin``, with which ``courrege``
+splits a row into local and jump parts (it evaluates their ramps for many
+rows at once through ``reverse_ramp``); and ``taylor_cutoff``, the
+cutoff-compensated Taylor polynomial of smooth data at a point.
 """
 from __future__ import annotations
 
@@ -37,6 +38,15 @@ def phi0(t):
     inner = ~((t <= 0.0) | (t >= 1.0))
     out[inner] = [ramp(v) for v in t[inner].tolist()]
     return out
+
+
+def reverse_ramp(t, plateau, width):
+    """1 - phi0((t - plateau) / width): 1 up to plateau, 0 from plateau + width.
+
+    The radial profile of `SClassFn.from_psi`; plateau and width may be
+    arrays, so cutoffs of many radii, each at its own scale, are one call.
+    """
+    return 1.0 - phi0((t - plateau) / width)
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ class SClassFn:
             raise GridError(f"ramp width must be positive, got r={r}")
         if R + r > 2.0:
             raise GridError(f"support radius {R + r} exceeds 2")
-        return SClassFn(lambda t: 1.0 - phi0((t - R) / r), R, R + r,
+        return SClassFn(lambda t: reverse_ramp(t, R, r), R, R + r,
                         label or f"from_psi({r},{R})")
 
     @staticmethod

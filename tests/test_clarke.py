@@ -7,7 +7,13 @@ tolerances only absorb the central-difference rounding (about 1e-11 at the
 default step).
 """
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies
 
 import levyminmax
-from levyminmax import clarke, operators
+from levyminmax import clarke, courrege, operators
 from levyminmax.calculus import hessian_field
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
@@ -25,6 +31,7 @@ from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
 from levyminmax.courrege import RowFunctional, decompose, reconstruct_residual
 from levyminmax.grid import DyadicGrid
 from levyminmax.levy import LevyMeasure, LevyOperator
+from levyminmax.special import SClassFn
 
 
 def linear_op(m):
@@ -232,10 +239,9 @@ class TestCoefficientFields:
         with pytest.raises(ClarkeError):
             coefficient_fields(lambda v: v, DyadicGrid(2, 1), np.zeros(17))
 
-    def test_fields_are_checked_once_per_class_and_only_on_request(
-            self, monkeypatch):
-        # decompose returns the normal form unchecked; the one check of a
-        # CoefficientFields is representation_residual, once per row class
+    def test_fields_are_checked_only_on_request(self, monkeypatch):
+        # decompose returns the normal form unchecked, and so does
+        # coefficient_fields: it runs no reconstruction
         calls = []
 
         def counted(row, dec, **kwargs):
@@ -248,10 +254,21 @@ class TestCoefficientFields:
         op, v = linear_op(m), np.zeros(grid.node_count)
         fields = coefficient_fields(op, grid, v)
         assert calls == []
-        classes = np.unique(fields.row_class)
-        assert 1 < classes.size < grid.node_count
         assert representation_residual(op, grid, v, fields=fields) < 1e-10
-        assert len(calls) == classes.size
+
+    def test_a_defect_in_a_row_outside_the_first_of_its_class_is_caught(self):
+        # every row is checked, not one per class: moving C at a row that
+        # shares its class with an earlier row shows in the residual
+        grid, m = laplacian_matrix(level=3)
+        op, v = linear_op(m), np.zeros(grid.node_count)
+        fields = coefficient_fields(op, grid, v)
+        scale = float(np.abs(m).sum(axis=1).max())
+        assert representation_residual(op, grid, v, fields=fields) <= 1e-9 * scale
+        i = int(np.flatnonzero(fields.row_class != np.arange(grid.node_count))[-1])
+        c = fields.c_field.copy()
+        c[i] += 1e-6 * scale
+        planted = replace(fields, c_field=c)
+        assert representation_residual(op, grid, v, fields=planted) > 1e-7 * scale
 
 
 # --- the measured (column-loop) Jacobian ----------------------------------
@@ -323,6 +340,36 @@ def shift_case(request):
     return grid, st, v
 
 
+def jacobian_rows(matrix, pts):
+    """Each row of matrix as a RowFunctional at its node: the entries above
+    DROP_TOL times the row's largest, and the diagonal."""
+    rows = []
+    for i, w in enumerate(matrix):
+        keep = np.abs(w) > clarke.DROP_TOL * max(float(np.max(np.abs(w))), 1e-300)
+        keep[i] = True
+        rows.append(RowFunctional(pts[i], pts[keep] - pts[i], w[keep]))
+    return rows
+
+
+NORMAL_FORM = ("base_point", "a_matrix", "drift", "zero_order", "atoms",
+               "atom_weights", "gcp", "delta_floor")
+
+
+def same_decomposition(got, want):
+    return all(np.asarray(getattr(got, name)).tobytes()
+               == np.asarray(getattr(want, name)).tobytes()
+               for name in NORMAL_FORM)
+
+
+def assert_normal_form(fields, i, want):
+    """Row i's fields are want's A, B, C, sign test and floor, bit for bit."""
+    assert fields.a_field[i].tobytes() == want.a_matrix.tobytes()
+    assert fields.b_field[i].tobytes() == want.drift.tobytes()
+    assert fields.c_field[i] == want.zero_order
+    assert fields.gcp_field[i] == want.gcp
+    assert fields.delta_field[i] == want.delta_floor
+
+
 def interior(grid, reach):
     idx = grid.indices()
     return np.flatnonzero(np.all(np.abs(idx) <= grid.half_count - reach, axis=1))
@@ -378,6 +425,9 @@ class TestTranslationInvariance:
             assert reconstruct_residual(row, dec) <= bound
 
     def test_each_distinct_row_is_decomposed_once(self, shift_case, monkeypatch):
+        # the fields come from one batched call; decompositions are built
+        # when read, each class's first row through decompose once, and
+        # every row's normal form is decompose of that row, bit for bit
         grid, st, v = shift_case
         calls = []
 
@@ -386,10 +436,15 @@ class TestTranslationInvariance:
             return decompose(row)
         monkeypatch.setattr(clarke, "decompose", counted)
         fields = coefficient_fields(st, grid, v)
+        assert calls == []
+        decs = list(fields.decompositions) + list(fields.decompositions)
         distinct = np.unique(fields.row_class)
         assert len(calls) == distinct.size < grid.node_count
         # each class's first row is its own representative
         assert np.array_equal(fields.row_class[distinct], distinct)
+        for i, row in enumerate(jacobian_rows(st.matrix(), grid.points())):
+            assert_normal_form(fields, i, decompose(row))
+            assert same_decomposition(decs[i], decompose(row))
 
 
 # --- exact Clarke Jacobians of Bellman and Isaacs envelopes -----------------
@@ -1139,3 +1194,200 @@ def test_every_exported_operator_and_envelope_has_an_exact_jacobian(
                levyminmax.isaacs([[a], [built["bellman"], lambda w: a(w)]]),
                levyminmax.bellman([levyminmax.bellman([lambda w: a(w)]), a])):
         assert op.jacobian(v) is None
+
+
+# --- coefficient fields against the per-row loop ----------------------------
+
+
+def reference_decompose(row, tol=courrege.SCHEDULE_TOL):
+    """One row's schedule written out with courrege's cutoff moments, as
+    `decompose` computed it before the batched normal forms."""
+    offs, wts = row.jump_part()
+    pitch = row.pitch
+    k_diffusion = max(courrege.SCHEDULE_START, math.ceil(math.log2(1.0 / pitch)) - 1) \
+        if pitch < 1.0 else courrege.SCHEDULE_START
+    r = np.linalg.norm(offs, axis=1)
+    inside = r < 1.0
+    k_drift = courrege.SCHEDULE_START
+    if np.any(inside):
+        closest = float(np.max(r[inside]))
+        k_drift = max(k_drift, min(56, math.ceil(math.log2(2.0 / (1.0 - closest)))))
+    k_last = max(k_diffusion, k_drift + 1)
+    before, last = (courrege.b_of(row, SClassFn.shrunk_unit(2.0 ** -k))
+                    for k in (k_last - 1, k_last))
+    b_exact = np.asarray((wts * inside) @ offs, dtype=float)
+    scale = max(1.0, float(np.abs(wts) @ np.max(np.abs(offs), axis=1)))
+    gap = float(np.max(np.abs(last - b_exact)))
+    step = float(np.max(np.abs(last - before)))
+    if not (gap <= tol * scale and step <= tol * scale):
+        raise courrege.CourregeError("drift schedule did not stabilize")
+    delta_floor = 2.0 ** -k_diffusion
+    return courrege.CourregeDecomposition(
+        base_point=row.base_point,
+        a_matrix=courrege.a_of(row, SClassFn.shrunk_origin(delta_floor)),
+        drift=b_exact, zero_order=courrege.c_of(row), atoms=offs,
+        atom_weights=wts, gcp=courrege.is_gcp(row), delta_floor=delta_floor)
+
+
+def reference_fields(matrix, pts):
+    """The per-row loop: a dict of row bytes, one reference decomposition
+    per class, rebased to the other rows of the class."""
+    first: dict = {}
+    row_class = np.empty(len(matrix), dtype=np.int64)
+    decs = []
+    for i, row in enumerate(jacobian_rows(matrix, pts)):
+        j = first.setdefault((row.offsets.tobytes(), row.weights.tobytes()), i)
+        row_class[i] = j
+        decs.append(reference_decompose(row) if j == i
+                    else replace(decs[j], base_point=pts[i]))
+    return row_class, decs
+
+
+@strategies.composite
+def field_cases(draw):
+    """An envelope of stencil and matrix terms, Pucci max or min on convex
+    or saddle data, or Monge-Ampere on convex data."""
+    kind = draw(strategies.sampled_from(["envelope", "pucci max", "pucci min",
+                                         "monge-ampere"]))
+    if kind == "envelope":
+        grid, teams, v, _ = draw(envelopes())
+        return envelope_op(teams), grid, v
+    grid = MIXED_GRIDS[draw(strategies.sampled_from([1, 2, 3]))]
+    seed = draw(strategies.integers(0, 2 ** 32 - 1))
+    v = convex_data(grid, seed % 1000, noise=draw(strategies.sampled_from([0.0, 0.05])))
+    if kind == "monge-ampere":
+        return operators.monge_ampere(grid), grid, v
+    if grid.dim > 1 and draw(strategies.booleans()):
+        x = grid.points()
+        rng = np.random.default_rng(seed)
+        v = x[:, 0] * x[:, 1] + rng.uniform(-1.0, 1.0) * x[:, 0] ** 2
+    lam = float(np.random.default_rng(seed).uniform(0.3, 1.0))
+    return operators.pucci(grid, lam, 4.0 * lam, kind.split()[1]), grid, v
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_cases())
+def test_fields_are_the_per_row_loop_bit_for_bit(case):
+    op, grid, v = case
+    matrix = jacobian_at(op, v).matrix
+    row_class, decs = reference_fields(matrix, grid.points())
+    fields = coefficient_fields(op, grid, v)
+    assert np.array_equal(fields.row_class, row_class)
+    for i, want in enumerate(decs):
+        assert_normal_form(fields, i, want)
+        assert same_decomposition(fields.decompositions[i], want)
+    scale = float(np.abs(matrix).sum(axis=1).max())
+    assert representation_residual(op, grid, v, fields=fields) <= 1e-9 * scale
+
+
+def two_stencils(grid, seed):
+    """Lévy stencils with diffusion, drift, killing and one atom, at +2h
+    along the first axis in the first and -2h in the second."""
+    rng = np.random.default_rng(seed)
+    d, h = grid.dim, grid.spacing
+    out = []
+    for sign in (1.0, -1.0):
+        atom = np.zeros((1, d))
+        atom[0, 0] = 2.0 * sign * h
+        a = np.diag(rng.uniform(0.5, 1.5, size=d))
+        out.append(operators.levy_stencil(grid, LevyOperator(
+            a, rng.standard_normal(d), -float(rng.uniform(0.1, 1.0)),
+            LevyMeasure(atom, rng.uniform(0.5, 2.0, size=1)))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["bellman", "isaacs"])
+@pytest.mark.parametrize("grid", [DyadicGrid(6, 1, 1.0), DyadicGrid(3, 2, 1.0),
+                                  DyadicGrid(5, 2, 1.0)],
+                         ids=["1-d level 6", "2-d level 3", "2-d level 5"])
+def test_envelope_rows_are_their_terms_normal_forms(grid, kind):
+    # the paper's theorem on the lattice: an envelope of operators that
+    # commute with shifts linearizes, away from the boundary, to one of its
+    # terms at every node, so each interior normal form is a term's own,
+    # rebased, and the interior classes are at most the terms
+    terms = two_stencils(grid, seed=grid.dim + grid.level)
+    rng = np.random.default_rng(grid.level)
+    pairs = [(t, 10.0 * rng.standard_normal(grid.node_count)) for t in terms]
+    op = (operators.bellman(pairs) if kind == "bellman"
+          else operators.isaacs([[p] for p in pairs]))
+    v = rng.standard_normal(grid.node_count)
+    fields = coefficient_fields(op, grid, v)
+    inner = interior(grid, 2)
+    idx = grid.indices()
+    own = [decompose(t.row(idx[inner[0]])) for t in terms]
+    for i in inner:
+        want = [replace(dec, base_point=grid.points()[i]) for dec in own]
+        dec = fields.decompositions[i]
+        match = [k for k in range(2) if same_decomposition(dec, want[k])]
+        assert match, i
+        assert_normal_form(fields, i, want[match[0]])
+    assert np.unique(fields.row_class[inner]).size == 2
+
+
+class TestNonFiniteRows:
+    """A row with a non-finite kept weight has no normal form; the bits of
+    its entries must not make a class of it."""
+
+    @staticmethod
+    def refused(op, grid, v, node):
+        with pytest.raises(courrege.CourregeError,
+                           match=f"row weights must be finite \\(node {node}\\)"):
+            coefficient_fields(op, grid, v)
+
+    def test_monge_ampere_off_convexity(self):
+        grid = DyadicGrid(2, 2, 1.0)
+        v = np.random.default_rng(9).standard_normal(grid.node_count)
+        self.refused(operators.monge_ampere(grid), grid, v, 1)
+
+    def test_pucci_with_a_nan_node(self):
+        grid = DyadicGrid(2, 2, 1.0)
+        v = np.random.default_rng(0).standard_normal(grid.node_count)
+        v[40] = math.nan
+        # the centred Hessians of the node and of its four neighbours
+        self.refused(operators.pucci(grid, 0.5, 2.0), grid, v, 31)
+
+    def test_callable_returning_nan(self):
+        grid = DyadicGrid(3, 1, 1.0)
+        n = grid.node_count
+        m = np.random.default_rng(1).standard_normal((n, n))
+        self.refused(lambda w: np.where(np.arange(n) == 7, math.nan, m @ w),
+                     grid, np.zeros(n), 7)
+
+
+COLD_FIELDS = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    import levyminmax
+    from levyminmax import clarke, operators
+    from levyminmax.grid import DyadicGrid
+    from levyminmax.levy import LevyMeasure, LevyOperator
+
+    import numpy.random
+    before = set(sys.modules)
+    grid = DyadicGrid(1, 3, 1.5)
+    x = grid.points()
+    st = operators.levy_stencil(grid, LevyOperator(
+        np.eye(3), np.ones(3), -1.0, LevyMeasure(np.array([[0.5, 0.0, 0.0]]),
+                                                  np.ones(1))))
+    pu = operators.pucci(grid, 0.5, 2.0)
+    for op, v in ((st, np.cos(x[:, 0])), (pu, np.sum(x * x, axis=1) - 40.0)):
+        fields = clarke.coefficient_fields(op, grid, v)
+        assert clarke.representation_residual(op, grid, v, fields=fields) < 1e-6
+    loaded = sorted(set(sys.modules) - before)
+    assert loaded == [], loaded
+    assert "numpy.ma" not in sys.modules
+""")
+
+
+def test_cold_fields_load_nothing_beyond_numpy_random():
+    # a fresh interpreter: numpy.random (the probe battery's generator) is
+    # loaded first, and the fields and their check may load nothing more;
+    # numpy.ma in particular costs about 8 ms on the first np.unique
+    src = str(pathlib.Path(levyminmax.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", COLD_FIELDS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

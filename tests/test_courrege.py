@@ -232,6 +232,12 @@ class TestDecompose:
                 pointwise = SmoothFn(u.value, grad=u.grad, hess=u.hess)
                 want = np.array([u.value(x) for x in pts])
                 assert u.values(pts) == pytest.approx(want, rel=1e-14, abs=1e-14)
+                # the batch hooks, and SmoothFn's point-by-point fallback
+                for batch in (u, pointwise):
+                    assert batch.grads(pts) == pytest.approx(
+                        np.array([u.grad(x) for x in pts]), rel=1e-14, abs=1e-14)
+                    assert batch.hessians(pts) == pytest.approx(
+                        np.array([u.hess(x) for x in pts]), rel=1e-14, abs=1e-14)
                 assert row.apply(u) == pytest.approx(row.apply(pointwise),
                                                      rel=1e-13, abs=1e-13)
                 assert dec.apply(u) == pytest.approx(dec.apply(pointwise),

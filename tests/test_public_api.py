@@ -34,6 +34,15 @@ KEPT = {
     "cubes.WhitneyCube.weight":
         "one cube's bump, the tests' reference for the batch weights",
     "operators.monge_ampere": "the reference Monge-Ampere operator",
+    "courrege.a_of": "one row's cutoff diffusion for any admissible cutoff, "
+                     "the per-row reference of the batched normal forms",
+    "courrege.b_of": "one row's cutoff drift for any admissible cutoff, "
+                     "the per-row reference of the batched normal forms",
+    "courrege.c_of": "one row's zero-order coefficient, "
+                     "the per-row reference of the batched normal forms",
+    "special.SClassFn.shrunk_unit":
+        "the unit member of the shrinking pair; the batched normal forms "
+        "evaluate it at each row's scales through reverse_ramp",
 }
 
 
