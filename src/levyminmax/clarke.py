@@ -14,7 +14,12 @@ a time by central differences, where near a kink the two half-step
 measurements disagree, which is exactly the detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
 the generalized differential: enough for mean-value residuals and
-row-by-row coefficient extraction.  Matrices are dense.
+row-by-row coefficient extraction.  An exact Jacobian is a
+`grid.SparseRows` from end to end, its storage O(nnz): a row's reach is a
+few lattice steps.  A measured one is the dense n x n array the column loop
+fills; the sample sets and the coefficient fields read it as sparse rows,
+so they, the sampled min-max layer and the mean-value fit apply every
+sample as a sparse product and never stack n x n arrays.
 
 Min-max evaluation needs, per probe v, the max of J (u - v) over the Clarke
 Jacobians on the segment [v, u] (Clarke 1983, section 2.6; Lebourg 1975).
@@ -24,11 +29,12 @@ matrix, from the lines its terms trace along the segment
 Jacobians sampled along the segment, which can miss a term active only
 between two samples.
 
-Coefficient fields are array passes over the Jacobian's kept entries.  A
-row's class is the first row with the same count, offset bits (relative
-to its node) and weight bits, found by one stable sort, so the rows of an
-operator that commutes with lattice shifts share one class away from the
-boundary, as the paper's translation-invariant min-max formula predicts.
+Coefficient fields are array passes over the Jacobian's kept entries, read
+off its sparse rows in O(nnz).  A row's class is the first row with the
+same count, offset bits (relative to its node) and weight bits, found by
+one stable sort, so the rows of an operator that commutes with lattice
+shifts share one class away from the boundary, as the paper's
+translation-invariant min-max formula predicts.
 The first rows of the classes go through the schedule in one
 `courrege.normal_forms` call, and `representation_residual` checks the
 identity on every row, one pass over all rows per probe.
@@ -45,7 +51,7 @@ import numpy as np
 
 from .courrege import (CourregeError, RowFunctional, decompose, normal_forms,
                        probe_battery, reconstruct_residual)
-from .grid import DyadicGrid, GridError
+from .grid import DyadicGrid, GridError, SparseRows
 from .levy import OFFSET_TOL
 from .special import reverse_ramp
 
@@ -79,19 +85,26 @@ def default_step(v: np.ndarray) -> float:
 class JacobianSample:
     """Jacobian at a point, with a kink flag.
 
+    An exact Jacobian's matrix is a `grid.SparseRows`: `toarray()`,
+    `np.asarray` and `@` read it, and a row where the operator is not finite
+    is a flag that reads back as NaN across.  A measured matrix is the
+    dense array the column loop fills (a plain callable, or an operator
+    whose `jacobian` hands back an array, keeps that array).
+
     For a measured matrix, kink is set when halving the step moves the
     matrix by more than KINK_FACTOR * step, which a twice-differentiable
     map cannot do, and also when that drift is not finite (an operator that
     is non-finite near v).  An exact Jacobian carries the operator's own
     flag: never for a linear stencil; for Pucci and Monge-Ampere when an
-    eigenvalue of some row's Hessian lies within its rounding bound of 0,
-    and for Monge-Ampere off convexity (see `operators.PucciOp`); for an
+    eigenvalue of some row's Hessian lies within its rounding bound of 0
+    or a row's Hessian is not finite, and for Monge-Ampere off convexity
+    (see `operators.PucciOp`); for an
     envelope when two terms tie at some row within their rounding bounds,
     or the active term's row is a kink (see `operators.BellmanOp`).
     """
 
     point: np.ndarray
-    matrix: np.ndarray
+    matrix: SparseRows | np.ndarray
     step: float
     kink: bool
 
@@ -100,11 +113,12 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
     """Jacobian of op at v: exact when op has one, else measured at s and s/2.
 
     An operator whose `jacobian(v)` returns (matrix, kink) supplies both
-    itself: a linear stencil, Pucci and Monge-Ampere make no operator
-    call, an envelope one per term.  When op has no `jacobian` (a wrapped
-    or plain callable), or it returns None (an envelope with a plain
-    callable term), the central-difference Jacobian is measured one basis
-    column at a time: 4n operator calls.
+    itself, the matrix as sparse rows with no n x n array: a linear
+    stencil, Pucci and Monge-Ampere make no operator call, an envelope one
+    per term.  When op has no `jacobian` (a wrapped or plain callable), or
+    it returns None (an envelope with a plain callable term), the
+    central-difference Jacobian is measured one basis column at a time into
+    a dense array: 4n operator calls.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     s = default_step(v) if step is None else float(step)
@@ -114,7 +128,8 @@ def jacobian_at(op, v, step: float | None = None) -> JacobianSample:
     got = exact(v) if exact is not None else None
     if got is not None:
         m, kink = got
-        m = np.asarray(m, dtype=float)
+        if not isinstance(m, SparseRows):
+            m = np.asarray(m, dtype=float)
         if m.shape != (v.size, v.size):
             raise ClarkeError(f"operator Jacobian has shape {m.shape}, "
                               f"expected {(v.size, v.size)}")
@@ -137,28 +152,48 @@ def _matrix(op, v: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _same_sample(a: np.ndarray, b: np.ndarray) -> bool:
-    """Finite entries within DEDUP_TOL, non-finite ones equal (NaN to NaN)."""
+def _sparse(matrix) -> SparseRows:
+    """A sample's matrix as sparse rows: an exact one is already, a measured
+    (dense) one keeps every entry other than +0.0."""
+    return matrix if isinstance(matrix, SparseRows) else SparseRows.from_dense(matrix)
+
+
+def _same_sample(a: SparseRows, b: SparseRows) -> bool:
+    """Finite entries within DEDUP_TOL, non-finite ones equal (NaN to NaN).
+
+    The entries compared are those either matrix stores, an unstored one
+    reading 0, and a row NaN across in one matches only a row NaN across
+    in the other: the dense comparison, in O(nnz log nnz).
+    """
+    if a.shape != b.shape or not np.array_equal(a.nan_rows, b.nan_rows):
+        return False
+    ka, kb = (m.entry_rows() * m.shape[1] + m.indices for m in (a, b))
+    both = np.sort(np.concatenate([ka, kb]))
+    keys = both[np.diff(both, prepend=-1) != 0]
+    x, y = np.zeros(keys.size), np.zeros(keys.size)
+    x[np.searchsorted(keys, ka)] = a.data
+    y[np.searchsorted(keys, kb)] = b.data
     with np.errstate(invalid="ignore"):
-        gap = np.abs(a - b)
-    worst = float(np.max(gap))
+        gap = np.abs(x - y)
+    worst = float(np.max(gap, initial=0.0))
     if not math.isnan(worst):
         return worst <= DEDUP_TOL
     odd = np.isnan(gap)
-    return (np.array_equal(a[odd], b[odd], equal_nan=True)
+    return (np.array_equal(x[odd], y[odd], equal_nan=True)
             and float(np.max(gap, where=~odd, initial=0.0)) <= DEDUP_TOL)
 
 
 @dataclass
 class ClarkeSet:
-    """Deduplicated Jacobian samples standing in for the differential at v."""
+    """Deduplicated Jacobian samples standing in for the differential at v,
+    each kept as sparse rows."""
 
     point: np.ndarray
     members: list = field(default_factory=list)
     kinked: bool = False
 
     def add(self, sample: JacobianSample) -> bool:
-        m = sample.matrix
+        m = _sparse(sample.matrix)
         for other in self.members:
             if _same_sample(other, m):
                 return False
@@ -169,10 +204,11 @@ class ClarkeSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def stacked(self) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Each member times x, one sparse product each: shape (members, n)."""
         if not self.members:
             raise ClarkeError("empty differential sample")
-        return np.stack(self.members)
+        return np.stack([m @ x for m in self.members])
 
 
 def sample_differential(op, v, samples: int = 8, radius: float = 1e-4,
@@ -241,7 +277,7 @@ def mean_value_residual(op, u, v,
     if diff is None:
         diff = segment_differential(op, v, u)
     rhs = _apply(op, u) - _apply(op, v)
-    cols = diff.stacked() @ (u - v)          # (m, n): each row one candidate
+    cols = diff.apply(u - v)                 # (m, n): each row one candidate
     g = cols.T                               # (n, m)
     m = g.shape[1]
     lam = np.full(m, 1.0 / m)
@@ -305,7 +341,7 @@ def minmax_eval(op, u, probes, count: int = 9) -> MinMaxReport:
         layer = segment_max(v, u) if segment_max is not None else None
         if layer is None:
             diff = segment_differential(op, v, u, count=count)
-            layer = np.max(diff.stacked() @ (u - v), axis=0)
+            layer = np.max(diff.apply(u - v), axis=0)
         inner = _apply(op, v) + layer
         if best is None:
             best = inner
@@ -386,20 +422,36 @@ class CoefficientFields:
                              self.weights[lo:hi])
 
 
-def _kept_entries(matrix: np.ndarray) -> tuple:
-    """(rows, columns) of the entries above DROP_TOL times their row's
-    largest, and of every diagonal entry, row by row.
+def _kept_entries(matrix: SparseRows) -> tuple:
+    """(rows, columns, weights) of the entries above DROP_TOL times their
+    row's largest, and of every diagonal entry (0 where it is not stored),
+    row by row, in O(nnz).
 
-    A row with a NaN or an infinite entry keeps its diagonal alone, as its
-    threshold is not finite.  |w| > t is read as w > t or w < -t, so no
-    n x n array of magnitudes is made.
+    A row with a non-finite stored entry, or NaN across, has no threshold
+    and no normal form: it is refused, naming its node.
     """
-    top = np.maximum(np.max(matrix, axis=1), -np.min(matrix, axis=1))
-    cut = (DROP_TOL * np.maximum(top, 1e-300))[:, None]
-    keep = matrix > cut
-    keep |= matrix < -cut
-    np.fill_diagonal(keep, True)
-    return np.nonzero(keep)
+    n = matrix.shape[0]
+    owner = matrix.entry_rows()
+    bad = matrix.nan_rows.copy()
+    bad[owner[~np.isfinite(matrix.data)]] = True
+    if bad.any():
+        raise CourregeError(f"row weights must be finite (node {np.argmax(bad)})")
+    mag = np.abs(matrix.data)
+    top = np.zeros(n)
+    live = np.flatnonzero(np.diff(matrix.indptr))
+    if live.size:
+        top[live] = np.maximum.reduceat(mag, matrix.indptr[live])
+    keep = (mag > DROP_TOL * np.maximum(top, 1e-300)[owner]) | (matrix.indices == owner)
+    rows, cols, wts = owner[keep], matrix.indices[keep], matrix.data[keep]
+    missing = np.ones(n, dtype=bool)
+    missing[rows[rows == cols]] = False
+    if missing.any():
+        lone = np.flatnonzero(missing)
+        rows, cols = np.concatenate([rows, lone]), np.concatenate([cols, lone])
+        wts = np.concatenate([wts, np.zeros(lone.size)])
+        order = np.argsort(rows * n + cols)
+        rows, cols, wts = rows[order], cols[order], wts[order]
+    return rows, cols, wts
 
 
 def _row_classes(offsets: np.ndarray, weights: np.ndarray, owner: np.ndarray,
@@ -437,23 +489,20 @@ def coefficient_fields(op, grid: DyadicGrid, v) -> CoefficientFields:
     relative offsets and weights, bit for bit, form a class, found by one
     sort; the first row of each class goes through the schedule, all of
     them in one `courrege.normal_forms` call, and the fields repeat its
-    values across the class.  A row with a non-finite kept weight is
-    refused.  Nothing is checked here; `representation_residual` checks
-    every row.
+    values across the class.  The entries are read off the Jacobian's
+    sparse rows in O(nnz).  A row with a non-finite entry, kept or not, or
+    NaN across, is refused.  Nothing is checked here;
+    `representation_residual` checks every row.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    matrix = jacobian_at(op, v).matrix
+    matrix = _sparse(jacobian_at(op, v).matrix)
     pts = grid.points()
     pts.setflags(write=False)   # rebased base points are views of it
     n = pts.shape[0]
     if matrix.shape != (n, n):
         raise ClarkeError(f"matrix shape {matrix.shape} does not match "
                           f"the {n}-node grid")
-    rows, cols = _kept_entries(matrix)
-    wts = matrix[rows, cols]
-    bad = np.flatnonzero(~np.isfinite(wts))
-    if bad.size:
-        raise CourregeError(f"row weights must be finite (node {rows[bad[0]]})")
+    rows, cols, wts = _kept_entries(matrix)
     # grid points run in lexicographic order, so each row's offsets are
     # already the sorted offsets a RowFunctional stores
     offs = pts[cols] - pts[rows]

@@ -7,7 +7,9 @@ restriction tests are free of float drift.  Reads outside the box return 0,
 matching the convention that grid functions vanish outside their box;
 ``_shifted`` is the one zero-padded lattice shift of whole arrays.  A grid
 function is a read-only array with no algebra or serialization of its own:
-callers combine ``values`` and write the reports they need.
+callers combine ``values`` and write the reports they need.  ``SparseRows``
+holds a matrix on the nodes, such as a Jacobian, as compressed sparse rows
+in NumPy arrays.
 """
 from __future__ import annotations
 
@@ -259,6 +261,101 @@ def restrict(u: SmoothFn, g: DyadicGrid) -> GridFunction:
         bad = pts[~np.isfinite(vals)][0]
         raise GridError(f"non-finite sample at node {tuple(bad)}")
     return GridFunction(g, vals.reshape(g.shape))
+
+
+class SparseRows:
+    """A matrix as compressed sparse rows in NumPy arrays, with no scipy.
+
+    Row i stores data[indptr[i]:indptr[i + 1]] at the columns
+    indices[indptr[i]:indptr[i + 1]], sorted within the row; every other
+    entry is 0.  A row flagged in nan_rows is NaN across and stores
+    nothing: a Jacobian row where the operator is not finite.  `toarray`,
+    `np.asarray` and `@` read such a row back as NaN.
+    """
+
+    def __init__(self, indptr, indices, data, shape, nan_rows=None):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = tuple(shape)
+        self.nan_rows = (np.zeros(self.shape[0], dtype=bool) if nan_rows is None
+                         else nan_rows)
+
+    @classmethod
+    def from_entries(cls, rows, cols, data, shape, nan_rows=None) -> "SparseRows":
+        """Entries (rows[e], cols[e]) = data[e] in any order, each position
+        at most once."""
+        order = np.argsort(rows * shape[1] + cols)
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols[order], data[order], shape, nan_rows)
+
+    @classmethod
+    def from_dense(cls, matrix) -> "SparseRows":
+        """Every entry other than +0.0, so `toarray` gives matrix back bit
+        for bit (-0.0 and NaN included)."""
+        m = np.asarray(matrix, dtype=float)
+        rows, cols = np.nonzero((m != 0.0) | np.signbit(m))
+        return cls.from_entries(rows, cols, m[rows, cols], m.shape)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.entry_rows(), self.indices] = self.data
+        out[self.nan_rows] = np.nan
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __matmul__(self, x):
+        """The product with a vector or a matrix, summed over each row's
+        stored entries in column order."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape "
+                             f"{x.shape}")
+        cols = x.reshape(x.shape[0], -1)
+        k = cols.shape[1]
+        slot = self.entry_rows()[:, None] * k + np.arange(k)
+        out = np.bincount(slot.ravel(), (self.data[:, None] * cols[self.indices]).ravel(),
+                          minlength=self.shape[0] * k).astype(float, copy=False)
+        out = out.reshape(self.shape[0], k)
+        out[self.nan_rows] = np.nan
+        return out.reshape((self.shape[0],) + x.shape[1:])
+
+    def copy(self) -> "SparseRows":
+        return SparseRows(self.indptr.copy(), self.indices.copy(), self.data.copy(),
+                          self.shape, self.nan_rows.copy())
+
+    def _find(self, key) -> tuple:
+        """Row i of entry (i, j), and the entry's place in data (None where
+        it is not stored)."""
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise TypeError("a SparseRows index is one entry (i, j); "
+                            "toarray() reads more")
+        i, j = (range(n)[k] for n, k in zip(self.shape, key))
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        at = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return i, (at if at < hi and self.indices[at] == j else None)
+
+    def __getitem__(self, key) -> float:
+        """Entry (i, j)."""
+        i, at = self._find(key)
+        if self.nan_rows[i]:
+            return math.nan
+        return 0.0 if at is None else float(self.data[at])
+
+    def __setitem__(self, key, value) -> None:
+        """Set the stored entry (i, j)."""
+        at = self._find(key)[1]
+        if at is None:
+            raise GridError(f"entry {key} is not stored")
+        self.data[at] = value
 
 
 def _shifted(values: np.ndarray, offset) -> np.ndarray:

@@ -12,21 +12,24 @@ Discretization conventions chosen for sign correctness:
 
 Every operator here has an exact Clarke Jacobian under one term protocol,
 which `clarke` takes instead of measuring anything:
-  * `scatter(out, rows, v)` writes the Jacobian rows at v of the nodes in
-    rows into out, zero there, and returns which of those rows are kinks;
+  * `jacobian_rows(rows, v)` hands back the Jacobian entries at v of the
+    nodes in rows as flat (row, column, weight) arrays, with two flags per
+    asked row: NaN across, and a kink (`_Rows`);
   * `bound(v, shift)` bounds, row by row, how far the computed value of
     f(v) + shift may lie from the exact one;
-  * `jacobian(v) -> (matrix, kink)` scatters every row (`_Term`).
-A linear stencil or a `MatrixTerm` scatters its own rows and is never a
+  * `jacobian(v) -> (matrix, kink)` assembles every row's entries into one
+    `grid.SparseRows` (`_Term`), so no n x n array is made.
+A linear stencil or a `MatrixTerm` hands back its own rows and is never a
 kink.  Pucci and Monge-Ampere are envelopes of the linear maps
 u -> tr(A D2_h u), so row i is the centred Hessian stencil weighted by the
 optimal A*_i, from one Hessian field and one batched `eigh`, and a kink
-where an eigenvalue lies within its rounding bound of 0; a Monge-Ampere
-row off convexity, where the value is -inf, is NaN across the row, as the
-column loop reads it, and a kink.  A Bellman or Isaacs envelope writes each
-row from the term active there, and that row is a kink where two terms tie
-within their bounds or where the active term's own row is a kink.  An
-envelope with a plain callable term has no exact Jacobian (None).
+where an eigenvalue lies within its rounding bound of 0.  A row whose
+Hessian is not finite, and a Monge-Ampere row off convexity, where the value
+is -inf, are NaN across, as the column loop reads them, and kinks.  A
+Bellman or Isaacs envelope takes each row from the term active there, and
+that row is a kink where two terms tie within their bounds or where the
+active term's own row is a kink.  An envelope with a plain callable term
+has no exact Jacobian (None).
 
 An envelope also names each row's active term at v (`active_terms`), and
 one of stencil and matrix terms, whose rows are lines along a segment,
@@ -51,7 +54,7 @@ import numpy as np
 
 from .calculus import hessian_field
 from .courrege import SIGN_TOL, RowFunctional
-from .grid import _STRIP_NODE_CAP, DyadicGrid, GridError, _shifted
+from .grid import _STRIP_NODE_CAP, DyadicGrid, GridError, SparseRows, _shifted
 from .levy import LevyMeasure, LevyOperator
 
 
@@ -59,14 +62,32 @@ class OperatorError(GridError):
     """Raised for ill-posed operator assembly requests."""
 
 
-def _scatter(out: np.ndarray, shape: tuple, rows: np.ndarray, offs,
-             wts) -> None:
-    """Write out[i, i + off] = weight for every row i in rows and offset.
+class _Rows(NamedTuple):
+    """Jacobian entries of some asked rows: entry e sits at (row[e], col[e])
+    with weight data[e].  nan and kink flag the asked rows, in their order:
+    NaN across (no entries), and a kink."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    nan: np.ndarray
+    kink: np.ndarray
+
+
+def _linear_rows(rows: np.ndarray, entries: tuple) -> _Rows:
+    """Entries of rows of a map that is linear near v: no NaN, no kink."""
+    none = np.zeros(len(rows), dtype=bool)
+    return _Rows(*entries, none, none)
+
+
+def _scatter(shape: tuple, rows: np.ndarray, offs, wts) -> tuple:
+    """Entries (i, i + off) = weight for every row i in rows and offset, as
+    (row, column, weight) arrays.
 
     offs are distinct integer offsets, so they reach distinct columns and
-    every entry is written once, for all offsets at once; wts holds one
-    weight per offset, shared by all rows, or one row of weights per offset
-    (shape (offsets, rows)).  Reads outside the box are dropped.
+    every entry is made once, for all offsets at once; wts holds one weight
+    per offset, shared by all rows, or one row of weights per offset (shape
+    (offsets, rows)).  Reads outside the box are dropped.
     """
     offs = np.array(offs, dtype=np.int64).reshape(-1, len(shape)).T[:, :, None]
     tgt = np.array(np.unravel_index(rows, shape))[:, None, :] + offs
@@ -74,21 +95,23 @@ def _scatter(out: np.ndarray, shape: tuple, rows: np.ndarray, offs,
     k, r = np.nonzero(np.all((tgt >= 0) & (tgt < size), axis=0))
     cols = np.ravel_multi_index(tgt[:, k, r], shape)
     wts = np.asarray(wts, dtype=float)
-    out[rows[r], cols] = wts[k, r] if wts.ndim == 2 else wts[k]
+    return rows[r], cols, wts[k, r] if wts.ndim == 2 else wts[k]
 
 
 class _Term:
-    """Exact Jacobian of an operator that can `scatter` its rows."""
+    """Exact Jacobian of an operator that hands back its `jacobian_rows`."""
 
     def jacobian(self, v: np.ndarray) -> tuple | None:
-        """Every row scattered, and whether one is a kink; None for an
-        envelope with a term that cannot scatter (a plain callable)."""
-        if not all(hasattr(f, "scatter") for f in _leaves(self)):
+        """Every row's entries as one `SparseRows`, and whether a row is a
+        kink; None for an envelope with a term that has no rows (a plain
+        callable)."""
+        if not all(hasattr(f, "jacobian_rows") for f in _leaves(self)):
             return None
         v = np.asarray(v, dtype=float)
-        out = np.zeros((v.size, v.size))
-        kink = self.scatter(out, np.arange(v.size), v)
-        return out, bool(np.any(kink))
+        got = self.jacobian_rows(np.arange(v.size), v)
+        matrix = SparseRows.from_entries(got.row, got.col, got.data,
+                                         (v.size, v.size), got.nan)
+        return matrix, bool(np.any(got.kink))
 
 
 def _affine_bound(m: int, rho: float, v: np.ndarray, shift) -> np.ndarray:
@@ -131,15 +154,14 @@ class StencilOperator(_Term):
         return _affine_bound(len(self.kernel), float(sum(
             abs(w) for w in self.kernel.values())), v, shift)
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
-        """Write the given rows of the kernel matrix, the same at every v."""
-        _scatter(out, self.grid.shape, rows, list(self.kernel),
-                 list(self.kernel.values()))
-        return np.zeros(len(rows), dtype=bool)
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
+        """The given rows of the kernel matrix, the same at every v."""
+        return _linear_rows(rows, _scatter(self.grid.shape, rows, list(self.kernel),
+                                           list(self.kernel.values())))
 
     def matrix(self) -> np.ndarray:
-        """Dense kernel matrix: the scatter of every row."""
-        return self.jacobian(np.zeros(self.grid.node_count))[0]
+        """Dense kernel matrix, for a `MatrixTerm`: the Jacobian densified."""
+        return self.jacobian(np.zeros(self.grid.node_count))[0].toarray()
 
     def row(self, index) -> RowFunctional:
         """The exact functional applied at a node (outside reads dropped)."""
@@ -337,9 +359,9 @@ class BellmanOp(_Term):
         """The one-team `IsaacsOp` case."""
         return IsaacsOp((self,)).bound(v, shift)
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
         """The one-team `IsaacsOp` case."""
-        return IsaacsOp((self,)).scatter(out, rows, v)
+        return IsaacsOp((self,)).jacobian_rows(rows, v)
 
     def active_terms(self, v: np.ndarray) -> tuple:
         """The one-team `IsaacsOp` case."""
@@ -396,17 +418,23 @@ class IsaacsOp(_Term):
         tied = np.stack([p.tie for p in inner])[outer.index, node]
         return term, outer.tie | tied
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
-        """Write each row from its active term; a kink at ties and at the
-        active term's kinks."""
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
+        """Each row from its active term; a kink at ties and at the active
+        term's kinks, NaN across where the active term's row is."""
         v = np.asarray(v, dtype=float)
         term, kink = self.active_terms(v)
         term, kink = term[rows], kink[rows]
+        nan = np.zeros(len(rows), dtype=bool)
+        parts = []
         for k, (f, _) in enumerate(self._terms()):
             mine = term == k
             if mine.any():
-                kink[mine] |= f.scatter(out, rows[mine], v)
-        return kink
+                got = f.jacobian_rows(rows[mine], v)
+                kink[mine] |= got.kink
+                nan[mine] = got.nan
+                parts.append(got)
+        row, col, data = (np.concatenate(e) for e in zip(*(p[:3] for p in parts)))
+        return _Rows(row, col, data, nan, kink)
 
     def _near(self, stacks: list) -> np.ndarray:
         """(terms, rows) mask of the terms that the envelope's selection
@@ -494,10 +522,12 @@ class MatrixTerm(_Term):
         return _affine_bound(self.matrix.shape[1], float(np.linalg.norm(
             self.matrix, np.inf)), v, shift)
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
-        """Write the given rows of M, the same at every v."""
-        out[rows] = self.matrix[rows]
-        return np.zeros(len(rows), dtype=bool)
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
+        """The entries of the given rows of M other than +0.0, the same at
+        every v."""
+        part = np.asarray(self.matrix[rows], dtype=float)
+        r, cols = np.nonzero((part != 0.0) | np.signbit(part))
+        return _linear_rows(rows, (rows[r], cols, part[r, cols]))
 
 
 def _as_term(term):
@@ -541,12 +571,13 @@ def pucci_extremal(eigenvalues: np.ndarray, lam: float, big: float,
 
 def _hessian_eigen(grid: DyadicGrid, v: np.ndarray, rows=slice(None)) -> tuple:
     """Eigenvalues and eigenvectors of the centred Hessians (d, d) of the
-    given rows, and per row the bound of `_eigen_bound` on each
-    eigenvalue's rounding."""
+    given rows, per row the bound of `_eigen_bound` on each eigenvalue's
+    rounding, and whether the row's Hessian is finite (`eigh` may return
+    finite eigenvalues for a NaN diagonal)."""
     d = grid.dim
     hess = hessian_field(grid, v).reshape(-1, d, d)[rows]
     e, q = np.linalg.eigh(hess)
-    return e, q, _eigen_bound(grid, v, hess)
+    return e, q, _eigen_bound(grid, v, hess), np.isfinite(hess).all(axis=(1, 2))
 
 
 def _eigen_bound(grid: DyadicGrid, v: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -572,10 +603,10 @@ def _eigen_bound(grid: DyadicGrid, v: np.ndarray, hess: np.ndarray) -> np.ndarra
     return _gamma(3) * rho * peak + _gamma(4 * d * d) * frob
 
 
-def _scatter_hessian(out: np.ndarray, grid: DyadicGrid, rows: np.ndarray,
-                     a: np.ndarray) -> None:
-    """Write rows of v -> tr(A_i D2_h v)_i, D2_h the centred Hessian stencil
-    of `hessian_field` and A_i = a[r] the symmetric matrix of row rows[r].
+def _scatter_hessian(grid: DyadicGrid, rows: np.ndarray, a: np.ndarray) -> tuple:
+    """Entries of the rows of v -> tr(A_i D2_h v)_i, D2_h the centred Hessian
+    stencil of `hessian_field` and A_i = a[r] the symmetric matrix of row
+    rows[r], as `_scatter` makes them.
 
     Weights: a_kk/h^2 on +-e_k; a_kl/(2h^2) on the (+,+) and (-,-) corners
     of the (k, l) plane and -a_kl/(2h^2) on (+,-) and (-,+), since the cross
@@ -596,7 +627,7 @@ def _scatter_hessian(out: np.ndarray, grid: DyadicGrid, rows: np.ndarray,
             offs += [eye[k] + eye[l], -eye[k] - eye[l],
                      eye[k] - eye[l], eye[l] - eye[k]]
             wts += [cross, cross, -cross, -cross]
-    _scatter(out, grid.shape, rows, offs, np.stack(wts))
+    return _scatter(grid.shape, rows, offs, np.stack(wts))
 
 
 def _from_eigen(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -618,7 +649,9 @@ class PucciOp(_Term):
     exactly (P+ + P- = I).  P+ and P- switch where an eigenvalue crosses 0,
     so a row is a kink when some computed eigenvalue lies within its
     rounding bound of 0 (`_eigen_bound`); with lam == big nothing switches
-    and no row is a kink.  The value is big-Lipschitz in each eigenvalue,
+    and no row is a kink.  A row whose Hessian is not finite (data with a
+    NaN or infinite node within reach) is NaN across, as the column loop
+    reads it, and a kink.  The value is big-Lipschitz in each eigenvalue,
     so it rounds by at most big d times the eigenvalues' bound, plus the
     rounding of the weighted sum and the shift.
     """
@@ -642,21 +675,24 @@ class PucciOp(_Term):
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         d = self.grid.dim
-        e, _, eig = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
+        e, _, eig, _ = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
         return (self.big * d * eig + _gamma(d + 2) * (
             self.big * np.sum(np.abs(e), axis=1) + np.abs(shift)))
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
-        """Write the A*-weighted centred stencil of the given rows."""
-        e, q, bound = _hessian_eigen(self.grid, np.asarray(v, dtype=float), rows)
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
+        """The A*-weighted centred stencil of the given rows; NaN across,
+        and a kink, where the row's Hessian is not finite."""
+        e, q, bound, finite = _hessian_eigen(self.grid, np.asarray(v, dtype=float),
+                                             rows)
         up, down = ((self.big, self.lam) if self.extremal == "max"
                     else (self.lam, self.big))
         w = np.where(e > 0.0, up, down)
         a = _from_eigen(q, w)
         same = np.all(w == w[:, :1], axis=1)
         a[same] = w[same, :1, None] * np.eye(self.grid.dim)
-        _scatter_hessian(out, self.grid, rows, a)
-        return np.any(np.abs(e) <= bound[:, None], axis=1) & (self.lam < self.big)
+        kink = np.any(np.abs(e) <= bound[:, None], axis=1) & (self.lam < self.big)
+        return _Rows(*_scatter_hessian(self.grid, rows[finite], a[finite]),
+                     ~finite, kink | ~finite)
 
 
 def pucci(grid: DyadicGrid, lam: float, big: float,
@@ -719,8 +755,9 @@ class MongeAmpereOp(_Term):
     row is the centred stencil weighted by A*, from one Hessian field and
     one batched `eigh`, with no operator call.  A row off convexity, where
     T is -inf, is NaN across the row, as the column loop reads it
-    (-inf - -inf), and is a kink; so is a row with an eigenvalue within its
-    rounding bound of 0 (`_eigen_bound`), where convexity can switch.
+    (-inf - -inf), and is a kink, as is a row whose Hessian is not finite;
+    so is a row with an eigenvalue within its rounding bound of 0
+    (`_eigen_bound`), where convexity can switch.
     """
 
     grid: DyadicGrid
@@ -741,7 +778,7 @@ class MongeAmpereOp(_Term):
         power 1/d.
         """
         d = self.grid.dim
-        e, _, eig = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
+        e, _, eig, _ = _hessian_eigen(self.grid, np.asarray(v, dtype=float))
         eig = eig[:, None]
         value, low = _ma_value(e, d), _ma_value(e - eig, d)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -750,17 +787,18 @@ class MongeAmpereOp(_Term):
         off = np.any(e + eig <= 0.0, axis=1)
         return np.where(np.isfinite(low), spread, np.where(off, 0.0, math.inf))
 
-    def scatter(self, out: np.ndarray, rows: np.ndarray, v) -> np.ndarray:
-        """Write the A*-weighted centred stencil of the given convex rows
-        and NaN across the others."""
+    def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
+        """The A*-weighted centred stencil of the given convex rows with a
+        finite Hessian; the others are NaN across and kinks."""
         d = self.grid.dim
-        e, q, bound = _hessian_eigen(self.grid, np.asarray(v, dtype=float), rows)
-        convex = np.all(e > 0.0, axis=-1)
+        e, q, bound, finite = _hessian_eigen(self.grid, np.asarray(v, dtype=float),
+                                             rows)
+        convex = np.all(e > 0.0, axis=-1) & finite
         good = e[convex]
         w = np.prod(good, axis=-1, keepdims=True) ** (1.0 / d) / good
-        _scatter_hessian(out, self.grid, rows[convex], _from_eigen(q[convex], w))
-        out[rows[~convex]] = np.nan
-        return ~convex | np.any(np.abs(e) <= bound[:, None], axis=1)
+        return _Rows(*_scatter_hessian(self.grid, rows[convex],
+                                       _from_eigen(q[convex], w)),
+                     ~convex, ~convex | np.any(np.abs(e) <= bound[:, None], axis=1))
 
 
 def monge_ampere(grid: DyadicGrid) -> MongeAmpereOp:

@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -135,7 +136,7 @@ class TestDifferentialSampling:
 
     def test_empty_set_refuses_to_stack(self):
         with pytest.raises(ClarkeError):
-            ClarkeSet(point=np.zeros(1)).stacked()
+            ClarkeSet(point=np.zeros(1)).apply(np.zeros(1))
 
 
 class TestSimplexProjection:
@@ -472,8 +473,9 @@ def term_matrix(f):
     return f if isinstance(f, np.ndarray) else f.matrix()
 
 
-def reference_rows(teams, v):
-    """Active rows selected from each term's full matrix, and the tie margin.
+def reference_rows(teams, v, matrix=term_matrix):
+    """Active rows selected from each term's full matrix (matrix(f)), and
+    the tie margin.
 
     The row of the first maximiser within each team, then of the first
     minimising team.  The margin at a row is the smallest gap between the
@@ -485,7 +487,7 @@ def reference_rows(teams, v):
         t = np.stack([(f @ v if isinstance(f, np.ndarray) else f(v)) + s
                       for f, s in team])
         vals.append(t)
-        mats.append(np.stack([term_matrix(f) for f, _ in team]))
+        mats.append(np.stack([matrix(f) for f, _ in team]))
         if len(team) > 1:
             top2 = np.sort(t, axis=0)[-2:]
             margin = np.minimum(margin, top2[1] - top2[0])
@@ -531,8 +533,8 @@ class TestExactEnvelopeJacobian:
         op = envelope_op(teams)
         matrix, _ = op.jacobian(v)
         want, _, _ = reference_rows(teams, v)
-        assert matrix.tobytes() == want.tobytes()
-        assert jacobian_at(op, v).matrix.tobytes() == want.tobytes()
+        assert matrix.toarray().tobytes() == want.tobytes()
+        assert jacobian_at(op, v).matrix.toarray().tobytes() == want.tobytes()
 
     @ENVELOPE_SETTINGS
     @given(envelopes())
@@ -634,7 +636,7 @@ class TestExactEnvelopeJacobian:
 def sampled_layer(op, v, u, count):
     """The max of J (u - v) over count Jacobians sampled along [v, u]."""
     diff = segment_differential(op, v, u, count=count)
-    return np.max(diff.stacked() @ (u - v), axis=0)
+    return np.max(diff.apply(u - v), axis=0)
 
 
 def layer_tolerance(teams, v, u):
@@ -805,6 +807,7 @@ class TestExactSecondOrderJacobian:
         bad = ~np.isfinite(op(v))
         assert bad.any() and not bad.all()
         matrix, kink = op.jacobian(v)
+        matrix = matrix.toarray()
         with np.errstate(invalid="ignore"):
             loop = jacobian_at(Counting(op), v)
         assert kink and loop.kink
@@ -829,7 +832,9 @@ class TestExactSecondOrderJacobian:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_kink_and_exact_homogeneity_on_convex_data(self, seed):
-        # the envelope benchmark's Pucci case: n = 729, convex data
+        # the envelope benchmark's Pucci case: n = 729, convex data.  The
+        # column loop (4n operator calls) runs at n = 729 for seed 0 and on
+        # a level-2 grid (n = 169) for the others
         grid = DyadicGrid(3, 2, 1.625)
         v = convex_data(grid, seed)
         op = operators.pucci(grid, 0.5, 2.0)
@@ -837,9 +842,15 @@ class TestExactSecondOrderJacobian:
         assert not kink
         tv = op(v)
         assert np.max(np.abs(matrix @ v - tv)) <= 1e-10 * np.max(np.abs(tv))
+        if seed:
+            grid = DyadicGrid(2, 2, 1.5)
+            v = convex_data(grid, seed)
+            op = operators.pucci(grid, 0.5, 2.0)
+            matrix, kink = op.jacobian(v)
+            assert not kink
         measured = jacobian_at(Counting(op), v)
-        scale = float(np.max(np.abs(matrix)))
-        assert np.max(np.abs(matrix - measured.matrix)) <= 1e-8 * scale
+        scale = float(np.max(np.abs(matrix.data)))
+        assert np.max(np.abs(matrix.toarray() - measured.matrix)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 1.0), (1.0, -0.7)])
     def test_kink_at_a_zero_eigenvalue(self, direction):
@@ -939,7 +950,7 @@ def mixed_reference(grid, teams, v, step):
     with np.errstate(invalid="ignore"):
         for team in teams:
             t = np.stack([f(v) + sh for f, sh in team])
-            jac = np.stack([f.jacobian(v)[0] for f, _ in team])
+            jac = np.stack([f.jacobian(v)[0].toarray() for f, _ in team])
             vals.append(t)
             mats.append(jac)
             for f, _ in team:
@@ -969,6 +980,7 @@ class TestMixedEnvelopeJacobian:
         grid, teams, v = case
         op = envelope_op(teams)
         matrix, kink = op.jacobian(v)
+        matrix = matrix.toarray()
         # the loop's step is small enough for the curved Monge-Ampere value
         step = 1e-8 * (1.0 + float(np.max(np.abs(v))))
         want, scale, clear = mixed_reference(grid, teams, v, step)
@@ -1081,7 +1093,7 @@ class TestComparisonDefect:
 
     @staticmethod
     def off_centre_min(matrix, rows):
-        w = matrix[rows].copy()
+        w = matrix.toarray()[rows]
         w[np.arange(rows.size), rows] = np.inf
         return w.min(axis=1)
 
@@ -1196,6 +1208,136 @@ def test_every_exported_operator_and_envelope_has_an_exact_jacobian(
         assert op.jacobian(v) is None
 
 
+# --- sparse Jacobian rows against a dense scatter ---------------------------
+
+
+def dense_scatter(out, shape, rows, offs, wts):
+    """out[i, i + off] = weight for each row i and offset, reads outside
+    the box dropped; wts is one weight per offset or (offsets, rows)."""
+    for r, i in enumerate(rows):
+        idx = np.array(np.unravel_index(i, shape))
+        for k, off in enumerate(offs):
+            j = idx + np.asarray(off)
+            if np.all((j >= 0) & (j < np.array(shape))):
+                w = wts[k]
+                out[i, np.ravel_multi_index(tuple(j), shape)] = w[r] if np.ndim(w) else w
+
+
+def second_order_matrix(op, v):
+    """Pucci or Monge-Ampere densely: each row the centred stencil weighted
+    by the row's A*, NaN across where the Hessian is not finite or, for
+    Monge-Ampere, off convexity."""
+    grid = op.grid
+    d, n, h2 = grid.dim, grid.node_count, grid.spacing ** 2
+    hess = hessian_field(grid, v).reshape(-1, d, d)
+    e, q = np.linalg.eigh(hess)
+    good = np.isfinite(hess).all(axis=(1, 2))
+    if isinstance(op, operators.PucciOp):
+        up, down = (op.big, op.lam) if op.extremal == "max" else (op.lam, op.big)
+        w = np.where(e > 0.0, up, down)
+        a = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+        same = np.all(w == w[:, :1], axis=1)
+        a[same] = w[same, :1, None] * np.eye(d)
+    else:
+        good &= np.all(e > 0.0, axis=1)
+        w = np.prod(e[good], axis=-1, keepdims=True) ** (1.0 / d) / e[good]
+        a = np.zeros((n, d, d))
+        a[good] = (q[good] * w[:, None, :]) @ np.swapaxes(q[good], 1, 2)
+    eye = np.eye(d, dtype=np.int64)
+    offs = [np.zeros(d, dtype=np.int64)]
+    wts = [-2.0 * np.trace(a, axis1=1, axis2=2) / h2]
+    for k in range(d):
+        offs += [eye[k], -eye[k]]
+        wts += [a[:, k, k] / h2] * 2
+        for l in range(k + 1, d):
+            cross = a[:, k, l] / (2.0 * h2)
+            offs += [eye[k] + eye[l], -eye[k] - eye[l], eye[k] - eye[l], eye[l] - eye[k]]
+            wts += [cross, cross, -cross, -cross]
+    out = np.zeros((n, n))
+    rows = np.flatnonzero(good)
+    dense_scatter(out, grid.shape, rows, offs, [w[rows] for w in wts])
+    out[~good] = np.nan
+    return out
+
+
+def dense_matrix(f, v):
+    """The test-local dense Jacobian of a stencil, matrix, Pucci or
+    Monge-Ampere term at v."""
+    if isinstance(f, np.ndarray):
+        return f
+    if isinstance(f, operators.StencilOperator):
+        out = np.zeros((f.grid.node_count,) * 2)
+        dense_scatter(out, f.grid.shape, range(f.grid.node_count), list(f.kernel),
+                      list(f.kernel.values()))
+        return out
+    return second_order_matrix(f, v)
+
+
+@strategies.composite
+def sparse_cases(draw):
+    """An operator, its grid and data, its terms as teams, and the reach of
+    its rows: an envelope of
+    stencil and matrix terms, Pucci max or min on convex or saddle data,
+    Monge-Ampere on convex or random data, or a Levy stencil in 1-3 d."""
+    kind = draw(strategies.sampled_from(["envelope", "pucci max", "pucci min",
+                                         "monge-ampere", "stencil"]))
+    if kind == "envelope":
+        grid, teams, v, _ = draw(envelopes())
+        return envelope_op(teams), grid, v, teams, 2
+    seed = draw(strategies.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = MIXED_GRIDS[draw(strategies.sampled_from([1, 2, 3]))]
+    if kind == "stencil":
+        atoms = rng.integers(-2, 3, size=(2, grid.dim))
+        atoms[np.all(atoms == 0, axis=1), 0] = 1
+        st = stencil(grid, atoms.tolist(), seed=seed % 1000)
+        return st, grid, rng.standard_normal(grid.node_count), [[(st, 0.0)]], 2
+    shape = draw(strategies.sampled_from(["convex", "other"]))
+    v = convex_data(grid, seed % 1000, noise=0.05)
+    if shape == "other":
+        x = grid.points()
+        v = (rng.standard_normal(grid.node_count) if kind == "monge-ampere" or grid.dim == 1
+             else x[:, 0] * x[:, -1] + rng.uniform(-1.0, 1.0) * x[:, 0] ** 2)
+    op = (operators.monge_ampere(grid) if kind == "monge-ampere"
+          else operators.pucci(grid, 0.5, 2.0, kind.split()[1]))
+    return op, grid, v, [[(op, 0.0)]], 1
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_cases())
+def test_densified_rows_are_the_dense_scatter_bit_for_bit(case):
+    # the sparse rows read back as the dense matrix the terms' rows scatter
+    # into, NaN rows included, and store at most the reach box per row
+    op, grid, v, teams, reach = case
+    matrix, _ = op.jacobian(v)
+    want, _, _ = reference_rows(teams, v, lambda f: dense_matrix(f, v))
+    assert matrix.toarray().tobytes() == want.tobytes()
+    assert np.asarray(jacobian_at(op, v).matrix).tobytes() == want.tobytes()
+    n, d = v.size, grid.dim
+    assert matrix.indptr[-1] == matrix.data.size == matrix.indices.size
+    assert matrix.data.size <= (2 * reach + 1) ** d * n
+    for i in range(n):
+        cols = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+        assert np.all(np.diff(cols) > 0)
+
+
+def test_fields_of_a_level_5_stencil_never_hold_a_dense_matrix():
+    # n = 4,225: one dense n x n matrix alone is 143 MB; the sparse rows,
+    # the kept entries and the class keys stay a few MB
+    grid = DyadicGrid(5, 2, 1.0)
+    st = stencil(grid, [[2, 0], [-1, 3]], seed=5)
+    v = np.random.default_rng(5).standard_normal(grid.node_count)
+    tracemalloc.start()
+    try:
+        fields = coefficient_fields(st, grid, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fields.row_class.size == grid.node_count
+    assert peak < 16e6
+
+
 # --- coefficient fields against the per-row loop ----------------------------
 
 
@@ -1270,7 +1412,7 @@ def field_cases(draw):
 @given(field_cases())
 def test_fields_are_the_per_row_loop_bit_for_bit(case):
     op, grid, v = case
-    matrix = jacobian_at(op, v).matrix
+    matrix = jacobian_at(op, v).matrix.toarray()
     row_class, decs = reference_fields(matrix, grid.points())
     fields = coefficient_fields(op, grid, v)
     assert np.array_equal(fields.row_class, row_class)
@@ -1279,6 +1421,28 @@ def test_fields_are_the_per_row_loop_bit_for_bit(case):
         assert same_decomposition(fields.decompositions[i], want)
     scale = float(np.abs(matrix).sum(axis=1).max())
     assert representation_residual(op, grid, v, fields=fields) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("measured", [False, True], ids=["exact", "measured"])
+def test_a_row_with_no_stored_diagonal_keeps_it_at_weight_zero(measured):
+    # a kernel with no centre weight stores no diagonal entry; the fields
+    # keep the diagonal at 0 among each row's entries, as the per-row loop
+    # keeps every diagonal
+    grid = DyadicGrid(3, 1, 1.0)
+    st = operators.StencilOperator(grid, {(1,): 2.0, (-1,): 1.0, (2,): 0.5})
+    op = Counting(st) if measured else st
+    v = np.random.default_rng(3).standard_normal(grid.node_count)
+    matrix = np.asarray(jacobian_at(op, v).matrix)
+    assert not np.any(np.diag(matrix))
+    row_class, decs = reference_fields(matrix, grid.points())
+    fields = coefficient_fields(op, grid, v)
+    assert np.array_equal(fields.row_class, row_class)
+    for i, want in enumerate(decs):
+        assert_normal_form(fields, i, want)
+        assert same_decomposition(fields.decompositions[i], want)
+    for i, row in enumerate(jacobian_rows(matrix, grid.points())):
+        assert fields.row(i).offsets.tobytes() == row.offsets.tobytes()
+        assert fields.row(i).weights.tobytes() == row.weights.tobytes()
 
 
 def two_stencils(grid, seed):
@@ -1326,8 +1490,8 @@ def test_envelope_rows_are_their_terms_normal_forms(grid, kind):
 
 
 class TestNonFiniteRows:
-    """A row with a non-finite kept weight has no normal form; the bits of
-    its entries must not make a class of it."""
+    """A row with a non-finite entry, kept or not, or NaN across has no
+    normal form; the bits of its entries must not make a class of it."""
 
     @staticmethod
     def refused(op, grid, v, node):
@@ -1344,8 +1508,58 @@ class TestNonFiniteRows:
         grid = DyadicGrid(2, 2, 1.0)
         v = np.random.default_rng(0).standard_normal(grid.node_count)
         v[40] = math.nan
-        # the centred Hessians of the node and of its four neighbours
-        self.refused(operators.pucci(grid, 0.5, 2.0), grid, v, 31)
+        # the centred Hessians of the node and of its eight neighbours: the
+        # cross stencil reads the corners
+        self.refused(operators.pucci(grid, 0.5, 2.0), grid, v, 30)
+
+    @staticmethod
+    def nan_across(op, v, rows):
+        """The rows, and only they, are NaN across and kinks."""
+        matrix, kink = op.jacobian(v)
+        dense = matrix.toarray()
+        assert kink
+        assert np.array_equal(np.flatnonzero(np.isnan(dense).all(axis=1)), rows)
+        assert np.isfinite(np.delete(dense, rows, axis=0)).all()
+
+    def test_pucci_with_a_nan_node_on_convex_data_1d(self):
+        # eigh of a 1 x 1 NaN Hessian picks lam: the rows read 32, -64, 32
+        # unless the non-finite Hessian is caught
+        grid = DyadicGrid(3, 1, 1.0)
+        v = grid.points()[:, 0] ** 2 - 40.0
+        v[8] = math.nan
+        op = operators.pucci(grid, 0.5, 2.0)
+        self.nan_across(op, v, [7, 8, 9])
+        self.refused(op, grid, v, 7)
+
+    def test_pucci_with_a_nan_centre_on_convex_data_2d(self):
+        # eigh returns finite eigenvalues for a Hessian with a NaN diagonal,
+        # so only the Hessian's own finiteness finds these rows
+        grid = DyadicGrid(2, 2, 1.0)
+        v = convex_data(grid, seed=0)
+        v[40] = math.nan
+        for extremal in ("max", "min"):
+            op = operators.pucci(grid, 0.5, 2.0, extremal)
+            self.nan_across(op, v, [30, 31, 32, 39, 40, 41, 48, 49, 50])
+            self.refused(op, grid, v, 30)
+        self.nan_across(operators.monge_ampere(grid), v,
+                        [30, 31, 32, 39, 40, 41, 48, 49, 50])
+
+    def test_non_finite_entry_off_the_diagonal(self):
+        # row 0 measures as [1, nan, 0, ...]: its threshold is NaN, so a
+        # filter on kept entries alone would keep the finite diagonal
+        grid = DyadicGrid(2, 1, 1.0)
+        v = np.ones(grid.node_count)
+        v[1] = 0.0
+
+        def op(w):
+            out = w.copy()
+            out[0] = w[0] + np.sqrt(w[1])
+            return out
+        with np.errstate(invalid="ignore"):
+            sample = jacobian_at(op, v)
+            assert sample.kink and np.isnan(sample.matrix[0, 1])
+            assert np.isfinite(np.delete(sample.matrix[0], 1)).all()
+            self.refused(op, grid, v, 0)
 
     def test_callable_returning_nan(self):
         grid = DyadicGrid(3, 1, 1.0)
