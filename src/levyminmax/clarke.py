@@ -13,13 +13,12 @@ wrapped or plain callable, a surrogate), is measured one basis column at
 a time by central differences, where near a kink the two half-step
 measurements disagree, which is exactly the detection signal.  Sampling
 Jacobians near a point (and along segments) produces a finite stand-in for
-the generalized differential: enough for mean-value residuals and
-row-by-row coefficient extraction.  An exact Jacobian is a
-`grid.SparseRows` from end to end, its storage O(nnz): a row's reach is a
-few lattice steps.  A measured one is the dense n x n array the column loop
-fills; the sample sets and the coefficient fields read it as sparse rows,
-so they, the sampled min-max layer and the mean-value fit apply every
-sample as a sparse product and never stack n x n arrays.
+the generalized differential, enough for row-by-row coefficient
+extraction.  An exact Jacobian is a `grid.SparseRows` from end to end, its
+storage O(nnz): a row's reach is a few lattice steps.  A measured one is
+the dense n x n array the column loop fills; the sample sets and the
+coefficient fields read it as sparse rows, so they and the sampled min-max
+layer apply every sample as a sparse product and never stack n x n arrays.
 
 Min-max evaluation needs, per probe v, the max of J (u - v) over the Clarke
 Jacobians on the segment [v, u] (Clarke 1983, section 2.6; Lebourg 1975).
@@ -27,7 +26,9 @@ An envelope of stencil and matrix terms supplies it exactly, with no
 matrix, from the lines its terms trace along the segment
 (`operators.IsaacsOp.segment_max`); any other operator takes the max over
 Jacobians sampled along the segment, which can miss a term active only
-between two samples.
+between two samples.  The same lines certify the mean-value inclusion:
+T(u) - T(v) is the active terms' slopes weighted by the lengths of the
+pieces between crossings (`mean_value_residual`), no fit needed.
 
 Coefficient fields are array passes over the Jacobian's kept entries, read
 off its sparse rows in O(nnz).  A row's class is the first row with the
@@ -59,9 +60,6 @@ DEDUP_TOL = 1e-10
 KINK_FACTOR = 10.0
 # Jacobian entries below DROP_TOL times the row's largest are not row atoms
 DROP_TOL = 1e-12
-# projected-gradient budget and stopping step of `mean_value_residual`
-MEAN_VALUE_ITERS = 500
-MEAN_VALUE_TOL = 1e-10
 
 
 class ClarkeError(GridError):
@@ -242,61 +240,40 @@ def segment_differential(op, v, u, count: int = 9) -> ClarkeSet:
     return out
 
 
-def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort based)."""
-    y = np.asarray(y, dtype=float)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, y.size + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(y - theta, 0.0)
-
-
 @dataclass(frozen=True)
 class MeanValueReport:
-    """Best fit of T(u)-T(v) by a convex combination of sampled Jacobians."""
+    """T(u) - T(v) = sum_p w_p J_p (u - v), checked: the weights w_p are the
+    lengths of the pieces of [0, 1] between the breakpoints of all rows
+    (they sum to 1), J_p takes each row from the term active on piece p,
+    and residual is the max-norm defect."""
 
     residual: float
     weights: np.ndarray
-    iterations: int
-    converged: bool
 
 
-def mean_value_residual(op, u, v,
-                        diff: ClarkeSet | None = None) -> MeanValueReport:
-    """Solve the simplex least squares fit for the mean value identity.
+def mean_value_residual(op, u, v) -> MeanValueReport:
+    """The mean-value inclusion with its exact witness, with no iteration.
 
-    The increment T(u) - T(v) should lie in the convex hull of the sampled
-    Jacobians applied to u - v.  Projected gradient on the simplex; the
-    returned residual is the max-norm defect of the best fit.
+    T(u) - T(v) lies in the hull of the Clarke Jacobians on [v, u] applied
+    to u - v (Clarke 1983, section 2.6; Lebourg 1975).  An envelope of
+    stencil and matrix terms is piecewise linear there, so row by row the
+    hull point is the sum over the row's pieces of length times the slope
+    of the active term (`operators.IsaacsOp.segment_pieces`).  An operator
+    without pieces (a plain callable, an envelope with a Pucci,
+    Monge-Ampere, callable or nested term) is refused.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if diff is None:
-        diff = segment_differential(op, v, u)
+    got = op.segment_pieces(v, u) if hasattr(op, "segment_pieces") else None
+    if got is None:
+        raise ClarkeError(f"{type(op).__name__} has no pieces along the segment: "
+                          "only an envelope of stencil and matrix terms does")
+    slopes = np.take_along_axis(got.e, got.term, axis=0)
+    witness = np.sum(np.diff(got.breaks, axis=0) * slopes, axis=0)
     rhs = _apply(op, u) - _apply(op, v)
-    cols = diff.apply(u - v)                 # (m, n): each row one candidate
-    g = cols.T                               # (n, m)
-    m = g.shape[1]
-    lam = np.full(m, 1.0 / m)
-    gtg = g.T @ g
-    lip = float(np.linalg.norm(gtg, 2))
-    alpha = 1.0 / lip if lip > 0 else 1.0
-    it = 0
-    converged = False
-    for it in range(1, MEAN_VALUE_ITERS + 1):
-        grad = gtg @ lam - g.T @ rhs
-        nxt = project_simplex(lam - alpha * grad)
-        if float(np.max(np.abs(nxt - lam))) < MEAN_VALUE_TOL:
-            lam = nxt
-            converged = True
-            break
-        lam = nxt
-    res = float(np.max(np.abs(g @ lam - rhs)))
-    return MeanValueReport(residual=res, weights=lam, iterations=it,
-                           converged=converged)
+    cuts = np.diff(np.sort(got.breaks, axis=None))
+    return MeanValueReport(residual=float(np.max(np.abs(witness - rhs))),
+                           weights=cuts[cuts > 0.0])
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,11 @@ that row is a kink where two terms tie within their bounds or where the
 active term's own row is a kink.  An envelope with a plain callable term
 has no exact Jacobian (None).
 
-An envelope also names each row's active term at v (`active_terms`), and
-one of stencil and matrix terms, whose rows are lines along a segment,
-gives with no matrix the max of J (u - v) over the Clarke Jacobians on the
-segment [v, u] (`segment_max`), the inner layer of `clarke.minmax_eval`.
+An envelope also names each row's active term at v (`active_terms`).  One
+of stencil and matrix terms hands back its rows' lines along a segment
+[v, u], their crossings and the terms active between (`segment_pieces`):
+with no matrix, the inner layer of `clarke.minmax_eval` (`segment_max`)
+and the witness of `clarke.mean_value_residual`.
 
 The strip map solves the 5-point Laplace system with periodic lateral
 boundary mode by mode in the lateral Fourier basis.  The direct sparse
@@ -116,8 +117,9 @@ class _Term:
 
 def _affine_bound(m: int, rho: float, v: np.ndarray, shift) -> np.ndarray:
     """Rounding of a row that sums m products and the shift, rho bounding
-    the absolute sum of the row's weights: gamma_(m+1) (rho |v|_inf + |shift|)."""
-    peak = float(np.max(np.abs(v), initial=0.0))
+    the absolute sum of the row's weights: gamma_(m+1) (rho |v|_inf + |shift|),
+    |v|_inf over the finite entries (a row reading another is not finite)."""
+    peak = float(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))
     return _gamma(m + 1) * (rho * peak + np.abs(shift))
 
 
@@ -314,10 +316,12 @@ def _select(vals: np.ndarray, err: np.ndarray, pick) -> _Pick:
     return _Pick(index, best, best_err, near)
 
 
-def _lowest(inner: list) -> _Pick:
-    """The first minimising team, from each team's pick."""
-    return _select(np.stack([p.value for p in inner]),
-                   np.stack([p.err for p in inner]), np.argmin)
+class _Pieces(NamedTuple):
+    """Slopes, active terms, breakpoints, piece terms (`segment_pieces`)."""
+    e: np.ndarray
+    active: np.ndarray
+    breaks: np.ndarray
+    term: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -351,10 +355,6 @@ class BellmanOp(_Term):
             err[k] = f.bound(v, s)
         return vals, err
 
-    def _active(self, v: np.ndarray) -> _Pick:
-        """The first maximising term at each row."""
-        return _select(*self._stacked(v), np.argmax)
-
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         """The one-team `IsaacsOp` case."""
         return IsaacsOp((self,)).bound(v, shift)
@@ -366,6 +366,10 @@ class BellmanOp(_Term):
     def active_terms(self, v: np.ndarray) -> tuple:
         """The one-team `IsaacsOp` case."""
         return IsaacsOp((self,)).active_terms(v)
+
+    def segment_pieces(self, v: np.ndarray, u: np.ndarray) -> _Pieces | None:
+        """The one-team `IsaacsOp` case."""
+        return IsaacsOp((self,)).segment_pieces(v, u)
 
     def segment_max(self, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
         """The one-team `IsaacsOp` case."""
@@ -395,28 +399,36 @@ class IsaacsOp(_Term):
         `active_terms`."""
         return [term for team in self.teams for term in team.terms]
 
-    def _picks(self, v: np.ndarray) -> tuple:
-        """The active term of each team, and the first minimising team."""
-        inner = [team._active(v) for team in self.teams]
-        return inner, _lowest(inner)
+    def _stacks(self, v: np.ndarray) -> list:
+        """Each team's stacked values and rounding bounds at v."""
+        v = np.asarray(v, dtype=float)
+        return [team._stacked(v) for team in self.teams]
+
+    def _choose(self, stacks: list) -> tuple:
+        """The first maximiser of each team's `_stacked`, and the lowest team."""
+        inner = [_select(vals, err, np.argmax) for vals, err in stacks]
+        return inner, _select(np.stack([p.value for p in inner]),
+                              np.stack([p.err for p in inner]), np.argmin)
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         """The active term's bound, which holds off ties (where the row is
         a kink), and the rounding of adding the shift."""
-        outer = self._picks(np.asarray(v, dtype=float))[1]
+        outer = self._choose(self._stacks(v))[1]
         return outer.err + _gamma(1) * np.abs(outer.value + shift)
 
-    def active_terms(self, v: np.ndarray) -> tuple:
-        """Per row, the active term, numbered over all terms team by team,
-        and whether the row ties: between teams, or inside the team picked."""
-        v = np.asarray(v, dtype=float)
-        inner, outer = self._picks(v)
-        node = np.arange(v.size)
+    def _term(self, inner: list, outer: _Pick) -> np.ndarray:
+        """Per column of the choice, the active term, numbered team by team."""
         first = np.cumsum([0] + [len(team.terms) for team in self.teams])
-        index = np.stack([p.index for p in inner])[outer.index, node]
-        term = first[outer.index] + index
-        tied = np.stack([p.tie for p in inner])[outer.index, node]
-        return term, outer.tie | tied
+        index = np.stack([p.index for p in inner])
+        return first[outer.index] + index[outer.index, np.arange(outer.index.size)]
+
+    def active_terms(self, v: np.ndarray) -> tuple:
+        """Per row, the active term (`_term`), and whether the row ties:
+        between teams, or inside the team picked."""
+        inner, outer = self._choose(self._stacks(v))
+        tied = np.stack([p.tie for p in inner])[outer.index,
+                                                np.arange(outer.index.size)]
+        return self._term(inner, outer), outer.tie | tied
 
     def jacobian_rows(self, rows: np.ndarray, v) -> _Rows:
         """Each row from its active term; a kink at ties and at the active
@@ -436,56 +448,58 @@ class IsaacsOp(_Term):
         row, col, data = (np.concatenate(e) for e in zip(*(p[:3] for p in parts)))
         return _Rows(row, col, data, nan, kink)
 
-    def _near(self, stacks: list) -> np.ndarray:
-        """(terms, rows) mask of the terms that the envelope's selection
-        cannot order from its pick, from each team's stacked values and
-        rounding bounds: near the first minimising team, and inside a near
+    @staticmethod
+    def _near(inner: list, outer: _Pick) -> np.ndarray:
+        """(terms, columns) mask of the terms that the choice cannot order
+        from its pick: near the first minimising team, and inside a near
         team near its first maximiser."""
-        inner = [_select(vals, err, np.argmax) for vals, err in stacks]
-        outer = _lowest(inner)
         return np.vstack([p.near & o for p, o in zip(inner, outer.near)])
 
-    def segment_max(self, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-        """Row by row, the max of J (u - v) over the Clarke Jacobians on the
-        segment [v, u], with no matrix; None unless every term is affine (a
-        stencil or a `MatrixTerm`).
+    def segment_pieces(self, v: np.ndarray, u: np.ndarray) -> _Pieces | None:
+        """The terms' lines along v + t (u - v), row by row, where they cross
+        and which terms are active where; None unless every term is affine
+        (a stencil or a `MatrixTerm`).
 
-        Along v + t (u - v), row i of term k is the line a_k + t e_k, with
-        a_k = f_k(v) + s_k and e_k = f_k(u) + s_k - a_k, and J (u - v) is
-        e_k on a row where k is active.  In exact arithmetic e_k is
-        f_k(u - v); taken from the two computed values, the line meets both,
-        so a row whose segment carries one term gives back T(u) to the
-        rounding of one subtraction and one addition.  The active terms of
-        a row are those on its min-of-max envelope at some t in [0, 1]:
-        every term near the pick at v and at u within the rounding bounds of
-        `_select`, and the pick at every pairwise crossing of the lines in
-        (0, 1) and at the midpoints between consecutive crossings, where the
-        active set is constant.  Two values per term, no matrix, and
-        O(terms^2 n) work.
+        Row i of term k is the line a_k + t e_k, a_k = f_k(v) + s_k and
+        e_k = f_k(u) + s_k - a_k: in exact arithmetic e_k is f_k(u - v), and
+        taken from the two computed values the line meets both, so a row
+        carried by one term gives back T(u) to two roundings.  A row's
+        breakpoints are 0, the pairwise crossings of its lines in (0, 1)
+        (one outside reads 0) and 1; each piece between two takes the pick
+        at its midpoint.  The active terms are those near the pick at v or
+        at u within the rounding bounds of `_select`, and the pick at every
+        breakpoint and midpoint.  No matrix and O(terms^2 n) work.
         """
         terms = self._terms()
         if not all(isinstance(f, (StencilOperator, MatrixTerm))
                    for f, _ in terms):
             return None
-        v = np.asarray(v, dtype=float)
-        u = np.asarray(u, dtype=float)
-        ends = [[team._stacked(x) for team in self.teams] for x in (v, u)]
+        ends = [self._stacks(x) for x in (v, u)]
         a = np.vstack([vals for vals, _ in ends[0]])
         e = np.vstack([vals for vals, _ in ends[1]]) - a
-        active = self._near(ends[0]) | self._near(ends[1])
+        active = self._near(*self._choose(ends[0])) | self._near(*self._choose(ends[1]))
         j, k = np.triu_indices(len(terms), 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (a[j] - a[k]) / (e[k] - e[j])
         cross = np.where((cross > 0.0) & (cross < 1.0), cross, 0.0)
-        ts = np.sort(np.vstack([np.zeros(v.size), cross, np.ones(v.size)]),
-                     axis=0)
+        n = a.shape[1]
+        ts = np.sort(np.vstack([np.zeros(n), cross, np.ones(n)]), axis=0)
         t = np.vstack([ts[1:-1], 0.5 * (ts[1:] + ts[:-1])])
         lines = (a[:, None, :] + t * e[:, None, :]).reshape(len(terms), -1)
         cut = np.cumsum([len(team.terms) for team in self.teams])[:-1]
-        near = self._near([(part, np.zeros_like(part))
-                           for part in np.split(lines, cut)])
-        active |= near.reshape(len(terms), len(t), v.size).any(axis=1)
-        return np.max(np.where(active, e, -np.inf), axis=0)
+        inner, outer = self._choose([(part, np.zeros_like(part))
+                                     for part in np.split(lines, cut)])
+        active |= self._near(inner, outer).reshape(len(terms), len(t), n).any(axis=1)
+        term = self._term(inner, outer).reshape(len(t), n)[len(ts) - 2:]
+        return _Pieces(e, active, ts, term)
+
+    def segment_max(self, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+        """Row by row, the max of J (u - v) over the Clarke Jacobians on the
+        segment [v, u]: the largest slope of an active term
+        (`segment_pieces`); None unless every term is affine."""
+        got = self.segment_pieces(v, u)
+        return (None if got is None
+                else np.max(np.where(got.active, got.e, -np.inf), axis=0))
 
 
 def _leaves(op):
@@ -569,15 +583,20 @@ def pucci_extremal(eigenvalues: np.ndarray, lam: float, big: float,
     raise OperatorError(f"unknown extremal {extremal!r}")
 
 
-def _hessian_eigen(grid: DyadicGrid, v: np.ndarray, rows=slice(None)) -> tuple:
-    """Eigenvalues and eigenvectors of the centred Hessians (d, d) of the
-    given rows, per row the bound of `_eigen_bound` on each eigenvalue's
-    rounding, and whether the row's Hessian is finite (`eigh` may return
-    finite eigenvalues for a NaN diagonal)."""
+def _hessians(grid: DyadicGrid, v: np.ndarray, rows=slice(None)) -> tuple:
+    """The centred Hessians (d, d) of the given rows, and which are finite
+    (`eigh` may return finite eigenvalues for a NaN diagonal)."""
     d = grid.dim
     hess = hessian_field(grid, v).reshape(-1, d, d)[rows]
+    return hess, np.isfinite(hess).all(axis=(1, 2))
+
+
+def _hessian_eigen(grid: DyadicGrid, v: np.ndarray, rows=slice(None)) -> tuple:
+    """`eigh` of the rows' `_hessians`, the bound of `_eigen_bound` on each
+    eigenvalue, and which Hessians are finite."""
+    hess, finite = _hessians(grid, v, rows)
     e, q = np.linalg.eigh(hess)
-    return e, q, _eigen_bound(grid, v, hess), np.isfinite(hess).all(axis=(1, 2))
+    return e, q, _eigen_bound(grid, v, hess), finite
 
 
 def _eigen_bound(grid: DyadicGrid, v: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -594,10 +613,11 @@ def _eigen_bound(grid: DyadicGrid, v: np.ndarray, hess: np.ndarray) -> np.ndarra
     backward stable: its eigenvalues are exact for a perturbation of the
     computed Hessian H of 2-norm at most p(d) u |H|_2 (Golub and Van Loan,
     Matrix Computations, section 8.3), bounded here by gamma_(4 d^2) |H|_F.
-    Weyl's inequality adds the two.
+    Weyl's inequality adds the two.  |v|_inf runs over the finite entries:
+    a row that reads another one has no finite Hessian.
     """
     d = grid.dim
-    peak = float(np.max(np.abs(v), initial=0.0))
+    peak = float(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))
     rho = (d + 3) / grid.spacing ** 2
     frob = np.sqrt(np.sum(hess * hess, axis=(1, 2)))
     return _gamma(3) * rho * peak + _gamma(4 * d * d) * frob
@@ -650,10 +670,10 @@ class PucciOp(_Term):
     so a row is a kink when some computed eigenvalue lies within its
     rounding bound of 0 (`_eigen_bound`); with lam == big nothing switches
     and no row is a kink.  A row whose Hessian is not finite (data with a
-    NaN or infinite node within reach) is NaN across, as the column loop
-    reads it, and a kink.  The value is big-Lipschitz in each eigenvalue,
-    so it rounds by at most big d times the eigenvalues' bound, plus the
-    rounding of the weighted sum and the shift.
+    NaN or infinite node within reach) has value NaN, is NaN across, as the
+    column loop reads it, and is a kink.  The value is big-Lipschitz in each
+    eigenvalue, so it rounds by at most big d times the eigenvalues' bound,
+    plus the rounding of the weighted sum and the shift.
     """
 
     grid: DyadicGrid
@@ -669,9 +689,9 @@ class PucciOp(_Term):
             raise OperatorError(f"unknown extremal {self.extremal!r}")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        hess = hessian_field(self.grid, v)
-        e = np.linalg.eigvalsh(hess)
-        return pucci_extremal(e, self.lam, self.big, self.extremal).ravel()
+        hess, finite = _hessians(self.grid, v)
+        e = np.where(finite[:, None], np.linalg.eigvalsh(hess), math.nan)
+        return pucci_extremal(e, self.lam, self.big, self.extremal)
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         d = self.grid.dim
@@ -748,7 +768,8 @@ def _ma_value(e: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MongeAmpereOp(_Term):
-    """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity.
+    """d det(D2 u)^(1/d) on the centered Hessian field; -inf off convexity,
+    NaN where the Hessian is not finite.
 
     On a convex row this is the infimum of tr(A D2_h u) over det A = 1,
     attained at A* = det(H)^(1/d) H^(-1) (`ma_infimum`), so its Jacobian
@@ -763,8 +784,9 @@ class MongeAmpereOp(_Term):
     grid: DyadicGrid
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        hess = hessian_field(self.grid, v)
-        return _ma_value(np.linalg.eigvalsh(hess), self.grid.dim).ravel()
+        hess, finite = _hessians(self.grid, v)
+        return np.where(finite, _ma_value(np.linalg.eigvalsh(hess), self.grid.dim),
+                        math.nan)
 
     def bound(self, v: np.ndarray, shift) -> np.ndarray:
         """The spread of the value over eigenvalues within `_eigen_bound`

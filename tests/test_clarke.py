@@ -26,9 +26,8 @@ from levyminmax import clarke, courrege, operators
 from levyminmax.calculus import hessian_field
 from levyminmax.clarke import (ClarkeError, ClarkeSet, coefficient_fields,
                                default_step, jacobian_at, mean_value_residual,
-                               minmax_eval, project_simplex,
-                               representation_residual, sample_differential,
-                               segment_differential)
+                               minmax_eval, representation_residual,
+                               sample_differential, segment_differential)
 from levyminmax.courrege import RowFunctional, decompose, reconstruct_residual
 from levyminmax.grid import DyadicGrid
 from levyminmax.levy import LevyMeasure, LevyOperator
@@ -137,54 +136,6 @@ class TestDifferentialSampling:
     def test_empty_set_refuses_to_stack(self):
         with pytest.raises(ClarkeError):
             ClarkeSet(point=np.zeros(1)).apply(np.zeros(1))
-
-
-class TestSimplexProjection:
-    def test_known_projections(self):
-        assert project_simplex(np.array([0.5, 0.5])).tolist() == [0.5, 0.5]
-        assert project_simplex(np.array([2.0, 0.0])).tolist() == [1.0, 0.0]
-        assert project_simplex(np.array([0.3, 0.3, 0.3])) == pytest.approx(
-            np.full(3, 1.0 / 3.0))
-        assert project_simplex(np.array([5.0])).tolist() == [1.0]
-
-    def test_projection_is_closest_simplex_point(self):
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            y = rng.standard_normal(6) * 2.0
-            p = project_simplex(y)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            for _ in range(20):
-                z = rng.dirichlet(np.ones(6))
-                assert np.linalg.norm(p - y) <= np.linalg.norm(z - y) + 1e-12
-
-
-class TestMeanValue:
-    def test_linear_map_single_weight(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 4))
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
-        rep = mean_value_residual(linear_op(m), u, v)
-        assert rep.residual < 1e-8
-        assert rep.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_piecewise_linear_increment_lies_in_hull(self):
-        # one coordinate crosses the tie on the segment, the other stays put
-        op = double_well_op()
-        v = np.array([-1.0, 0.5])
-        u = np.array([3.0, 0.75])
-        rep = mean_value_residual(op, u, v)
-        assert rep.residual < 1e-8
-        assert rep.converged
-
-    def test_supplied_differential_is_used(self):
-        op = double_well_op()
-        v, u = np.array([-1.0]), np.array([1.0])
-        # too poor a sample: endpoints only on opposite pieces still span the
-        # needed hull for this map, so the fit stays exact
-        diff = segment_differential(op, v, u, count=2)
-        rep = mean_value_residual(op, u, v, diff=diff)
-        assert rep.residual < 1e-8
 
 
 class TestMinMax:
@@ -590,6 +541,21 @@ class TestExactEnvelopeJacobian:
             matrix, kink = operators.bellman([(a, 0.0), (a, d)]).jacobian(v)
             assert kink is tie and np.array_equal(matrix, a.matrix())
 
+    @pytest.mark.parametrize("kind", ["stencil", "pucci"])
+    def test_a_nan_node_leaves_every_finite_row_tied(self, kind):
+        # the rounding bounds scale with max |v| over the finite entries, so
+        # a NaN node switches off the tie test only on the rows that read it
+        grid = DyadicGrid(3, 1, 1.0)
+        f = (stencil(grid, [[2]], seed=1) if kind == "stencil"
+             else operators.pucci(grid, 0.5, 2.0))
+        op = operators.bellman([(f, 0.0), (f, 0.0)])
+        v = np.random.default_rng(0).standard_normal(grid.node_count)
+        v[0] = math.nan
+        finite = np.isfinite(op(v))
+        assert 0 < np.count_nonzero(finite) < v.size
+        assert np.array_equal(op.active_terms(v)[1], finite)
+        assert op.jacobian(v)[1]
+
     def test_tie_in_a_losing_team_is_no_kink(self):
         grid = DyadicGrid(3, 1, 1.0)
         a = stencil(grid, [[2]], seed=1)
@@ -708,6 +674,85 @@ class TestExactSegmentLayer:
         for op in (operators.bellman(terms), operators.isaacs([terms[:2], terms[2:]])):
             rep = minmax_eval(op, u, probes)
             assert np.all(rep.values >= rep.direct - 1e-9 * np.abs(rep.direct).max())
+
+
+def minmax_case(level, seed):
+    """The `levymm minmax` envelope and its data u, and v = u + 0.01 noise."""
+    grid = DyadicGrid(level, 1, 1.0)
+    left, right = (operators.levy_stencil(grid, LevyOperator(
+        np.eye(1), np.array([b]), -0.5, LevyMeasure.empty(1))) for b in (-1.0, 1.0))
+    x = grid.points()[:, 0]
+    rng = np.random.default_rng(seed)
+    u = np.exp(-4.0 * x ** 2) + 0.05 * rng.standard_normal(x.size)
+    return operators.bellman([left, right]), u, u + 0.01 * rng.standard_normal(x.size)
+
+
+def assert_certified(op, u, v):
+    """The witness reproduces T(u) - T(v) to 64 eps of its largest entry,
+    with piece lengths that are positive and sum to 1."""
+    rep = mean_value_residual(op, u, v)
+    eps = np.finfo(float).eps
+    assert rep.residual <= 64 * eps * np.abs(op(u) - op(v)).max()
+    assert np.all(rep.weights > 0.0)
+    assert rep.weights.sum() == pytest.approx(1.0, abs=64 * eps)
+    return rep
+
+
+class TestMeanValue:
+    def test_linear_map_single_weight(self):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((4, 4))
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        rep = mean_value_residual(operators.bellman([m]), u, v)
+        assert rep.residual == 0.0
+        assert rep.weights.tolist() == [1.0]
+
+    def test_piecewise_linear_increment_lies_in_hull(self):
+        # max(x, 2x): row 0 crosses the tie at t = 1/4 of the segment, row 1
+        # stays on 2x, so the pieces are [0, 1/4] and [1/4, 1]
+        op = operators.bellman([np.eye(2), 2.0 * np.eye(2)])
+        v = np.array([-1.0, 0.5])
+        u = np.array([3.0, 0.75])
+        rep = mean_value_residual(op, u, v)
+        assert rep.residual == 0.0
+        assert rep.weights.tolist() == [0.25, 0.75]
+
+    @ENVELOPE_SETTINGS
+    @given(envelopes(), strategies.sampled_from([0.01, 1.0, 10.0]))
+    def test_exact_on_affine_envelopes(self, case, size):
+        grid, teams, v, rng = case
+        assert_certified(envelope_op(teams), v + size * rng.standard_normal(v.size), v)
+
+    @pytest.mark.parametrize("level", range(4, 13))
+    def test_exact_on_the_minmax_envelope(self, level):
+        for seed in range(40):
+            assert_certified(*minmax_case(level, seed))
+
+    def test_a_swapped_piece_is_caught(self, monkeypatch):
+        op, u, v = minmax_case(9, 7)
+        assert assert_certified(op, u, v).weights.size == 62
+        pieces = op.segment_pieces(v, u)
+        # the piece where the other term's slope moves the row's sum most
+        cost = np.diff(pieces.breaks, axis=0) * np.abs(pieces.e[0] - pieces.e[1])
+        p, i = np.unravel_index(np.argmax(cost), cost.shape)
+        term = pieces.term.copy()
+        term[p, i] = 1 - term[p, i]
+        monkeypatch.setattr(operators.BellmanOp, "segment_pieces",
+                            lambda self, v, u: pieces._replace(term=term))
+        assert mean_value_residual(op, u, v).residual == pytest.approx(
+            cost[p, i], rel=1e-9)
+
+    def test_operators_without_pieces_are_refused(self):
+        grid = DyadicGrid(2, 2, 1.0)
+        a = stencil(grid, [[1, 0]])
+        v = np.zeros(grid.node_count)
+        for op in (double_well_op(),
+                   operators.bellman([a, operators.pucci(grid, 0.5, 2.0)]),
+                   operators.isaacs([[a], [operators.monge_ampere(grid)]]),
+                   operators.bellman([a, lambda w: a(w) - 1.0]),
+                   operators.bellman([operators.bellman([a]), a])):
+            with pytest.raises(ClarkeError, match="has no pieces along the segment"):
+                mean_value_residual(op, v + 1.0, v)
 
 
 class TestClarkeSetNaN:
@@ -1544,6 +1589,24 @@ class TestNonFiniteRows:
         self.nan_across(operators.monge_ampere(grid), v,
                         [30, 31, 32, 39, 40, 41, 48, 49, 50])
 
+    @pytest.mark.parametrize("factory", [
+        lambda grid: operators.pucci(grid, 0.5, 2.0),
+        lambda grid: operators.pucci(grid, 0.5, 2.0, "min"),
+        operators.monge_ampere], ids=["pucci-max", "pucci-min", "monge-ampere"])
+    def test_value_is_nan_where_the_hessian_is_not_finite(self, factory):
+        # eigvalsh returns finite eigenvalues for a NaN diagonal, where Pucci
+        # read finite values and Monge-Ampere -inf; the rows that do not read
+        # the node keep their bits
+        grid = DyadicGrid(2, 2, 1.0)
+        clean = np.random.default_rng(0).standard_normal(grid.node_count)
+        v = clean.copy()
+        v[40] = math.nan
+        op = factory(grid)
+        rows = [30, 31, 32, 39, 40, 41, 48, 49, 50]
+        got = op(v)
+        assert np.array_equal(np.flatnonzero(np.isnan(got)), rows)
+        assert np.array_equal(np.delete(got, rows), np.delete(op(clean), rows))
+
     def test_non_finite_entry_off_the_diagonal(self):
         # row 0 measures as [1, nan, 0, ...]: its threshold is NaN, so a
         # filter on kept entries alone would keep the finite diagonal
@@ -1590,6 +1653,13 @@ COLD_FIELDS = textwrap.dedent("""
     for op, v in ((st, np.cos(x[:, 0])), (pu, np.sum(x * x, axis=1) - 40.0)):
         fields = clarke.coefficient_fields(op, grid, v)
         assert clarke.representation_residual(op, grid, v, fields=fields) < 1e-6
+    back = operators.levy_stencil(grid, LevyOperator(
+        np.eye(3), -np.ones(3), -1.0, LevyMeasure.empty(3)))
+    env = operators.bellman([st, (back, 0.5)])
+    u = np.cos(x[:, 0])
+    w = u + np.sin(7.0 * x[:, 1])
+    assert clarke.minmax_eval(env, u, [w, u]).gap < 1e-9
+    assert clarke.mean_value_residual(env, u, w).residual < 1e-9
     loaded = sorted(set(sys.modules) - before)
     assert loaded == [], loaded
     assert "numpy.ma" not in sys.modules
@@ -1598,8 +1668,10 @@ COLD_FIELDS = textwrap.dedent("""
 
 def test_cold_fields_load_nothing_beyond_numpy_random():
     # a fresh interpreter: numpy.random (the probe battery's generator) is
-    # loaded first, and the fields and their check may load nothing more;
-    # numpy.ma in particular costs about 8 ms on the first np.unique
+    # loaded first, and the fields and their check, and the segment path of
+    # an affine envelope (its min-max layer and mean-value certificate), may
+    # load nothing more; numpy.ma in particular costs about 8 ms on the
+    # first np.unique
     src = str(pathlib.Path(levyminmax.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", COLD_FIELDS],
                           env=dict(os.environ, PYTHONPATH=src),

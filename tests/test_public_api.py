@@ -13,7 +13,8 @@ KEPT = {
     "clarke.sample_differential":
         "the sampled Clarke Jacobian at a point, the paper's differential",
     "clarke.mean_value_residual":
-        "the mean-value inclusion of the Clarke Jacobians (Lebourg)",
+        "the mean-value inclusion of the Clarke Jacobians (Lebourg), "
+        "certified exactly on affine envelopes from the segment's pieces",
     "courrege.CourregeDecomposition.levy_measure":
         "the Levy measure of a row's Courrege normal form",
     "cubes.uncovered_volume": "the coverage identity of the Whitney cover",
